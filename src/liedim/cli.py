@@ -44,6 +44,10 @@ def _slow_budget(slow: bool) -> int | None:
 @click.group()
 def main() -> None:
     """Exact dimensions, ratios and error bounds for modular Lie powers."""
+    try:
+        oracle_mod.work_budget()
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 @main.command("witt")
@@ -113,15 +117,22 @@ def oracle_group() -> None:
 @click.option("--n", type=int, required=True)
 @click.option("--r", type=int, required=True)
 @click.option("--words", is_flag=True, help="also print the words, one per line")
-def oracle_lyndon(n: int, r: int, words: bool) -> None:
+@click.option("--slow", is_flag=True, help="raise the work budget 100x")
+def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
     """Count (and optionally list) Lyndon words of length r over n letters."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
+    try:
+        oracle_mod.charge_word_enumeration(n, r, _slow_budget(slow))
+    except oracle_mod.WorkBudgetExceeded as exc:
+        raise click.UsageError(str(exc)) from exc
+    if not words:
+        click.echo(str(sum(1 for _ in oracle_mod.iter_lyndon_words(n, r))))
+        return
     found = oracle_mod.lyndon_words(n, r)
     click.echo(str(len(found)))
-    if words:
-        for word in found:
-            click.echo(".".join(str(a) for a in word))
+    for word in found:
+        click.echo(".".join(str(a) for a in word))
 
 
 @oracle_group.command("aperiodic")

@@ -16,6 +16,7 @@ work budget (LIEDIM_BUDGET in the environment overrides the default).
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from itertools import permutations, product
 from math import factorial, gcd
 
@@ -42,42 +43,68 @@ def work_budget(budget: int | None = None) -> int:
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
+    return value
+
+
+def _over_budget(task: str, work, limit: int) -> str:
+    return (
+        f"{task} needs about {work} units of work, budget is {limit} "
+        f"(raise it via the budget argument or {BUDGET_ENV_VAR})"
+    )
 
 
 def _charge(work: int, budget: int | None, task: str) -> None:
     limit = work_budget(budget)
     if work > limit:
-        raise WorkBudgetExceeded(
-            f"{task} needs about {work} units of work, budget is {limit} "
-            f"(raise it via the budget argument or {BUDGET_ENV_VAR})"
-        )
+        raise WorkBudgetExceeded(_over_budget(task, work, limit))
 
 
-def lyndon_words(n: int, r: int) -> list[Word]:
-    """All Lyndon words of length r over the alphabet 0..n-1, lexicographically.
+def charge_word_enumeration(
+    n: int, r: int, budget: int | None = None, task: str = "Lyndon word enumeration"
+) -> None:
+    """Refuse a walk over all n**r words of length r when it is over the budget."""
+    limit = work_budget(budget)
+    if n >= 2 and r > limit.bit_length():
+        # n**r >= 2**r > limit: refuse without building the power itself
+        raise WorkBudgetExceeded(_over_budget(task, f"{n}^{r}", limit))
+    _charge(n**r, limit, task)
+
+
+def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
+    """Yield the Lyndon words of length r over the alphabet 0..n-1, lexicographically.
 
     Duval's generation scheme: extend the current word periodically to length
     r, drop trailing maximal letters, then increment.  Each word produced on
-    the way is Lyndon; we keep the ones of length exactly r.
+    the way is Lyndon; we yield the ones of length exactly r.  Words are made
+    one at a time, so counting them needs no list of all of them.  The
+    arguments are checked when iteration starts.
     """
     if n < 1 or r < 1:
-        raise ValueError("lyndon_words() needs n >= 1 and r >= 1")
-    out: list[Word] = []
+        raise ValueError("iter_lyndon_words() needs n >= 1 and r >= 1")
     top = n - 1
     w = [-1]
     while w:
         w[-1] += 1
         if len(w) == r:
-            out.append(tuple(w))
+            yield tuple(w)
         m = len(w)
         while len(w) < r:
             w.append(w[len(w) - m])
         while w and w[-1] == top:
             w.pop()
-    return out
+
+
+def lyndon_words(n: int, r: int) -> list[Word]:
+    """All Lyndon words of length r over the alphabet 0..n-1, lexicographically."""
+    return list(iter_lyndon_words(n, r))
 
 
 def is_lyndon(word: Word) -> bool:
@@ -97,7 +124,7 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     """
     if n < 1 or r < 1:
         raise ValueError("aperiodic_count_bruteforce() needs n >= 1 and r >= 1")
-    _charge(n**r, budget, "aperiodic word enumeration")
+    charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
     periods = [d for d in divisors(r) if d < r]
     count = 0
     for word in product(range(n), repeat=r):
@@ -368,7 +395,7 @@ def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int
     """
     if n < 1 or r < 1:
         raise ValueError("lyndon_bracketing_rank() needs n >= 1 and r >= 1")
-    _charge(n**r, budget, "Lyndon word enumeration")
+    charge_word_enumeration(n, r, budget)
     vectors = [expand_standard_bracketing(word) for word in lyndon_words(n, r)]
     return rank_over_field(vectors, field)
 

@@ -42,8 +42,7 @@ CONV_KS = (2, 3, 5)
 CONV_MAX_R = 5000
 
 # oracle grids
-WEIGHT_SPACE_FAST = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2))
-WEIGHT_SPACE_SLOW = ((2, 3),)
+WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))
 ORACLE_POWER_MAX_N = 3
 ORACLE_POWER_MAX_R = 6
 ORACLE_MODULE_MAX_R = 6
@@ -176,7 +175,7 @@ def b_suite() -> list[CheckFamily]:
     return [identity, ratio_range, coeff, bound, conv]
 
 
-def c_suite(slow: bool = False) -> list[CheckFamily]:
+def c_suite() -> list[CheckFamily]:
     integ = CheckFamily("c/integrality-and-range")
     recur = CheckFamily("c/recurrence-cross-check")
     ratio_ident = CheckFamily("c/coefficient-ratio-identity")
@@ -228,10 +227,8 @@ def c_suite(slow: bool = False) -> list[CheckFamily]:
                 f"(q={q}, k={k})",
             )
 
-    points = WEIGHT_SPACE_FAST + (WEIGHT_SPACE_SLOW if slow else ())
-    for q, k in points:
-        budget = SLOW_BUDGET if (q, k) in WEIGHT_SPACE_SLOW else None
-        rank = oracle.weight_space_rank(q, k, None, budget)
+    for q, k in WEIGHT_SPACE_POINTS:
+        rank = oracle.weight_space_rank(q, k)
         agree.record(rank == weight_space_dim_formula(q, k), f"(q={q}, k={k})")
 
     for p in CONV_PRIMES:
@@ -265,7 +262,8 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     lyndon = CheckFamily("oracle/lyndon-count")
     for n in range(1, 5):
         for r in range(1, 13):
-            lyndon.record(len(oracle.lyndon_words(n, r)) == witt_dim(n, r), f"(n={n}, r={r})")
+            count = sum(1 for _ in oracle.iter_lyndon_words(n, r))
+            lyndon.record(count == witt_dim(n, r), f"(n={n}, r={r})")
 
     aper = CheckFamily("oracle/aperiodic-count")
     for n in range(1, 4):
@@ -296,17 +294,10 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
         )
 
     wspace = CheckFamily("oracle/weight-space-rank")
-    for q, k in WEIGHT_SPACE_FAST:
+    for q, k in WEIGHT_SPACE_POINTS:
         expected = weight_space_dim_formula(q, k)
         for f in (None, 2):
             wspace.record(oracle.weight_space_rank(q, k, f) == expected, f"(q={q}, k={k}, field={f})")
-    if slow:
-        for q, k in WEIGHT_SPACE_SLOW:
-            expected = weight_space_dim_formula(q, k)
-            wspace.record(
-                oracle.weight_space_rank(q, k, None, SLOW_BUDGET) == expected,
-                f"(q={q}, k={k}, slow)",
-            )
 
     smoke = CheckFamily("oracle/bracket-smoke")
     from itertools import product as _product
@@ -338,7 +329,7 @@ def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
     if suite in ("all", "b"):
         families += b_suite()
     if suite in ("all", "c"):
-        families += c_suite(slow)
+        families += c_suite()
     if suite in ("all", "oracle"):
         families += oracle_suite(slow)
     return families

@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--slow",
         action="store_true",
         default=False,
-        help="run the long oracle checks (lie module rank at r=7, weight space (2,3))",
+        help="run the long oracle checks (lie module rank at r=7)",
     )
 
 

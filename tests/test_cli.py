@@ -135,6 +135,10 @@ def test_oracle_budget_exceeded(runner):
 
     result = runner.invoke(main, ["oracle", "aperiodic", "--n", "3", "--r", "30"])
     assert result.exit_code == 2
+    # n**r far past the int-to-str digit limit is still refused in one line
+    result = runner.invoke(main, ["oracle", "aperiodic", "--n", "10", "--r", "5000"])
+    assert result.exit_code == 2
+    assert "10^5000" in result.output
 
 
 def test_oracle_env_budget(runner, monkeypatch):
@@ -145,6 +149,33 @@ def test_oracle_env_budget(runner, monkeypatch):
     result = runner.invoke(main, ["oracle", "aperiodic", "--n", "2", "--r", "8"])
     assert result.exit_code == 0
     assert result.output.strip() == "240"
+
+
+def test_malformed_env_budget(runner, monkeypatch):
+    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    for args in (["oracle", "lie-module", "--r", "3"], ["verify", "--suite", "oracle"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        error_lines = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert error_lines == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
+
+
+def test_oracle_lyndon_budget(runner):
+    result = runner.invoke(main, ["oracle", "lyndon", "--n", "10", "--r", "12"])
+    assert result.exit_code == 2
+    assert "Lyndon word enumeration" in result.output
+    result = runner.invoke(main, ["oracle", "lyndon", "--n", "10", "--r", "1000000000", "--words"])
+    assert result.exit_code == 2
+    assert "10^1000000000" in result.output
+
+
+def test_oracle_lyndon_slow_flag(runner):
+    args = ["oracle", "lyndon", "--n", "4", "--r", "12"]
+    assert runner.invoke(main, args).exit_code == 2
+    result = runner.invoke(main, [*args, "--slow"])
+    assert result.exit_code == 0
+    assert result.output == "1397740\n"
 
 
 def test_verify_witt_suite(runner):

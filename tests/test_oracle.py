@@ -1,6 +1,9 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liedim import oracle
 from liedim.lie_modules import dim_lie, weight_space_dim_formula
@@ -22,6 +25,39 @@ def test_lyndon_words_sorted_and_lyndon():
     assert words == sorted(words)
     assert all(oracle.is_lyndon(w) for w in words)
     assert len(words) == witt_dim(3, 5)
+
+
+def test_iter_lyndon_words_matches_list():
+    for n in range(1, 4):
+        for r in range(1, 10):
+            assert list(oracle.iter_lyndon_words(n, r)) == oracle.lyndon_words(n, r), (n, r)
+
+
+def test_iter_lyndon_words_is_lazy():
+    # the first of the 1,397,740 words arrives without the rest being built
+    tracemalloc.start()
+    try:
+        first = next(oracle.iter_lyndon_words(4, 12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == (0,) * 11 + (1,)
+    assert peak < 64 * 1024
+
+
+def test_iter_lyndon_words_rejects_bad_sizes():
+    with pytest.raises(ValueError):
+        next(oracle.iter_lyndon_words(0, 3))
+    with pytest.raises(ValueError):
+        oracle.lyndon_words(2, 0)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=8))
+def test_iter_lyndon_words_increasing_lyndon_and_counted(n, r):
+    words = list(oracle.iter_lyndon_words(n, r))
+    assert all(a < b for a, b in zip(words, words[1:]))
+    assert all(len(word) == r and oracle.is_lyndon(word) for word in words)
+    assert len(words) == witt_dim(n, r)
 
 
 def test_is_lyndon():
@@ -178,9 +214,23 @@ def test_budget_env_var(monkeypatch):
         oracle.aperiodic_count_bruteforce(2, 8)
     # explicit argument beats the environment
     assert oracle.aperiodic_count_bruteforce(2, 8, budget=10**6) == 240
-    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "not a number")
-    with pytest.raises(ValueError):
-        oracle.work_budget()
+    for bad in ("not a number", "-5", ""):
+        monkeypatch.setenv(oracle.BUDGET_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=oracle.BUDGET_ENV_VAR):
+            oracle.work_budget()
+
+
+def test_word_enumeration_charge():
+    oracle.charge_word_enumeration(4, 11)  # 4**11 = 4,194,304 units
+    with pytest.raises(oracle.WorkBudgetExceeded, match="Lyndon word enumeration"):
+        oracle.charge_word_enumeration(4, 12)  # 16,777,216 units
+    oracle.charge_word_enumeration(4, 12, budget=10**8)
+    oracle.charge_word_enumeration(1, 10**9)  # one word, whatever its length
+    # refused from the exponent alone, without building 10**(10**9)
+    with pytest.raises(oracle.WorkBudgetExceeded, match=r"10\^1000000000 units"):
+        oracle.charge_word_enumeration(10, 10**9)
+    with pytest.raises(oracle.WorkBudgetExceeded):
+        oracle.lyndon_bracketing_rank(4, 12)
 
 
 @pytest.mark.slow
@@ -188,6 +238,6 @@ def test_lie_module_rank_r7_slow():
     assert oracle.lie_module_rank(7, 2, budget=10**9) == dim_lie(7) == 720
 
 
-@pytest.mark.slow
-def test_weight_space_rank_23_slow():
-    assert oracle.weight_space_rank(2, 3, None, budget=10**9) == 240
+def test_weight_space_rank_23():
+    # charged (6!)^2 = 518,400 units, inside the default budget
+    assert oracle.weight_space_rank(2, 3, None) == 240
