@@ -137,6 +137,18 @@ def p_adic_split(r: int, p: int) -> PAdicSplit:
     return PAdicSplit(p, m, k)
 
 
+def _check_chain(p: int, m: int, k: int, k_min: int = 2) -> None:
+    """Validate a chain k, pk, p**2 k, ... at level m: p prime, m >= 0, k >= k_min, p not dividing k."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if m < 0:
+        raise ValueError(f"m must be >= 0, got {m}")
+    if k < k_min:
+        raise ValueError(f"k must be >= {k_min}, got {k}")
+    if k % p == 0:
+        raise ValueError(f"k must not be divisible by p={p}, got {k}")
+
+
 class BoundCheck(NamedTuple):
     """Result of an exact inequality check: lhs <= rhs."""
 

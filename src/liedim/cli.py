@@ -41,6 +41,23 @@ def _slow_budget(slow: bool) -> int | None:
     return verify_mod.SLOW_BUDGET if slow else None
 
 
+def _budgeted(fn, *args):
+    """Call an oracle function, reporting a work-budget refusal as a usage error."""
+    try:
+        return fn(*args)
+    except oracle_mod.WorkBudgetExceeded as exc:
+        raise click.UsageError(str(exc)) from exc
+
+
+def _report_rank(rank: int, label: str, expected: int) -> None:
+    """Print the rank, the expected value and agree/DISAGREE; exit 1 on a mismatch."""
+    click.echo(f"rank = {rank}")
+    click.echo(f"{label} = {expected}")
+    click.echo("agree" if rank == expected else "DISAGREE")
+    if rank != expected:
+        raise SystemExit(1)
+
+
 @click.group()
 def main() -> None:
     """Exact dimensions, ratios and error bounds for modular Lie powers."""
@@ -74,11 +91,13 @@ def witt_cmd(n: int, r: int) -> None:
     click.echo("bounds OK")
 
 
-def _run_config(p, ks, m_max, n, float_bits, fmt) -> RunConfig:
+def _print_table(build, fmt, p, ks, m_max, n, float_bits) -> None:
     try:
-        return RunConfig(p=p, k_list=tuple(ks), m_max=m_max, n=n, float_bits=float_bits, fmt=fmt)
+        cfg = RunConfig(p=p, k_list=tuple(ks), m_max=m_max, n=n, float_bits=float_bits)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    rows = build(cfg)
+    click.echo(to_csv(rows) if fmt == "csv" else to_json(rows), nl=False)
 
 
 @main.command("b-table")
@@ -90,9 +109,7 @@ def _run_config(p, ks, m_max, n, float_bits, fmt) -> RunConfig:
 @click.option("--float-bits", type=int, default=DEFAULT_FLOAT_BITS, show_default=True)
 def b_table_cmd(p, n, ks, m_max, fmt, float_bits) -> None:
     """Table of dim L^r, ratio_b and lower bounds along chains r = p^m k."""
-    cfg = _run_config(p, ks, m_max, n, float_bits, fmt)
-    rows = build_b_rows(cfg)
-    click.echo(to_csv(rows) if fmt == "csv" else to_json(rows), nl=False)
+    _print_table(build_b_rows, fmt, p, ks, m_max, n, float_bits)
 
 
 @main.command("c-table")
@@ -103,9 +120,7 @@ def b_table_cmd(p, n, ks, m_max, fmt, float_bits) -> None:
 @click.option("--float-bits", type=int, default=DEFAULT_FLOAT_BITS, show_default=True)
 def c_table_cmd(p, ks, m_max, fmt, float_bits) -> None:
     """Table of dim C(r), ratio_c and lower bounds along chains r = p^m k."""
-    cfg = _run_config(p, ks, m_max, None, float_bits, fmt)
-    rows = build_c_rows(cfg)
-    click.echo(to_csv(rows) if fmt == "csv" else to_json(rows), nl=False)
+    _print_table(build_c_rows, fmt, p, ks, m_max, None, float_bits)
 
 
 @main.group("oracle")
@@ -122,10 +137,7 @@ def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
     """Count (and optionally list) Lyndon words of length r over n letters."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    try:
-        oracle_mod.charge_word_enumeration(n, r, _slow_budget(slow))
-    except oracle_mod.WorkBudgetExceeded as exc:
-        raise click.UsageError(str(exc)) from exc
+    _budgeted(oracle_mod.charge_word_enumeration, n, r, _slow_budget(slow))
     if not words:
         click.echo(str(sum(1 for _ in oracle_mod.iter_lyndon_words(n, r))))
         return
@@ -143,10 +155,7 @@ def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
     """Count aperiodic words of length r over n letters by direct filtering."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    try:
-        click.echo(str(oracle_mod.aperiodic_count_bruteforce(n, r, _slow_budget(slow))))
-    except oracle_mod.WorkBudgetExceeded as exc:
-        raise click.UsageError(str(exc)) from exc
+    click.echo(str(_budgeted(oracle_mod.aperiodic_count_bruteforce, n, r, _slow_budget(slow))))
 
 
 @oracle_group.command("lie-power")
@@ -158,16 +167,8 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    try:
-        rank = oracle_mod.lie_power_rank(n, r, FIELD_CHOICES[field], _slow_budget(slow))
-    except oracle_mod.WorkBudgetExceeded as exc:
-        raise click.UsageError(str(exc)) from exc
-    w = witt_dim(n, r)
-    click.echo(f"rank = {rank}")
-    click.echo(f"witt = {w}")
-    click.echo("agree" if rank == w else "DISAGREE")
-    if rank != w:
-        raise SystemExit(1)
+    rank = _budgeted(oracle_mod.lie_power_rank, n, r, FIELD_CHOICES[field], _slow_budget(slow))
+    _report_rank(rank, "witt", witt_dim(n, r))
 
 
 @oracle_group.command("lie-module")
@@ -178,16 +179,8 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
     if r < 1:
         raise click.UsageError("r must be >= 1")
-    try:
-        rank = oracle_mod.lie_module_rank(r, FIELD_CHOICES[field], _slow_budget(slow))
-    except oracle_mod.WorkBudgetExceeded as exc:
-        raise click.UsageError(str(exc)) from exc
-    expected = dim_lie(r)
-    click.echo(f"rank = {rank}")
-    click.echo(f"(r-1)! = {expected}")
-    click.echo("agree" if rank == expected else "DISAGREE")
-    if rank != expected:
-        raise SystemExit(1)
+    rank = _budgeted(oracle_mod.lie_module_rank, r, FIELD_CHOICES[field], _slow_budget(slow))
+    _report_rank(rank, "(r-1)!", dim_lie(r))
 
 
 @oracle_group.command("weight-space")
@@ -199,16 +192,8 @@ def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
     if q < 1 or k < 1:
         raise click.UsageError("q and k must be >= 1")
-    try:
-        rank = oracle_mod.weight_space_rank(q, k, FIELD_CHOICES[field], _slow_budget(slow))
-    except oracle_mod.WorkBudgetExceeded as exc:
-        raise click.UsageError(str(exc)) from exc
-    expected = weight_space_dim_formula(q, k)
-    click.echo(f"rank = {rank}")
-    click.echo(f"(qk)!/k = {expected}")
-    click.echo("agree" if rank == expected else "DISAGREE")
-    if rank != expected:
-        raise SystemExit(1)
+    rank = _budgeted(oracle_mod.weight_space_rank, q, k, FIELD_CHOICES[field], _slow_budget(slow))
+    _report_rank(rank, "(qk)!/k", weight_space_dim_formula(q, k))
 
 
 @oracle_group.command("expand")

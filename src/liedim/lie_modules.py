@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ExactnessError, IdentityCheck, PAdicSplit, exact_div, factorial, is_prime, p_adic_split
+from .arith import ExactnessError, IdentityCheck, PAdicSplit, _check_chain, exact_div, factorial, is_prime, p_adic_split
 
 
 def dim_lie(r: int) -> int:
@@ -111,7 +111,6 @@ class CRatioReport:
     lie_dim: int
     ratio: Fraction
     bound: Fraction | None
-    a_prime_coeffs: tuple[Fraction, ...]
 
 
 class LieModuleContext:
@@ -155,10 +154,7 @@ class LieModuleContext:
 
     def dim_c(self, r: int) -> int:
         """c_r * (r-1)!, which must come out an integer."""
-        value = self.ratio_c(r) * dim_lie(r)
-        if value.denominator != 1:
-            raise ExactnessError(f"c_{r} * ({r}-1)! = {value} is not an integer")
-        return value.numerator
+        return _integral_dim(r, self.ratio_c(r), dim_lie(r))
 
     def check_c_recurrence_identity(self, m: int, k: int) -> IdentityCheck:
         """Recompute the factorial-form recurrence from scratch against the stored ratios.
@@ -181,25 +177,20 @@ class LieModuleContext:
         """Bundle the exact quantities for one degree."""
         split = self.split(r)
         ratio = self.ratio_c(r)
+        lie_dim = dim_lie(r)
         bound = lower_bound_c(self.p, split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        a_coeffs = tuple(coeff_a_prime(self.p, split.m, split.k, i) for i in range(split.m + 1))
         return CRatioReport(
             r=r,
             split=split,
-            dim=self.dim_c(r),
-            lie_dim=dim_lie(r),
+            dim=_integral_dim(r, ratio, lie_dim),
+            lie_dim=lie_dim,
             ratio=ratio,
             bound=bound,
-            a_prime_coeffs=a_coeffs,
         )
 
 
-def _check_chain(p: int, m: int, k: int, k_min: int = 2) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    if k < k_min:
-        raise ValueError(f"k must be >= {k_min}, got {k}")
-    if k % p == 0:
-        raise ValueError(f"k must not be divisible by p={p}, got {k}")
+def _integral_dim(r: int, ratio: Fraction, lie_dim: int) -> int:
+    value = ratio * lie_dim
+    if value.denominator != 1:
+        raise ExactnessError(f"c_{r} * ({r}-1)! = {value} is not an integer")
+    return value.numerator

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BoundCheck, IdentityCheck, PAdicSplit, checked_sub, exact_div, is_prime, p_adic_split
+from .arith import BoundCheck, IdentityCheck, PAdicSplit, _check_chain, checked_sub, exact_div, is_prime, p_adic_split
 from .render import DEFAULT_FLOAT_BITS, render_fraction, sqrt_dyadic
 from .witt import witt_dim
 
@@ -102,7 +102,6 @@ class BRatioReport:
     witt: int
     ratio: Fraction
     bound: RatioBoundB | None
-    a_coeffs: tuple[Fraction, ...]
 
 
 class LiePowerContext:
@@ -159,7 +158,7 @@ class LiePowerContext:
 
     def coeff_a(self, m: int, k: int, i: int) -> Fraction:
         """Normalized correction coefficient a_i for the chain of k at level m."""
-        self._check_chain(m, k, k_min=1)
+        _check_chain(self.p, m, k, k_min=1)
         if not 0 <= i <= m:
             raise ValueError(f"need 0 <= i <= m, got i={i}, m={m}")
         p = self.p
@@ -172,7 +171,7 @@ class LiePowerContext:
         Requires 0 < s <= i <= m, k >= 2 and p**(m-i+s) * k >= 6 (the region
         where the inequality is asserted).
         """
-        self._check_chain(m, k)
+        _check_chain(self.p, m, k)
         if not 0 < s <= i <= m:
             raise ValueError(f"need 0 < s <= i <= m, got i={i}, s={s}, m={m}")
         p = self.p
@@ -184,7 +183,7 @@ class LiePowerContext:
 
     def lower_bound_b(self, m: int, k: int) -> RatioBoundB:
         """Explicit lower bound object for b at degree p**m * k (m >= 1, k >= 2)."""
-        self._check_chain(m, k)
+        _check_chain(self.p, m, k)
         if m < 1:
             raise ValueError("the lower bound needs m >= 1")
         p, n = self.p, self.n
@@ -197,7 +196,7 @@ class LiePowerContext:
 
     def check_dimension_identity(self, m: int, k: int) -> IdentityCheck:
         """Recompute both sides of the defining identity in plain integers."""
-        self._check_chain(m, k, k_min=1)
+        _check_chain(self.p, m, k, k_min=1)
         p = self.p
         lhs = sum(p ** (m - i) * self.dim_b(p ** (m - i) * k) ** (p**i) for i in range(m + 1))
         rhs = witt_dim(self.n ** (p**m), k)
@@ -209,13 +208,4 @@ class LiePowerContext:
         dim = self.dim_b(r)
         w = witt_dim(self.n, r)
         bound = self.lower_bound_b(split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        a_coeffs = tuple(self.coeff_a(split.m, split.k, i) for i in range(split.m + 1))
-        return BRatioReport(r=r, split=split, dim=dim, witt=w, ratio=Fraction(dim, w), bound=bound, a_coeffs=a_coeffs)
-
-    def _check_chain(self, m: int, k: int, k_min: int = 2) -> None:
-        if m < 0:
-            raise ValueError(f"m must be >= 0, got {m}")
-        if k < k_min:
-            raise ValueError(f"k must be >= {k_min}, got {k}")
-        if k % self.p == 0:
-            raise ValueError(f"k must not be divisible by p={self.p}, got {k}")
+        return BRatioReport(r=r, split=split, dim=dim, witt=w, ratio=Fraction(dim, w), bound=bound)

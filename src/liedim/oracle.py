@@ -54,28 +54,32 @@ def work_budget(budget: int | None = None) -> int:
     return value
 
 
-def _over_budget(task: str, work, limit: int) -> str:
-    return (
-        f"{task} needs about {work} units of work, budget is {limit} "
+def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work) -> None:
+    """Refuse a computation whose work is over the budget.
+
+    2**floor_bits is a cheap lower bound on the work.  When it alone exceeds
+    the limit the request is refused without building the work number, which
+    may be far too large to print, and the work is shown as `symbolic`.
+    Otherwise work() builds the exact count, which is compared and printed.
+    The floors used below: n**r >= 2**r for n >= 2, and r! >= 2**(r-1).
+    """
+    limit = work_budget(budget)
+    shown = symbolic
+    if floor_bits <= limit.bit_length():
+        shown = work()
+        if shown <= limit:
+            return
+    raise WorkBudgetExceeded(
+        f"{task} needs about {shown} units of work, budget is {limit} "
         f"(raise it via the budget argument or {BUDGET_ENV_VAR})"
     )
-
-
-def _charge(work: int, budget: int | None, task: str) -> None:
-    limit = work_budget(budget)
-    if work > limit:
-        raise WorkBudgetExceeded(_over_budget(task, work, limit))
 
 
 def charge_word_enumeration(
     n: int, r: int, budget: int | None = None, task: str = "Lyndon word enumeration"
 ) -> None:
     """Refuse a walk over all n**r words of length r when it is over the budget."""
-    limit = work_budget(budget)
-    if n >= 2 and r > limit.bit_length():
-        # n**r >= 2**r > limit: refuse without building the power itself
-        raise WorkBudgetExceeded(_over_budget(task, f"{n}^{r}", limit))
-    _charge(n**r, limit, task)
+    _charge(budget, task, r if n >= 2 else 0, f"{n}^{r}", lambda: n**r)
 
 
 def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
@@ -382,7 +386,7 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     """
     if n < 1 or r < 1:
         raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
-    _charge(n**r * (1 << (r - 1)), budget, "Lie power span expansion")
+    _charge(budget, "Lie power span expansion", r - 1, f"{n}^{r}*2^{r - 1}", lambda: n**r * (1 << (r - 1)))
     vectors = [left_normed_expand(word) for word in product(range(n), repeat=r)]
     return rank_over_field(vectors, field)
 
@@ -410,7 +414,7 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
     """
     if r < 1:
         raise ValueError("lie_module_rank() needs r >= 1")
-    _charge(factorial(r) ** 2, budget, "multilinear bracket span")
+    _charge(budget, "multilinear bracket span", 2 * (r - 1), f"({r}!)^2", lambda: factorial(r) ** 2)
     vectors = [left_normed_expand(perm) for perm in permutations(range(r))]
     return rank_over_field(vectors, field)
 
@@ -426,7 +430,7 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     if q < 1 or k < 1:
         raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
     qk = q * k
-    _charge(factorial(qk) ** 2, budget, "weight space span")
+    _charge(budget, "weight space span", 2 * (qk - 1), f"({qk}!)^2", lambda: factorial(qk) ** 2)
     vectors = []
     for perm in permutations(range(qk)):
         blocks = [perm[j * q : (j + 1) * q] for j in range(k)]

@@ -17,11 +17,13 @@ no bound is defined) the bound column is empty.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _check_chain, is_prime
 from .lie_modules import LieModuleContext
-from .lie_powers import LiePowerContext
+from .lie_powers import LiePowerContext, RatioBoundB
 from .render import DEFAULT_FLOAT_BITS, render_fraction
 
 CSV_COLUMNS = (
@@ -48,11 +50,8 @@ class RunConfig:
     m_max: int
     n: int | None = None
     float_bits: int = DEFAULT_FLOAT_BITS
-    fmt: str = "csv"
 
     def __post_init__(self):
-        from .arith import is_prime
-
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not self.k_list:
@@ -60,18 +59,13 @@ class RunConfig:
         if len(set(self.k_list)) != len(self.k_list):
             raise ValueError(f"duplicate k values: {self.k_list}")
         for k in self.k_list:
-            if k < 1:
-                raise ValueError(f"k must be >= 1, got {k}")
-            if k % self.p == 0:
-                raise ValueError(f"k must not be divisible by p={self.p}, got {k}")
+            _check_chain(self.p, 0, k, k_min=1)
         if self.m_max < 0:
             raise ValueError(f"m_max must be >= 0, got {self.m_max}")
         if self.n is not None and self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.float_bits < 1:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.fmt}")
 
 
 @dataclass(frozen=True)
@@ -97,115 +91,82 @@ def _points(cfg: RunConfig) -> list[tuple[int, int, int]]:
     return pts
 
 
+def _build_rows(cfg: RunConfig, report: Callable, den_of: Callable, render_bound: Callable) -> list[ConvergenceRow]:
+    """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
+
+    report(r) is the context's per-degree report, den_of(rep) its reference
+    dimension and render_bound(bound, bits) the decimal bound column.
+    """
+    bits = cfg.float_bits
+    rows = []
+    for r, m, k in _points(cfg):
+        rep = report(r)
+        if rep.bound is not None:
+            bound_float = render_bound(rep.bound, bits)
+        elif m == 0:
+            bound_float = render_fraction(Fraction(1), bits)
+        else:
+            bound_float = ""
+        gap = 1 - rep.ratio
+        rows.append(
+            ConvergenceRow(
+                r=r,
+                p=cfg.p,
+                m=m,
+                k=k,
+                dim_num=rep.dim,
+                dim_den_context=den_of(rep),
+                ratio=rep.ratio,
+                ratio_float=render_fraction(rep.ratio, bits),
+                bound_float=bound_float,
+                gap=gap,
+                gap_float=render_fraction(gap, bits),
+            )
+        )
+    return rows
+
+
 def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the b-ratio table for one (p, n), ordered by degree."""
     if cfg.n is None:
         raise ValueError("the b table needs n")
     ctx = LiePowerContext(cfg.p, cfg.n)
-    bits = cfg.float_bits
-    rows = []
-    for r, m, k in _points(cfg):
-        rep = ctx.report(r)
-        if rep.bound is not None:
-            bound_float = rep.bound.float_str(bits)
-        elif m == 0:
-            bound_float = render_fraction(Fraction(1), bits)
-        else:
-            bound_float = ""
-        gap = 1 - rep.ratio
-        rows.append(
-            ConvergenceRow(
-                r=r,
-                p=cfg.p,
-                m=m,
-                k=k,
-                dim_num=rep.dim,
-                dim_den_context=rep.witt,
-                ratio=rep.ratio,
-                ratio_float=render_fraction(rep.ratio, bits),
-                bound_float=bound_float,
-                gap=gap,
-                gap_float=render_fraction(gap, bits),
-            )
-        )
-    return rows
+    return _build_rows(cfg, ctx.report, lambda rep: rep.witt, RatioBoundB.float_str)
 
 
 def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the c-ratio table for one p, ordered by degree."""
     ctx = LieModuleContext(cfg.p)
-    bits = cfg.float_bits
-    rows = []
-    for r, m, k in _points(cfg):
-        rep = ctx.report(r)
-        if rep.bound is not None:
-            bound_float = render_fraction(rep.bound, bits)
-        elif m == 0:
-            bound_float = render_fraction(Fraction(1), bits)
-        else:
-            bound_float = ""
-        gap = 1 - rep.ratio
-        rows.append(
-            ConvergenceRow(
-                r=r,
-                p=cfg.p,
-                m=m,
-                k=k,
-                dim_num=rep.dim,
-                dim_den_context=rep.lie_dim,
-                ratio=rep.ratio,
-                ratio_float=render_fraction(rep.ratio, bits),
-                bound_float=bound_float,
-                gap=gap,
-                gap_float=render_fraction(gap, bits),
-            )
-        )
-    return rows
+    return _build_rows(cfg, ctx.report, lambda rep: rep.lie_dim, render_fraction)
+
+
+def _record(row: ConvergenceRow) -> dict:
+    """One row keyed by CSV_COLUMNS, in that order; big integers as decimal strings."""
+    return {
+        "r": row.r,
+        "p": row.p,
+        "m": row.m,
+        "k": row.k,
+        "dim_num": str(row.dim_num),
+        "dim_den_context": str(row.dim_den_context),
+        "ratio_num": str(row.ratio.numerator),
+        "ratio_den": str(row.ratio.denominator),
+        "ratio_float": row.ratio_float,
+        "bound_float": row.bound_float,
+        "gap_float": row.gap_float,
+    }
 
 
 def to_csv(rows: list[ConvergenceRow]) -> str:
     """Fixed-column CSV with LF endings and a trailing newline."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    str(row.r),
-                    str(row.p),
-                    str(row.m),
-                    str(row.k),
-                    str(row.dim_num),
-                    str(row.dim_den_context),
-                    str(row.ratio.numerator),
-                    str(row.ratio.denominator),
-                    row.ratio_float,
-                    row.bound_float,
-                    row.gap_float,
-                )
-            )
-        )
+    lines += [",".join(map(str, _record(row).values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def to_json(rows: list[ConvergenceRow]) -> str:
     """JSON array of row objects; big integers are encoded as strings."""
-    payload = [
-        {
-            "r": row.r,
-            "p": row.p,
-            "m": row.m,
-            "k": row.k,
-            "dim_num": str(row.dim_num),
-            "dim_den_context": str(row.dim_den_context),
-            "ratio_num": str(row.ratio.numerator),
-            "ratio_den": str(row.ratio.denominator),
-            "ratio_float": row.ratio_float,
-            "bound_float": row.bound_float,
-            "gap_float": row.gap_float,
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([_record(row) for row in rows], indent=2) + "\n"
 
 
 def rows_from_json(text: str) -> list[ConvergenceRow]:

@@ -205,20 +205,7 @@ def c_suite() -> list[CheckFamily]:
                 chains.add((m, k))
 
         for m, k in sorted(chains):
-            where = f"(p={p}, m={m}, k={k})"
-            recur.record(ctx.check_c_recurrence_identity(m, k).holds, where)
-            for i in range(m + 1):
-                for s in range(i + 1):
-                    chk = check_a_prime_ratio_identity(p, m, k, i, s)
-                    ratio_ident.record(chk.holds, f"{where} i={i} s={s}")
-            if m >= 1:
-                lb = lower_bound_c(p, m, k)
-                c = ctx.ratio_c(p**m * k)
-                bound.record(lb <= c, where + " bound")
-                if m == 1:
-                    bound.record(lb == c, where + " tight at m=1")
-                if (p ** (m - 1) * k) ** (p - 1) >= 200 * (m - 1) and k ** (p**m - 1) >= 400:
-                    bound.record(1 - lb < GAP_EPS, where + " bound gap")
+            _check_c_chain(ctx, m, k, "", recur, ratio_ident, bound)
 
     for q in range(1, 9):
         for k in range(1, 9):
@@ -242,20 +229,40 @@ def c_suite() -> list[CheckFamily]:
                 if m == 0:
                     conv.record(c == 1, where + " ratio at m=0")
                     continue
-                lb = lower_bound_c(p, m, k)
-                conv.record(lb <= c, where + " bound")
-                if m == 1:
-                    conv.record(lb == c, where + " tight at m=1")
-                if (p ** (m - 1) * k) ** (p - 1) >= 200 * (m - 1) and k ** (p**m - 1) >= 400:
-                    conv.record(1 - lb < GAP_EPS, where + " bound gap")
+                _check_c_chain(ctx, m, k, " conv-grid", recur, ratio_ident, conv)
                 if r >= GAP_MIN_R:
                     conv.record(1 - c < GAP_EPS, where + " gap")
-                recur.record(ctx.check_c_recurrence_identity(m, k).holds, where + " conv-grid")
-                for i in range(m + 1):
-                    for s in range(i + 1):
-                        chk = check_a_prime_ratio_identity(p, m, k, i, s)
-                        ratio_ident.record(chk.holds, f"{where} i={i} s={s} conv-grid")
     return [integ, recur, ratio_ident, bound, weight, agree, conv]
+
+
+def _check_c_chain(
+    ctx: LieModuleContext,
+    m: int,
+    k: int,
+    suffix: str,
+    recur: CheckFamily,
+    ratio_ident: CheckFamily,
+    bound: CheckFamily,
+) -> None:
+    """Record one chain point's factorial-form recurrence and a' ratio identities
+    (their `where` tagged with suffix) and, for m >= 1, its lower bound: sound,
+    tight at m = 1 and, where the explicit terms allow, within GAP_EPS of 1.
+    """
+    p = ctx.p
+    where = f"(p={p}, m={m}, k={k})"
+    recur.record(ctx.check_c_recurrence_identity(m, k).holds, where + suffix)
+    for i in range(m + 1):
+        for s in range(i + 1):
+            chk = check_a_prime_ratio_identity(p, m, k, i, s)
+            ratio_ident.record(chk.holds, f"{where} i={i} s={s}{suffix}")
+    if m >= 1:
+        lb = lower_bound_c(p, m, k)
+        c = ctx.ratio_c(p**m * k)
+        bound.record(lb <= c, where + " bound")
+        if m == 1:
+            bound.record(lb == c, where + " tight at m=1")
+        if (p ** (m - 1) * k) ** (p - 1) >= 200 * (m - 1) and k ** (p**m - 1) >= 400:
+            bound.record(1 - lb < GAP_EPS, where + " bound gap")
 
 
 def oracle_suite(slow: bool = False) -> list[CheckFamily]:

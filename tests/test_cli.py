@@ -1,10 +1,33 @@
+import hashlib
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from liedim import cli
 from liedim.cli import main
 from liedim.report import RunConfig, build_b_rows, build_c_rows, to_csv
+
+
+# stdout digests at the default --float-bits: an odd prime, the m = 0 bound of
+# 1, the empty bound column at k = 1 and odd-degree (square-root) b bounds
+TABLE_DIGESTS = {
+    "b-table --p 3 --n 2 --k 1 --k 2 --k 5 --m-max 4":
+        "4f43c80b9849c959e0fd300d6794f93711c959c4b92040704c4d42d1e7df4be2",
+    "b-table --p 3 --n 2 --k 1 --k 2 --k 5 --m-max 4 --format json":
+        "65caa9c9caa9349680f93d51b383ad5e0bae4004a21c03604a456d12bbfe39b3",
+    "c-table --p 3 --k 1 --k 2 --k 4 --m-max 5":
+        "462fa3e3b6e7302fb30d01e8911b940b509c7cc2d04a9e6e720e86054369f55b",
+    "c-table --p 3 --k 1 --k 2 --k 4 --m-max 5 --format json":
+        "14db73b42506c5742de48e5f17cf881f4d50c518f599e07159b8597a609f076f",
+}
+
+# (command, its rank function in the oracle, the expected rank, the exact stdout)
+RANK_COMMANDS = (
+    (["oracle", "lie-power", "--n", "2", "--r", "6", "--field", "f2"], "lie_power_rank", 9, "rank = 9\nwitt = 9\nagree\n"),
+    (["oracle", "lie-module", "--r", "5"], "lie_module_rank", 24, "rank = 24\n(r-1)! = 24\nagree\n"),
+    (["oracle", "weight-space", "--q", "2", "--k", "2"], "weight_space_rank", 12, "rank = 12\n(qk)!/k = 12\nagree\n"),
+)
 
 
 @pytest.fixture
@@ -91,6 +114,10 @@ def test_table_determinism(runner):
     second = runner.invoke(main, args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+    for command, digest in TABLE_DIGESTS.items():
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == 0, command
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest, command
 
 
 def test_oracle_lyndon(runner):
@@ -115,23 +142,24 @@ def test_oracle_expand(runner):
 
 
 def test_oracle_rank_commands(runner):
-    result = runner.invoke(main, ["oracle", "lie-power", "--n", "2", "--r", "6", "--field", "f2"])
-    assert result.exit_code == 0
-    assert "rank = 9" in result.output and "agree" in result.output
+    for args, _, _, stdout in RANK_COMMANDS:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, args
+        assert result.output == stdout
 
-    result = runner.invoke(main, ["oracle", "lie-module", "--r", "5"])
-    assert result.exit_code == 0
-    assert "rank = 24" in result.output
 
-    result = runner.invoke(main, ["oracle", "weight-space", "--q", "2", "--k", "2"])
-    assert result.exit_code == 0
-    assert "rank = 12" in result.output
+def test_oracle_rank_disagreement(runner, monkeypatch):
+    for args, rank_fn, rank, _ in RANK_COMMANDS:
+        monkeypatch.setattr(cli.oracle_mod, rank_fn, lambda *_, wrong=rank + 1: wrong)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, args
+        assert result.output.splitlines()[-1] == "DISAGREE"
 
 
 def test_oracle_budget_exceeded(runner):
     result = runner.invoke(main, ["oracle", "lie-module", "--r", "7"])
     assert result.exit_code == 2
-    assert "work" in result.output
+    assert "needs about 25401600 units of work" in result.output
 
     result = runner.invoke(main, ["oracle", "aperiodic", "--n", "3", "--r", "30"])
     assert result.exit_code == 2
@@ -139,6 +167,17 @@ def test_oracle_budget_exceeded(runner):
     result = runner.invoke(main, ["oracle", "aperiodic", "--n", "10", "--r", "5000"])
     assert result.exit_code == 2
     assert "10^5000" in result.output
+    # the work of these is past the digit limit too; it is refused unbuilt
+    for args in (
+        ["oracle", "lie-module", "--r", "2000"],
+        ["oracle", "lie-power", "--n", "10", "--r", "5000"],
+        ["oracle", "weight-space", "--q", "40", "--k", "50"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+        assert "Traceback" not in result.output
 
 
 def test_oracle_env_budget(runner, monkeypatch):

@@ -148,12 +148,12 @@ def test_report_structure(ctx22):
     assert rep.dim == 304 and rep.witt == 335
     assert rep.ratio == Fraction(304, 335)
     assert rep.bound is not None
-    assert rep.a_coeffs[0] == 1
-    assert len(rep.a_coeffs) == 3
+    a = [ctx22.coeff_a(2, 3, i) for i in range(3)]
+    assert a[0] == 1
 
     rep = ctx22.report(3)
     assert rep.bound is None
-    assert rep.a_coeffs == (Fraction(1),)
+    assert ctx22.coeff_a(0, 3, 0) == 1
 
 
 def test_populate_matches_single_calls(ctx22):

@@ -31,7 +31,7 @@ r,p,m,k,dim_num,dim_den_context,ratio_num,ratio_den,ratio_float,bound_float,gap_
 
 def test_run_config_validation():
     cfg = RunConfig(p=2, k_list=(3,), m_max=2, n=2)
-    assert cfg.float_bits == 128 and cfg.fmt == "csv"
+    assert cfg.float_bits == 128
     with pytest.raises(ValueError):
         RunConfig(p=4, k_list=(3,), m_max=2)
     with pytest.raises(ValueError):
@@ -44,8 +44,6 @@ def test_run_config_validation():
         RunConfig(p=2, k_list=(3,), m_max=-1)
     with pytest.raises(ValueError):
         RunConfig(p=2, k_list=(3,), m_max=2, n=1)
-    with pytest.raises(ValueError):
-        RunConfig(p=2, k_list=(3,), m_max=2, fmt="xml")
     with pytest.raises(ValueError):
         RunConfig(p=2, k_list=(3,), m_max=2, float_bits=0)
 
@@ -103,17 +101,17 @@ def test_csv_structure():
 
 
 def test_json_round_trip():
-    cfg = RunConfig(p=2, k_list=(3, 5), m_max=2, n=2, fmt="json")
+    cfg = RunConfig(p=2, k_list=(3, 5), m_max=2, n=2)
     rows = build_b_rows(cfg)
     assert rows_from_json(to_json(rows)) == rows
 
-    cfg = RunConfig(p=3, k_list=(2,), m_max=2, fmt="json")
+    cfg = RunConfig(p=3, k_list=(2,), m_max=2)
     rows = build_c_rows(cfg)
     assert rows_from_json(to_json(rows)) == rows
 
 
 def test_json_big_integers_as_strings():
-    cfg = RunConfig(p=2, k_list=(3,), m_max=2, float_bits=16, fmt="json")
+    cfg = RunConfig(p=2, k_list=(3,), m_max=2, float_bits=16)
     payload = json.loads(to_json(build_c_rows(cfg)))
     row = payload[-1]
     assert row["r"] == 12 and row["p"] == 2 and row["m"] == 2 and row["k"] == 3
