@@ -9,6 +9,7 @@ layer, and only as renderings of exact rationals.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -147,6 +148,51 @@ def _check_chain(p: int, m: int, k: int, k_min: int = 2) -> None:
         raise ValueError(f"k must be >= {k_min}, got {k}")
     if k % p == 0:
         raise ValueError(f"k must not be divisible by p={p}, got {k}")
+
+
+class _ChainTable:
+    """Memoized per-degree table for one prime p, filled bottom-up along each chain k, pk, p**2 k, ...
+
+    A subclass supplies _level(j, k), the value at degree p**j * k, once every
+    lower level of that chain is in self._memo.  Call populate() first if the
+    table is to be shared across threads; after that all accesses are reads.
+    """
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        self.p = p
+        self._memo: dict = {}
+
+    def split(self, r: int) -> PAdicSplit:
+        return p_adic_split(r, self.p)
+
+    def _walk(self, r: int):
+        if r not in self._memo:
+            _, m, k = self.split(r)
+            for j in range(m + 1):
+                rj = self.p**j * k
+                if rj not in self._memo:
+                    self._memo[rj] = self._level(j, k)
+        return self._memo[r]
+
+    def populate(self, max_r: int) -> None:
+        """Fill the table for every degree up to max_r."""
+        for r in range(1, max_r + 1):
+            self._walk(r)
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """Exact per-degree summary: dim, the reference dimension it is measured against
+    (w(n, r) or (r-1)!), their ratio and its explicit lower bound (None if undefined)."""
+
+    r: int
+    split: PAdicSplit
+    dim: int
+    reference: int
+    ratio: Fraction
+    bound: object
 
 
 class BoundCheck(NamedTuple):

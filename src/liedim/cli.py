@@ -8,8 +8,6 @@ exit code 2 with argument parsing errors.
 
 from __future__ import annotations
 
-import os
-
 import click
 
 from . import oracle as oracle_mod
@@ -34,15 +32,8 @@ def _field_option():
     )
 
 
-def _slow_budget(slow: bool) -> int | None:
-    """Budget override for --slow runs; the environment variable always wins."""
-    if os.environ.get(oracle_mod.BUDGET_ENV_VAR) is not None:
-        return None
-    return verify_mod.SLOW_BUDGET if slow else None
-
-
 def _budgeted(fn, *args):
-    """Call an oracle function, reporting a work-budget refusal as a usage error."""
+    """Call fn(*args), reporting a work-budget refusal as a usage error."""
     try:
         return fn(*args)
     except oracle_mod.WorkBudgetExceeded as exc:
@@ -137,7 +128,7 @@ def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
     """Count (and optionally list) Lyndon words of length r over n letters."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    _budgeted(oracle_mod.charge_word_enumeration, n, r, _slow_budget(slow))
+    _budgeted(oracle_mod.charge_word_enumeration, n, r, oracle_mod.work_budget(slow=slow))
     if not words:
         click.echo(str(sum(1 for _ in oracle_mod.iter_lyndon_words(n, r))))
         return
@@ -155,7 +146,7 @@ def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
     """Count aperiodic words of length r over n letters by direct filtering."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    click.echo(str(_budgeted(oracle_mod.aperiodic_count_bruteforce, n, r, _slow_budget(slow))))
+    click.echo(str(_budgeted(oracle_mod.aperiodic_count_bruteforce, n, r, oracle_mod.work_budget(slow=slow))))
 
 
 @oracle_group.command("lie-power")
@@ -167,7 +158,7 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
     if n < 1 or r < 1:
         raise click.UsageError("n and r must be >= 1")
-    rank = _budgeted(oracle_mod.lie_power_rank, n, r, FIELD_CHOICES[field], _slow_budget(slow))
+    rank = _budgeted(oracle_mod.lie_power_rank, n, r, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
     _report_rank(rank, "witt", witt_dim(n, r))
 
 
@@ -179,7 +170,7 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
     if r < 1:
         raise click.UsageError("r must be >= 1")
-    rank = _budgeted(oracle_mod.lie_module_rank, r, FIELD_CHOICES[field], _slow_budget(slow))
+    rank = _budgeted(oracle_mod.lie_module_rank, r, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
     _report_rank(rank, "(r-1)!", dim_lie(r))
 
 
@@ -192,7 +183,7 @@ def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
     if q < 1 or k < 1:
         raise click.UsageError("q and k must be >= 1")
-    rank = _budgeted(oracle_mod.weight_space_rank, q, k, FIELD_CHOICES[field], _slow_budget(slow))
+    rank = _budgeted(oracle_mod.weight_space_rank, q, k, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
     _report_rank(rank, "(qk)!/k", weight_space_dim_formula(q, k))
 
 
@@ -231,7 +222,7 @@ def oracle_expand(word: str, bracketing: str) -> None:
 @click.option("--slow", is_flag=True, help="include the long oracle checks")
 def verify_cmd(suite: str, slow: bool) -> None:
     """Run the named self-check suite; exit 1 if any check fails."""
-    families = verify_mod.run_suites(suite, slow=slow)
+    families = _budgeted(verify_mod.run_suites, suite, slow)
     for fam in families:
         click.echo(f"{fam.name}: {fam.checks} checks, {len(fam.failures)} failures")
         for detail in fam.failures[:MAX_FAILURES_SHOWN]:

@@ -41,10 +41,9 @@ block pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import ExactnessError, IdentityCheck, PAdicSplit, _check_chain, exact_div, factorial, is_prime, p_adic_split
+from .arith import ExactnessError, IdentityCheck, RatioReport, _ChainTable, _check_chain, exact_div, factorial
 
 
 def dim_lie(r: int) -> int:
@@ -101,56 +100,23 @@ def lower_bound_c(p: int, m: int, k: int) -> Fraction:
     return 1 - (m - 1) * coeff_a_prime(p, m, k, 1) - coeff_a_prime(p, m, k, m)
 
 
-@dataclass(frozen=True)
-class CRatioReport:
-    """Exact per-degree summary for the reporting layer."""
-
-    r: int
-    split: PAdicSplit
-    dim: int
-    lie_dim: int
-    ratio: Fraction
-    bound: Fraction | None
-
-
-class LieModuleContext:
+class LieModuleContext(_ChainTable):
     """Memoized c_r table for one prime p (no space dimension is involved)."""
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        self.p = p
-        self._ratio: dict[int, Fraction] = {}
-
-    def split(self, r: int) -> PAdicSplit:
-        return p_adic_split(r, self.p)
+    def _level(self, j: int, k: int) -> Fraction:
+        if j == 0:
+            return Fraction(1)
+        if k == 1:
+            return Fraction(0)
+        p = self.p
+        value = Fraction(1)
+        for i in range(1, j + 1):
+            value -= coeff_a_prime(p, j, k, i) * self._memo[p ** (j - i) * k] ** (p**i)
+        return value
 
     def ratio_c(self, r: int) -> Fraction:
         """c_r via the normalized recurrence; always in [0, 1]."""
-        cached = self._ratio.get(r)
-        if cached is not None:
-            return cached
-        p = self.p
-        _, m, k = self.split(r)
-        for j in range(m + 1):
-            rj = p**j * k
-            if rj in self._ratio:
-                continue
-            if j == 0:
-                value = Fraction(1)
-            elif k == 1:
-                value = Fraction(0)
-            else:
-                value = Fraction(1)
-                for i in range(1, j + 1):
-                    value -= coeff_a_prime(p, j, k, i) * self._ratio[p ** (j - i) * k] ** (p**i)
-            self._ratio[rj] = value
-        return self._ratio[r]
-
-    def populate(self, max_r: int) -> None:
-        """Fill the table for every degree up to max_r."""
-        for r in range(1, max_r + 1):
-            self.ratio_c(r)
+        return self._walk(r)
 
     def dim_c(self, r: int) -> int:
         """c_r * (r-1)!, which must come out an integer."""
@@ -173,17 +139,17 @@ class LieModuleContext:
         rhs = Fraction(big, k)
         return IdentityCheck(lhs, rhs, lhs == rhs)
 
-    def report(self, r: int) -> CRatioReport:
+    def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
         split = self.split(r)
         ratio = self.ratio_c(r)
         lie_dim = dim_lie(r)
         bound = lower_bound_c(self.p, split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        return CRatioReport(
+        return RatioReport(
             r=r,
             split=split,
             dim=_integral_dim(r, ratio, lie_dim),
-            lie_dim=lie_dim,
+            reference=lie_dim,
             ratio=ratio,
             bound=bound,
         )

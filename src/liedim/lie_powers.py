@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BoundCheck, IdentityCheck, PAdicSplit, _check_chain, checked_sub, exact_div, is_prime, p_adic_split
+from .arith import BoundCheck, IdentityCheck, RatioReport, _ChainTable, _check_chain, checked_sub, exact_div
 from .render import DEFAULT_FLOAT_BITS, render_fraction, sqrt_dyadic
 from .witt import witt_dim
 
@@ -92,65 +92,29 @@ class RatioBoundB:
         return render_fraction(1 - half - self.tower - self.tail, bits)
 
 
-@dataclass(frozen=True)
-class BRatioReport:
-    """Everything the reporting layer needs about one degree."""
-
-    r: int
-    split: PAdicSplit
-    dim: int
-    witt: int
-    ratio: Fraction
-    bound: RatioBoundB | None
-
-
-class LiePowerContext:
-    """Memoized dim_b table for one (p, n).
-
-    The table fills bottom-up along each chain k, pk, p**2 k, ... on demand.
-    Call populate() first if the context is to be shared across threads; after
-    that all accesses are reads.
-    """
+class LiePowerContext(_ChainTable):
+    """Memoized dim_b table for one (p, n), filled on demand (see _ChainTable)."""
 
     def __init__(self, p: int, n: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
+        super().__init__(p)
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        self.p = p
         self.n = n
-        self._dim: dict[int, int] = {}
 
-    def split(self, r: int) -> PAdicSplit:
-        return p_adic_split(r, self.p)
+    def _level(self, j: int, k: int) -> int:
+        if j == 0:
+            return witt_dim(self.n, k)
+        if k == 1:
+            return 0
+        p = self.p
+        total = witt_dim(self.n ** (p**j), k)
+        for i in range(1, j + 1):
+            total = checked_sub(total, p ** (j - i) * self._memo[p ** (j - i) * k] ** (p**i))
+        return exact_div(total, p**j)
 
     def dim_b(self, r: int) -> int:
         """Dimension of the tensor-split summand in degree r."""
-        cached = self._dim.get(r)
-        if cached is not None:
-            return cached
-        p = self.p
-        _, m, k = self.split(r)
-        for j in range(m + 1):
-            rj = p**j * k
-            if rj in self._dim:
-                continue
-            if j == 0:
-                value = witt_dim(self.n, k)
-            elif k == 1:
-                value = 0
-            else:
-                total = witt_dim(self.n ** (p**j), k)
-                for i in range(1, j + 1):
-                    total = checked_sub(total, p ** (j - i) * self._dim[p ** (j - i) * k] ** (p**i))
-                value = exact_div(total, p**j)
-            self._dim[rj] = value
-        return self._dim[r]
-
-    def populate(self, max_r: int) -> None:
-        """Fill the table for every degree up to max_r."""
-        for r in range(1, max_r + 1):
-            self.dim_b(r)
+        return self._walk(r)
 
     def ratio_b(self, r: int) -> Fraction:
         """Exact dim_b(r) / w(n, r); always in [0, 1]."""
@@ -202,10 +166,10 @@ class LiePowerContext:
         rhs = witt_dim(self.n ** (p**m), k)
         return IdentityCheck(lhs, rhs, lhs == rhs)
 
-    def report(self, r: int) -> BRatioReport:
+    def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
         split = self.split(r)
         dim = self.dim_b(r)
         w = witt_dim(self.n, r)
         bound = self.lower_bound_b(split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        return BRatioReport(r=r, split=split, dim=dim, witt=w, ratio=Fraction(dim, w), bound=bound)
+        return RatioReport(r=r, split=split, dim=dim, reference=w, ratio=Fraction(dim, w), bound=bound)

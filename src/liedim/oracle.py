@@ -38,13 +38,14 @@ class WorkBudgetExceeded(RuntimeError):
     """Estimated work for a brute-force computation is over the active budget."""
 
 
-def work_budget(budget: int | None = None) -> int:
-    """Resolve the active budget: explicit argument, else environment, else default."""
+def work_budget(budget: int | None = None, slow: bool = False) -> int:
+    """Resolve the active budget: explicit argument, else environment, else
+    100 times the default for slow runs, else the default."""
     if budget is not None:
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is None:
-        return DEFAULT_BUDGET
+        return 100 * DEFAULT_BUDGET if slow else DEFAULT_BUDGET
     try:
         value = int(env)
     except ValueError:
@@ -256,19 +257,18 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
-    # drop explicit zero entries up front; the kernels assume stored = nonzero
-    vecs = [{idx: c for idx, c in vec.items() if c} for vec in vectors]
-    degrees = {len(idx) for vec in vecs for idx in vec}
+    # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
+    columns = sorted({idx for vec in vectors for idx, c in vec.items() if c})
+    degrees = {len(idx) for idx in columns}
     if len(degrees) > 1:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
-    columns = sorted({idx for vec in vecs for idx in vec})
     col_id = {idx: j for j, idx in enumerate(columns)}
 
     if field is None:
-        return _rank_rational([{col_id[i]: c for i, c in vec.items()} for vec in vecs])
+        return _rank_rational([{col_id[i]: c for i, c in vec.items() if c} for vec in vectors])
     if field == 2:
         masks = []
-        for vec in vecs:
+        for vec in vectors:
             mask = 0
             for idx, c in vec.items():
                 if c & 1:
@@ -277,7 +277,7 @@ def rank_over_field(vectors, field: int | None = None) -> int:
         return _rank_gf2(masks)
     p = field
     rows = []
-    for vec in vecs:
+    for vec in vectors:
         row = {}
         for idx, c in vec.items():
             c %= p

@@ -91,11 +91,11 @@ def _points(cfg: RunConfig) -> list[tuple[int, int, int]]:
     return pts
 
 
-def _build_rows(cfg: RunConfig, report: Callable, den_of: Callable, render_bound: Callable) -> list[ConvergenceRow]:
+def _build_rows(cfg: RunConfig, report: Callable, render_bound: Callable) -> list[ConvergenceRow]:
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
-    report(r) is the context's per-degree report, den_of(rep) its reference
-    dimension and render_bound(bound, bits) the decimal bound column.
+    report(r) is the context's per-degree RatioReport and render_bound(bound,
+    bits) the decimal bound column.
     """
     bits = cfg.float_bits
     rows = []
@@ -115,7 +115,7 @@ def _build_rows(cfg: RunConfig, report: Callable, den_of: Callable, render_bound
                 m=m,
                 k=k,
                 dim_num=rep.dim,
-                dim_den_context=den_of(rep),
+                dim_den_context=rep.reference,
                 ratio=rep.ratio,
                 ratio_float=render_fraction(rep.ratio, bits),
                 bound_float=bound_float,
@@ -131,13 +131,13 @@ def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     if cfg.n is None:
         raise ValueError("the b table needs n")
     ctx = LiePowerContext(cfg.p, cfg.n)
-    return _build_rows(cfg, ctx.report, lambda rep: rep.witt, RatioBoundB.float_str)
+    return _build_rows(cfg, ctx.report, RatioBoundB.float_str)
 
 
 def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the c-ratio table for one p, ordered by degree."""
     ctx = LieModuleContext(cfg.p)
-    return _build_rows(cfg, ctx.report, lambda rep: rep.lie_dim, render_fraction)
+    return _build_rows(cfg, ctx.report, render_fraction)
 
 
 def _record(row: ConvergenceRow) -> dict:

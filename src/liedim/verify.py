@@ -49,8 +49,6 @@ ORACLE_MODULE_MAX_R = 6
 ORACLE_MODULE_SLOW_R = 7
 ORACLE_FIELDS = (None, 2, 3)
 
-SLOW_BUDGET = 100 * oracle.DEFAULT_BUDGET
-
 
 @dataclass
 class CheckFamily:
@@ -297,7 +295,7 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     if slow:
         r = ORACLE_MODULE_SLOW_R
         module.record(
-            oracle.lie_module_rank(r, 2, SLOW_BUDGET) == dim_lie(r), f"(r={r}, field=2, slow)"
+            oracle.lie_module_rank(r, 2, oracle.work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)"
         )
 
     wspace = CheckFamily("oracle/weight-space-rank")

@@ -188,6 +188,12 @@ def test_oracle_env_budget(runner, monkeypatch):
     result = runner.invoke(main, ["oracle", "aperiodic", "--n", "2", "--r", "8"])
     assert result.exit_code == 0
     assert result.output.strip() == "240"
+    # verify's oracle checks are charged too; a refusal is a usage error, not a failed check
+    monkeypatch.setenv("LIEDIM_BUDGET", "1000")
+    result = runner.invoke(main, ["verify", "--suite", "c"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
 
 
 def test_malformed_env_budget(runner, monkeypatch):

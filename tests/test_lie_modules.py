@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liedim.arith import factorial
+from liedim.arith import RatioReport, factorial
 from liedim.lie_modules import (
     LieModuleContext,
     check_a_prime_ratio_identity,
@@ -145,9 +145,10 @@ def test_dim_c_integral_grid():
 def test_report_structure():
     ctx = LieModuleContext(2)
     rep = ctx.report(12)
+    assert type(rep) is RatioReport  # the report type LiePowerContext returns too
     assert rep.r == 12
     assert rep.dim == 35481600
-    assert rep.lie_dim == factorial(11)
+    assert rep.reference == factorial(11)
     assert rep.ratio == Fraction(8, 9)
     assert rep.bound == Fraction(43, 54)
     a = [coeff_a_prime(2, 2, 3, i) for i in range(3)]

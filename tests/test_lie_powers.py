@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liedim.arith import RatioReport
 from liedim.lie_powers import LiePowerContext
 from liedim.witt import witt_dim
 
@@ -143,9 +144,10 @@ def test_dimension_identity_grid():
 
 def test_report_structure(ctx22):
     rep = ctx22.report(12)
+    assert type(rep) is RatioReport  # the report type LieModuleContext returns too
     assert rep.r == 12
     assert rep.split.m == 2 and rep.split.k == 3
-    assert rep.dim == 304 and rep.witt == 335
+    assert rep.dim == 304 and rep.reference == 335
     assert rep.ratio == Fraction(304, 335)
     assert rep.bound is not None
     a = [ctx22.coeff_a(2, 3, i) for i in range(3)]

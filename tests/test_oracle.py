@@ -166,6 +166,9 @@ def test_rank_over_field_ignores_zero_entries():
     vectors = [{a: 0, b: 1}, {a: 1, c: 1}, {a: 1, c: -1}]
     assert oracle.rank_over_field(vectors) == 3
     assert oracle.rank_over_field(vectors, field=3) == 3
+    # a zero entry of another degree is not a mixed-degree input
+    for field in (None, 2, 3):
+        assert oracle.rank_over_field([{a: 1, (0, 1): 0}], field) == 1
 
 
 def test_rank_over_field_validation():
@@ -212,8 +215,13 @@ def test_budget_env_var(monkeypatch):
     assert oracle.work_budget() == 50
     with pytest.raises(oracle.WorkBudgetExceeded):
         oracle.aperiodic_count_bruteforce(2, 8)
-    # explicit argument beats the environment
+    # explicit argument beats the environment, which beats --slow
     assert oracle.aperiodic_count_bruteforce(2, 8, budget=10**6) == 240
+    assert oracle.work_budget(slow=True) == 50
+    assert oracle.work_budget(7, slow=True) == 7
+    monkeypatch.delenv(oracle.BUDGET_ENV_VAR)
+    assert oracle.work_budget(slow=True) == 100 * oracle.DEFAULT_BUDGET
+    assert oracle.work_budget() == oracle.DEFAULT_BUDGET
     for bad in ("not a number", "-5", ""):
         monkeypatch.setenv(oracle.BUDGET_ENV_VAR, bad)
         with pytest.raises(ValueError, match=oracle.BUDGET_ENV_VAR):
