@@ -8,6 +8,8 @@ exit code 2 with argument parsing errors.
 
 from __future__ import annotations
 
+import sys
+
 import click
 
 from . import oracle as oracle_mod
@@ -40,6 +42,20 @@ def _budgeted(fn, *args):
         raise click.UsageError(str(exc)) from exc
 
 
+def _check_printable(values) -> None:
+    """Refuse, before anything is printed, an integer with more decimal digits
+    than the interpreter's int-to-str limit allows (a limit of 0 is none)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    too_big = 10**limit
+    if any(abs(x) >= too_big for x in values):
+        raise click.UsageError(
+            f"the result has an integer of more than {limit} decimal digits, the interpreter's "
+            "limit; raise it via PYTHONINTMAXSTRDIGITS (0 lifts it)"
+        )
+
+
 def _report_rank(rank: int, label: str, expected: int) -> None:
     """Print the rank, the expected value and agree/DISAGREE; exit 1 on a mismatch."""
     click.echo(f"rank = {rank}")
@@ -68,6 +84,9 @@ def witt_cmd(n: int, r: int) -> None:
     if n < 1:
         raise click.UsageError("n must be >= 1")
     chk = check_witt_bounds(n, r)
+    shown = [chk.w, chk.upper_lhs, chk.upper_rhs]
+    shown += [chk.lower_excess] if chk.lower_excess <= 0 else [chk.lower_lhs_sq, chk.lower_rhs_sq]
+    _check_printable(shown)
     click.echo(f"w({n}, {r}) = {chk.w}")
     click.echo(f"upper: r*w = {chk.upper_lhs} <= n^r = {chk.upper_rhs}")
     if chk.lower_excess <= 0:
@@ -88,6 +107,7 @@ def _print_table(build, fmt, p, ks, m_max, n, float_bits) -> None:
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     rows = build(cfg)
+    _check_printable(x for row in rows for x in (row.dim_num, row.dim_den_context, *row.ratio.as_integer_ratio()))
     click.echo(to_csv(rows) if fmt == "csv" else to_json(rows), nl=False)
 
 

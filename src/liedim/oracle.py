@@ -83,6 +83,27 @@ def charge_word_enumeration(
     _charge(budget, task, r if n >= 2 else 0, f"{n}^{r}", lambda: n**r)
 
 
+def charge_aperiodic_count(n: int, r: int, budget: int | None = None) -> None:
+    """The budget charge of aperiodic_count_bruteforce(n, r): n**r words."""
+    charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
+
+
+def charge_lie_power(n: int, r: int, budget: int | None = None) -> None:
+    """The budget charge of lie_power_rank(n, r): n**r words of 2**(r-1) terms each."""
+    _charge(budget, "Lie power span expansion", r - 1, f"{n}^{r}*2^{r - 1}", lambda: n**r * (1 << (r - 1)))
+
+
+def charge_lie_module(r: int, budget: int | None = None) -> None:
+    """The budget charge of lie_module_rank(r): (r!)**2, vectors times columns."""
+    _charge(budget, "multilinear bracket span", 2 * (r - 1), f"({r}!)^2", lambda: factorial(r) ** 2)
+
+
+def charge_weight_space(q: int, k: int, budget: int | None = None) -> None:
+    """The budget charge of weight_space_rank(q, k): ((q*k)!)**2."""
+    qk = q * k
+    _charge(budget, "weight space span", 2 * (qk - 1), f"({qk}!)^2", lambda: factorial(qk) ** 2)
+
+
 def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
     """Yield the Lyndon words of length r over the alphabet 0..n-1, lexicographically.
 
@@ -129,7 +150,7 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     """
     if n < 1 or r < 1:
         raise ValueError("aperiodic_count_bruteforce() needs n >= 1 and r >= 1")
-    charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
+    charge_aperiodic_count(n, r, budget)
     periods = [d for d in divisors(r) if d < r]
     count = 0
     for word in product(range(n), repeat=r):
@@ -141,16 +162,21 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
 def _left_normed(symbols: list[tuple]) -> SparseTensorVector:
     # Fold [[..[s1, s2], s3] ..., st] in coordinates; each step is
     # v  ->  v (x) s  -  s (x) v  on concatenated index tuples.
+    # The v (x) s keys are distinct with v's nonzero coefficients, so that half
+    # is copied whole; a key of the s (x) v half can only meet one of them, and
+    # is deleted when the two cancel, so no zero coefficient is ever stored.
     vec: SparseTensorVector = {tuple(symbols[0]): 1}
     for sym in symbols[1:]:
-        nxt: SparseTensorVector = {}
+        nxt = {idx + sym: coeff for idx, coeff in vec.items()}
         get = nxt.get
         for idx, coeff in vec.items():
-            left = idx + sym
-            nxt[left] = get(left, 0) + coeff
-            right = sym + idx
-            nxt[right] = get(right, 0) - coeff
-        vec = {idx: c for idx, c in nxt.items() if c}
+            key = sym + idx
+            nv = get(key, 0) - coeff
+            if nv:
+                nxt[key] = nv
+            else:
+                del nxt[key]
+        vec = nxt
     return vec
 
 
@@ -253,7 +279,14 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     field None means the rationals; a prime p means F_p.  Deterministic by
     construction: vectors are consumed in the given order and each row is
     reduced against pivots chosen as the first nonzero position in
-    lexicographic column order.
+    lexicographic column order.  Each call converts the vectors to rows of its
+    own and updates those in place; the vectors are not modified.
+
+    Over F_p pivots are scaled to lead 1 and a row loses a multiple of the
+    pivot.  Over the rationals rows stay integral: when the pivot's lead
+    divides the row's lead (always for the +-1 leads that bracket expansions
+    mostly have) the row loses an integer multiple of the pivot in place, and
+    only otherwise is it cross-multiplied into a new, gcd-compressed row.
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
@@ -316,13 +349,14 @@ def _rank_prime(rows: list[dict[int, int]], p: int) -> int:
                 pivots[lead] = {c: (v * inv) % p for c, v in row.items()}
                 rank += 1
                 break
-            f = row[lead]  # pivot rows are normalized to leading coefficient 1
+            f = p - row[lead]  # pivot rows are normalized to leading coefficient 1
+            get = row.get
             for c, v in piv.items():
-                nv = (row.get(c, 0) - f * v) % p
+                nv = (get(c, 0) + f * v) % p
                 if nv:
                     row[c] = nv
-                elif c in row:
-                    del row[c]
+                else:
+                    row.pop(c, None)
         # an emptied row is dependent; move on
     return rank
 
@@ -339,8 +373,15 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
 
 
 def _rank_rational(rows: list[dict[int, int]]) -> int:
-    # Integer rows, cross-multiplied elimination, gcd compression: exact over
-    # the rationals without ever materializing a Fraction.
+    """Rank over the rationals of integer rows, without ever making a Fraction.
+
+    Pivot rows are gcd-compressed with a positive lead a.  A row whose lead b
+    is a multiple of a (always so when a == 1, the usual case for bracket
+    expansions) loses (b // a) * pivot in place.  Otherwise the row is
+    cross-multiplied into a new dict, row * (a/g) - pivot * (b/g) with
+    g = gcd(a, b), and every 8th such step is gcd-compressed so that entries
+    do not snowball.  Rows are modified, so callers pass rows they own.
+    """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
@@ -357,6 +398,16 @@ def _rank_rational(rows: list[dict[int, int]]) -> int:
                 break
             a = piv[lead]
             b = row[lead]
+            if b % a == 0:
+                f = b // a
+                get = row.get
+                for c, v in piv.items():
+                    nv = get(c, 0) - f * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]  # f * v != 0, so a zero means c was stored
+                continue
             g = gcd(a, b)
             ma = a // g
             mb = b // g
@@ -386,7 +437,7 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     """
     if n < 1 or r < 1:
         raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
-    _charge(budget, "Lie power span expansion", r - 1, f"{n}^{r}*2^{r - 1}", lambda: n**r * (1 << (r - 1)))
+    charge_lie_power(n, r, budget)
     vectors = [left_normed_expand(word) for word in product(range(n), repeat=r)]
     return rank_over_field(vectors, field)
 
@@ -414,7 +465,7 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
     """
     if r < 1:
         raise ValueError("lie_module_rank() needs r >= 1")
-    _charge(budget, "multilinear bracket span", 2 * (r - 1), f"({r}!)^2", lambda: factorial(r) ** 2)
+    charge_lie_module(r, budget)
     vectors = [left_normed_expand(perm) for perm in permutations(range(r))]
     return rank_over_field(vectors, field)
 
@@ -429,10 +480,9 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     """
     if q < 1 or k < 1:
         raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
-    qk = q * k
-    _charge(budget, "weight space span", 2 * (qk - 1), f"({qk}!)^2", lambda: factorial(qk) ** 2)
+    charge_weight_space(q, k, budget)
     vectors = []
-    for perm in permutations(range(qk)):
+    for perm in permutations(range(q * k)):
         blocks = [perm[j * q : (j + 1) * q] for j in range(k)]
         vectors.append(_left_normed(blocks))
     return rank_over_field(vectors, field)

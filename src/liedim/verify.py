@@ -43,6 +43,8 @@ CONV_MAX_R = 5000
 
 # oracle grids
 WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))
+APERIODIC_MAX_N = 3
+APERIODIC_MAX_R = 10
 ORACLE_POWER_MAX_N = 3
 ORACLE_POWER_MAX_R = 6
 ORACLE_MODULE_MAX_R = 6
@@ -271,8 +273,8 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
             lyndon.record(count == witt_dim(n, r), f"(n={n}, r={r})")
 
     aper = CheckFamily("oracle/aperiodic-count")
-    for n in range(1, 4):
-        for r in range(1, 11):
+    for n in range(1, APERIODIC_MAX_N + 1):
+        for r in range(1, APERIODIC_MAX_R + 1):
             aper.record(
                 oracle.aperiodic_count_bruteforce(n, r) == r * witt_dim(n, r), f"(n={n}, r={r})"
             )
@@ -322,10 +324,38 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     return [lyndon, aper, power, basis, module, wspace, smoke]
 
 
+def _charge_oracle_jobs(suite: str, slow: bool) -> None:
+    """Charge every budget-charged oracle job of the selected suites, in the order
+    the suites run them, so the first refusal is the one a run would meet."""
+    if suite in ("all", "c"):
+        for q, k in WEIGHT_SPACE_POINTS:
+            oracle.charge_weight_space(q, k)
+    if suite not in ("all", "oracle"):
+        return
+    for n in range(1, APERIODIC_MAX_N + 1):
+        for r in range(1, APERIODIC_MAX_R + 1):
+            oracle.charge_aperiodic_count(n, r)
+    for n in range(1, ORACLE_POWER_MAX_N + 1):
+        for r in range(1, ORACLE_POWER_MAX_R + 1):
+            oracle.charge_lie_power(n, r)
+            oracle.charge_word_enumeration(n, r)
+    for r in range(1, ORACLE_MODULE_MAX_R + 1):
+        oracle.charge_lie_module(r)
+    if slow:
+        oracle.charge_lie_module(ORACLE_MODULE_SLOW_R, oracle.work_budget(slow=True))
+    for q, k in WEIGHT_SPACE_POINTS:
+        oracle.charge_weight_space(q, k)
+
+
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
-    """Run one named suite ('all' chains every family, including the arith grids)."""
+    """Run one named suite ('all' chains every family, including the arith grids).
+
+    Every oracle job of the selected suites is charged against the work budget
+    first, so an over-budget one is refused before any family runs.
+    """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    _charge_oracle_jobs(suite, slow)
     families: list[CheckFamily] = []
     if suite == "all":
         families += arith_suite()

@@ -1,5 +1,8 @@
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -30,9 +33,35 @@ RANK_COMMANDS = (
 )
 
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def set_digit_limit():
+    """sys.set_int_max_str_digits, with the process's limit restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def _error_lines(result) -> list[str]:
+    return [line for line in result.output.splitlines() if line.startswith("Error:")]
+
+
+def _benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up while the file runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def test_witt_ok(runner):
@@ -108,6 +137,30 @@ def test_table_domain_errors(runner):
     assert result.exit_code == 2
 
 
+def test_closed_form_digit_limit(runner, set_digit_limit):
+    # an integer past the interpreter's int-to-str digit limit is refused before
+    # anything is printed, with exit 2 and one line, not a traceback
+    witt = ["witt", "--n", "10", "--r", "5000"]
+    c_table = ["c-table", "--p", "2", "--k", "3", "--m-max", "10"]
+    b_table = ["b-table", "--p", "2", "--n", "2", "--k", "3", "--m-max", "13"]
+    set_digit_limit(sys.int_info.default_max_str_digits)
+    for args in (witt, c_table, b_table):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        assert result.stdout == "", args
+        errors = _error_lines(result)
+        assert len(errors) == 1 and "PYTHONINTMAXSTRDIGITS" in errors[0], args
+    # with the limit lifted the same commands print in full, byte for byte as before
+    set_digit_limit(0)
+    result = runner.invoke(main, c_table)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == _benchmark_workloads().C_TABLE_M10
+    result = runner.invoke(main, witt)
+    assert result.exit_code == 0
+    assert result.stdout.startswith("w(10, 5000) = ") and result.stdout.endswith("bounds OK\n")
+
+
 def test_table_determinism(runner):
     args = ["b-table", "--p", "2", "--n", "3", "--k", "3", "--m-max", "4"]
     first = runner.invoke(main, args)
@@ -176,7 +229,7 @@ def test_oracle_budget_exceeded(runner):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args
-        assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+        assert len(_error_lines(result)) == 1
         assert "Traceback" not in result.output
 
 
@@ -193,7 +246,36 @@ def test_oracle_env_budget(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--suite", "c"])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert len([line for line in result.output.splitlines() if line.startswith("Error:")]) == 1
+    assert len(_error_lines(result)) == 1
+
+
+def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
+    # every oracle job of the selected suites is charged before any family runs
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the budget refusal")
+
+    for name in (
+        "aperiodic_count_bruteforce",
+        "lie_power_rank",
+        "lyndon_bracketing_rank",
+        "lie_module_rank",
+        "weight_space_rank",
+    ):
+        monkeypatch.setattr(cli.verify_mod.oracle, name, must_not_run)
+    for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
+        monkeypatch.setattr(cli.verify_mod, name, must_not_run)
+    for budget, args, task, work in (
+        ("20000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 25401600),
+        ("1000", ["verify", "--suite", "c"], "weight space span", 518400),
+    ):
+        monkeypatch.setenv("LIEDIM_BUDGET", budget)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        assert _error_lines(result) == [
+            f"Error: {task} needs about {work} units of work, budget is {budget} "
+            "(raise it via the budget argument or LIEDIM_BUDGET)"
+        ]
 
 
 def test_malformed_env_budget(runner, monkeypatch):
@@ -202,8 +284,7 @@ def test_malformed_env_budget(runner, monkeypatch):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args
-        error_lines = [line for line in result.output.splitlines() if line.startswith("Error:")]
-        assert error_lines == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
+        assert _error_lines(result) == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
 
 
 def test_oracle_lyndon_budget(runner):

@@ -41,3 +41,33 @@ def test_no_unused_imports(path):
     used |= _exported_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# What oracle.py may import from the package: it is the independent check on
+# the closed forms, so no count or recurrence may reach it (ROADMAP aim 2).
+ORACLE_PACKAGE_IMPORTS = {("arith", "divisors"), ("arith", "is_prime")}
+
+
+def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every import from the package itself; a whole module
+    or a name from the package root reads as ("", name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "liedim":
+                    found.add(("", alias.name))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "liedim":
+                    continue
+                module = module.removeprefix("liedim").removeprefix(".")
+            found.update((module, alias.name) for alias in node.names)
+    return found
+
+
+def test_oracle_imports_no_closed_form():
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    extra = _package_imports(tree) - ORACLE_PACKAGE_IMPORTS
+    assert not extra, f"oracle.py imports {sorted(extra)} from the package"

@@ -1,8 +1,11 @@
+import copy
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from liedim import oracle
@@ -97,6 +100,30 @@ def test_left_normed_expand():
     }
 
 
+def _reference_left_normed(word):
+    # the plain fold, zeros filtered once at the end
+    vec = Counter({(word[0],): 1})
+    for letter in word[1:]:
+        nxt = Counter()
+        for idx, coeff in vec.items():
+            nxt[idx + (letter,)] += coeff
+            nxt[(letter,) + idx] -= coeff
+        vec = nxt
+    return {idx: coeff for idx, coeff in vec.items() if coeff}
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8))
+def test_left_normed_expand_matches_reference_fold(word):
+    got = oracle.left_normed_expand(word)
+    assert got == _reference_left_normed(word)
+    assert all(got.values())
+
+
+def test_left_normed_expand_total_cancellation():
+    for word in ((1, 1), (0, 0, 1), (2, 2, 0, 1, 2)):
+        assert oracle.left_normed_expand(word) == {}, word
+
+
 def test_antisymmetry():
     for a in range(3):
         for b in range(3):
@@ -169,6 +196,64 @@ def test_rank_over_field_ignores_zero_entries():
     # a zero entry of another degree is not a mixed-degree input
     for field in (None, 2, 3):
         assert oracle.rank_over_field([{a: 1, (0, 1): 0}], field) == 1
+
+
+def _reference_rank(vectors, field):
+    # dense elimination: Fractions over Q (field None), residues mod p otherwise
+    columns = sorted({idx for vec in vectors for idx in vec})
+    rows = [[vec.get(idx, 0) for idx in columns] for vec in vectors]
+    if field is None:
+        rows = [[Fraction(x) for x in row] for row in rows]
+    else:
+        rows = [[x % field for x in row] for row in rows]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        inv = 1 / top[j] if field is None else pow(top[j], -1, field)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] * inv
+            rows[i] = [a - f * b for a, b in zip(rows[i], top)]
+            if field is not None:
+                rows[i] = [x % field for x in rows[i]]
+        rank += 1
+    return rank
+
+
+SPARSE_VECTOR = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(min_value=-4, max_value=4),
+    max_size=6,
+)
+
+
+@st.composite
+def sparse_vectors(draw):
+    # drawn vectors (entries -4..4, explicit zeros included) and, shuffled among
+    # them, integer combinations of them, so that dependent rows are common
+    base = draw(st.lists(SPARSE_VECTOR, max_size=6))
+    vectors = list(base)
+    for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=4)):
+        combo: dict = {}
+        for coeff, vec in zip(coeffs, base):
+            for idx, v in vec.items():
+                combo[idx] = combo.get(idx, 0) + coeff * v
+        vectors.append(combo)
+    return draw(st.permutations(vectors))
+
+
+@given(sparse_vectors(), st.sampled_from([None, 2, 3, 5]))
+# leads 2 and 3 divide neither way, so the rational kernel cross-multiplies
+@example([{(0, 0): 2, (0, 1): 1}, {(0, 0): 3, (1, 1): -1}, {(0, 0): 0, (0, 1): 4}], None)
+# nine cross-multiplied steps in one row, past the periodic gcd compression
+@example([{(j,): 2, (j + 1,): 1} for j in range(9)] + [{(0,): 3}], None)
+def test_rank_over_field_matches_dense_reference(vectors, field):
+    before = copy.deepcopy(vectors)
+    assert oracle.rank_over_field(vectors, field) == _reference_rank(vectors, field)
+    assert vectors == before
 
 
 def test_rank_over_field_validation():
