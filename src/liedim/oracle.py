@@ -80,6 +80,8 @@ def charge_word_enumeration(
     n: int, r: int, budget: int | None = None, task: str = "Lyndon word enumeration"
 ) -> None:
     """Refuse a walk over all n**r words of length r when it is over the budget."""
+    if n < 1 or r < 1:
+        raise ValueError(f"{task} needs n >= 1 and r >= 1")
     _charge(budget, task, r if n >= 2 else 0, f"{n}^{r}", lambda: n**r)
 
 
@@ -102,6 +104,12 @@ def charge_weight_space(q: int, k: int, budget: int | None = None) -> None:
     """The budget charge of weight_space_rank(q, k): ((q*k)!)**2."""
     qk = q * k
     _charge(budget, "weight space span", 2 * (qk - 1), f"({qk}!)^2", lambda: factorial(qk) ** 2)
+
+
+def charge_expansion(r: int, budget: int | None = None) -> None:
+    """The budget charge of expanding one bracket of r letters: r*2**(r-1),
+    its at most 2**(r-1) terms times their r letters."""
+    _charge(budget, "bracket expansion", r - 1, f"{r}*2^{r - 1}", lambda: r << (r - 1))
 
 
 def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .arith import _check_chain, is_prime
 from .lie_modules import LieModuleContext
 from .lie_powers import LiePowerContext, RatioBoundB
-from .render import DEFAULT_FLOAT_BITS, render_fraction
+from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction
 
 CSV_COLUMNS = (
     "r",
@@ -66,6 +66,8 @@ class RunConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.float_bits < 1:
             raise ValueError(f"float_bits must be >= 1, got {self.float_bits}")
+        if self.float_bits > MAX_FLOAT_BITS:
+            raise ValueError(f"float_bits must be <= {MAX_FLOAT_BITS}, got {self.float_bits}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,10 @@ def _record(row: ConvergenceRow) -> dict:
         "p": row.p,
         "m": row.m,
         "k": row.k,
-        "dim_num": str(row.dim_num),
-        "dim_den_context": str(row.dim_den_context),
-        "ratio_num": str(row.ratio.numerator),
-        "ratio_den": str(row.ratio.denominator),
+        "dim_num": int_to_str(row.dim_num),
+        "dim_den_context": int_to_str(row.dim_den_context),
+        "ratio_num": int_to_str(row.ratio.numerator),
+        "ratio_den": int_to_str(row.ratio.denominator),
         "ratio_float": row.ratio_float,
         "bound_float": row.bound_float,
         "gap_float": row.gap_float,

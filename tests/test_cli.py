@@ -2,12 +2,15 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from liedim import cli
+from liedim import cli, lie_powers
+from liedim import witt as witt_mod
+from liedim.arith import ExactnessError
 from liedim.cli import main
 from liedim.report import RunConfig, build_b_rows, build_c_rows, to_csv
 
@@ -322,3 +325,130 @@ def test_oracle_lie_module_r7_slow_flag(runner):
     result = runner.invoke(main, ["oracle", "lie-module", "--r", "7", "--field", "f2", "--slow"])
     assert result.exit_code == 0
     assert "rank = 720" in result.output
+
+
+def _assert_one_line_refusal(result, args, exit_code=2):
+    assert result.exit_code == exit_code, (args, result.output)
+    assert isinstance(result.exception, SystemExit), (args, result.exception)
+    assert result.stdout == "", args
+    assert len(_error_lines(result)) == 1, (args, result.output)
+    assert "Traceback" not in result.output, args
+
+
+# (LIEDIM_BUDGET or None, arguments): every subcommand, refused with exit 2
+BAD_INVOCATIONS = (
+    *((None, ["witt", "--n", n, "--r", r]) for n, r in (("2", "0"), ("2", "-1"), ("0", "3"), ("-1", "3"))),
+    *(
+        (None, [table, "--p", "2", *n, "--k", "3", *extra])
+        for table, n in (("b-table", ["--n", "2"]), ("c-table", []))
+        for extra in (["--m-max", "-1"], ["--float-bits", "0"], ["--float-bits", "-1"])
+    ),
+    *(
+        (None, [table, "--p", p, *n, "--k", k])
+        for table, n in (("b-table", ["--n", "2"]), ("c-table", []))
+        for p, k in (("4", "3"), ("2", "4"), ("3", "6"), ("2", "0"), ("2", "-1"))
+    ),
+    (None, ["b-table", "--p", "2", "--n", "0", "--k", "3"]),
+    (None, ["b-table", "--p", "2", "--n", "-1", "--k", "3"]),
+    *(
+        (None, ["oracle", cmd, f"--{a}", x, f"--{b}", y])
+        for cmd, a, b in (
+            ("lyndon", "n", "r"), ("aperiodic", "n", "r"), ("lie-power", "n", "r"), ("weight-space", "q", "k")
+        )
+        for x, y in (("0", "3"), ("-1", "3"), ("2", "0"), ("2", "-1"))
+    ),
+    (None, ["oracle", "lyndon", "--n", "0", "--r", "3", "--words"]),
+    (None, ["oracle", "lie-module", "--r", "0"]),
+    (None, ["oracle", "lie-module", "--r", "-1"]),
+    *((None, ["oracle", "expand", word]) for word in ("0a1", "-1", "", " 01", "010", "10", "0010")),
+    (None, ["oracle", "expand", "10", "--bracketing", "standard"]),
+    # a malformed budget, on every command that reads it
+    *(
+        ("abc", args)
+        for args in (
+            ["oracle", "lyndon", "--n", "2", "--r", "3"],
+            ["oracle", "aperiodic", "--n", "2", "--r", "3"],
+            ["oracle", "lie-power", "--n", "2", "--r", "3"],
+            ["oracle", "lie-module", "--r", "3"],
+            ["oracle", "weight-space", "--q", "1", "--k", "2"],
+            ["oracle", "expand", "001"],
+            ["verify", "--suite", "oracle"],
+        )
+    ),
+    ("-5", ["oracle", "lie-module", "--r", "3"]),
+    # one oversized job per oracle command, and verify over a small budget
+    (None, ["oracle", "lyndon", "--n", "10", "--r", "100"]),
+    (None, ["oracle", "aperiodic", "--n", "10", "--r", "100"]),
+    (None, ["oracle", "lie-power", "--n", "10", "--r", "100"]),
+    (None, ["oracle", "lie-module", "--r", "100"]),
+    (None, ["oracle", "weight-space", "--q", "10", "--k", "10"]),
+    (None, ["oracle", "expand", "0" + "1" * 99]),
+    ("1000", ["verify", "--suite", "c"]),
+)
+
+
+def test_bad_invocations_fail_in_one_line(runner, monkeypatch):
+    for budget, args in BAD_INVOCATIONS:
+        if budget is None:
+            monkeypatch.delenv("LIEDIM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("LIEDIM_BUDGET", budget)
+        _assert_one_line_refusal(runner.invoke(main, args), (budget, args))
+    # the budget is checked only by the commands that read it
+    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    result = runner.invoke(main, ["witt", "--n", "2", "--r", "6"])
+    assert result.exit_code == 0
+    assert result.stdout.endswith("bounds OK\n")
+
+
+def test_failed_exact_identity_exits_1(runner, monkeypatch):
+    def inexact(a, b):
+        raise ExactnessError(f"{a} is not divisible by {b}")
+
+    for module, args in (
+        (lie_powers, ["b-table", "--p", "2", "--n", "2", "--k", "3", "--m-max", "2"]),
+        (witt_mod, ["witt", "--n", "2", "--r", "6"]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "exact_div", inexact)
+            result = runner.invoke(main, args)
+        _assert_one_line_refusal(result, args, exit_code=1)
+        assert "is not divisible by" in _error_lines(result)[0]
+
+
+def test_float_bits_past_the_digit_limit(runner, set_digit_limit):
+    args = ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", "20000"]
+    set_digit_limit(sys.int_info.default_max_str_digits)
+    result = runner.invoke(main, args)
+    _assert_one_line_refusal(result, args)
+    assert "PYTHONINTMAXSTRDIGITS" in _error_lines(result)[0]
+    # under a lifted limit the same table prints, at 6020 decimal places
+    set_digit_limit(0)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    ratio_float = result.stdout.splitlines()[2].split(",")[8]
+    assert len(ratio_float.split(".")[1]) == 6020
+
+
+def test_float_bits_cap_refuses_at_once(runner):
+    args = ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", "10000000"]
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_refusal(result, args)
+    assert _error_lines(result) == ["Error: float_bits must be <= 65536, got 10000000"]
+
+
+def test_oracle_expand_is_charged(runner):
+    args = ["oracle", "expand", "012345678901234567890123456789", "--bracketing", "left-normed"]
+    start = time.perf_counter()
+    result = runner.invoke(main, args)
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_refusal(result, args)
+    assert "bracket expansion needs about 30*2^29 units of work" in _error_lines(result)[0]
+    # an 18-letter word, 2^17 terms, is inside the default budget and prints as before
+    result = runner.invoke(main, ["oracle", "expand", "012345678901234567", "--bracketing", "left-normed"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "72c7c3fd4d43125d21eaa978e404ad291e8b6f573818d5750a75fddbec853c67"
+    )

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""Static checks on the package's source, standing in for a linter.
 
-No linter ships with the project, so this stands in for an unused-import
-check.  A name counts as used when the module reads it anywhere (annotations
-included) or, in the package's ``__init__``, when ``__all__`` lists it.
+No module imports a name it never uses: a name counts as used when the
+module reads it anywhere (annotations included) or, in the package's
+``__init__``, when ``__all__`` lists it.  oracle.py imports no closed form,
+and cli.py handles errors in one place only.
 """
 
 import ast
@@ -71,3 +72,23 @@ def test_oracle_imports_no_closed_form():
     tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
     extra = _package_imports(tree) - ORACLE_PACKAGE_IMPORTS
     assert not extra, f"oracle.py imports {sorted(extra)} from the package"
+
+
+def _boundary_method(tree: ast.Module) -> ast.FunctionDef | None:
+    """The invoke method of the click.Group subclass in the module, if any."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "click.Group" for base in node.bases):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "invoke":
+                    return item
+    return None
+
+
+def test_cli_has_one_failure_boundary():
+    # errors become exit codes in the main group's invoke and nowhere else
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    boundary = _boundary_method(tree)
+    assert boundary is not None, "cli.py has no click.Group subclass with an invoke method"
+    inside = {id(node) for node in ast.walk(boundary)}
+    stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and id(node) not in inside]
+    assert not stray, f"cli.py handles errors outside the group boundary, at lines {stray}"

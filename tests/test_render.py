@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from liedim.render import (
     decimal_digits_for_bits,
     dyadic_round,
     format_decimal,
+    int_to_str,
     render_fraction,
     sqrt_dyadic,
 )
@@ -17,6 +19,30 @@ def test_decimal_digits_for_bits():
     assert decimal_digits_for_bits(1) == 1
     with pytest.raises(ValueError):
         decimal_digits_for_bits(0)
+
+
+def test_decimal_digits_for_bits_matches_the_digit_count():
+    # the integer-only count equals one less than the digits of 2**bits
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in range(1, 5001):
+            assert decimal_digits_for_bits(bits) == max(1, len(str(1 << bits)) - 1), bits
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_int_to_str_digit_limit():
+    assert int_to_str(-120) == "-120"
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        limit = sys.get_int_max_str_digits()
+        assert int_to_str(-(10**limit - 1)) == "-" + "9" * limit
+        with pytest.raises(ValueError, match=f"more than {limit} decimal digits.*PYTHONINTMAXSTRDIGITS"):
+            int_to_str(10**limit)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_dyadic_round():
