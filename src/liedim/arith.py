@@ -108,6 +108,15 @@ def factorial(r: int) -> int:
     return math.factorial(r)
 
 
+def power_bits_lower(x: int, e: int) -> int:
+    """A b with 2**b <= x**e, for x >= 1 and e >= 0, without building x**e.
+
+    (x**16).bit_length() - 1 is floor(16 * log2(x)), so e times it over 16 is
+    at most e * log2(x).
+    """
+    return e * ((x**16).bit_length() - 1) // 16
+
+
 class PAdicSplit(NamedTuple):
     """A degree r written as p**m * k with p not dividing k."""
 

@@ -18,10 +18,10 @@ import click
 
 from . import oracle as oracle_mod
 from . import verify as verify_mod
-from .arith import ExactnessError
+from .arith import ExactnessError, power_bits_lower
 from .lie_modules import dim_lie, weight_space_dim_formula
 from .report import RunConfig, build_b_rows, build_c_rows, to_csv, to_json
-from .render import DEFAULT_FLOAT_BITS, int_to_str
+from .render import DEFAULT_FLOAT_BITS, int_to_str, refuse_past_digit_limit
 from .witt import check_witt_bounds, witt_dim
 
 FIELD_CHOICES = {"q": None, "f2": 2, "f3": 3, "f5": 5}
@@ -74,6 +74,8 @@ def witt_cmd(n: int, r: int) -> None:
         raise click.UsageError("r must be >= 1")
     if n < 1:
         raise click.UsageError("n must be >= 1")
+    # n^r is printed; refuse before building it if it cannot be
+    refuse_past_digit_limit(power_bits_lower(n, r))
     chk = check_witt_bounds(n, r)
     s = int_to_str
     lines = [f"w({s(n)}, {s(r)}) = {s(chk.w)}", f"upper: r*w = {s(chk.upper_lhs)} <= n^r = {s(chk.upper_rhs)}"]

@@ -43,7 +43,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import ExactnessError, IdentityCheck, RatioReport, _ChainTable, _check_chain, exact_div, factorial
+from .arith import (
+    ExactnessError,
+    IdentityCheck,
+    RatioReport,
+    _ChainTable,
+    _check_chain,
+    exact_div,
+    factorial,
+    power_bits_lower,
+)
 
 
 def dim_lie(r: int) -> int:
@@ -51,6 +60,12 @@ def dim_lie(r: int) -> int:
     if r < 1:
         raise ValueError("dim_lie() needs r >= 1")
     return factorial(r - 1)
+
+
+def dim_lie_bits_lower(r: int) -> int:
+    """A b >= 0 with 2**b <= (r-1)!, without building it: N! >= (N/e)**N >= (100N // 272)**N."""
+    q = 100 * (r - 1) // 272
+    return power_bits_lower(q, r - 1) if q >= 1 else 0
 
 
 def coeff_a_prime(p: int, m: int, k: int, i: int) -> Fraction:

@@ -100,14 +100,26 @@ class LiePowerContext(_ChainTable):
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
         self.n = n
+        self._witt_memo: dict[tuple[int, int], int] = {}
+
+    def _witt(self, r: int, e: int = 1) -> int:
+        """w(n**e, r), memoised for this context.
+
+        This memo also fills after populate(); two threads that miss the same
+        key both store the same value, so sharing the context stays safe.
+        """
+        key = (e, r)
+        if key not in self._witt_memo:
+            self._witt_memo[key] = witt_dim(self.n**e, r)
+        return self._witt_memo[key]
 
     def _level(self, j: int, k: int) -> int:
         if j == 0:
-            return witt_dim(self.n, k)
+            return self._witt(k)
         if k == 1:
             return 0
         p = self.p
-        total = witt_dim(self.n ** (p**j), k)
+        total = self._witt(k, p**j)
         for i in range(1, j + 1):
             total = checked_sub(total, p ** (j - i) * self._memo[p ** (j - i) * k] ** (p**i))
         return exact_div(total, p**j)
@@ -118,7 +130,7 @@ class LiePowerContext(_ChainTable):
 
     def ratio_b(self, r: int) -> Fraction:
         """Exact dim_b(r) / w(n, r); always in [0, 1]."""
-        return Fraction(self.dim_b(r), witt_dim(self.n, r))
+        return Fraction(self.dim_b(r), self._witt(r))
 
     def coeff_a(self, m: int, k: int, i: int) -> Fraction:
         """Normalized correction coefficient a_i for the chain of k at level m."""
@@ -126,8 +138,8 @@ class LiePowerContext(_ChainTable):
         if not 0 <= i <= m:
             raise ValueError(f"need 0 <= i <= m, got i={i}, m={m}")
         p = self.p
-        num = witt_dim(self.n, p ** (m - i) * k) ** (p**i)
-        return Fraction(num, p**i * witt_dim(self.n, p**m * k))
+        num = self._witt(p ** (m - i) * k) ** (p**i)
+        return Fraction(num, p**i * self._witt(p**m * k))
 
     def check_a_ratio_bound(self, m: int, k: int, i: int, s: int) -> BoundCheck:
         """Certify a_i / a_(i-s) <= p**-s * (2 p**s / (p**(m-i) k)**(p**s - 1))**(p**(i-s)).
@@ -163,13 +175,13 @@ class LiePowerContext(_ChainTable):
         _check_chain(self.p, m, k, k_min=1)
         p = self.p
         lhs = sum(p ** (m - i) * self.dim_b(p ** (m - i) * k) ** (p**i) for i in range(m + 1))
-        rhs = witt_dim(self.n ** (p**m), k)
+        rhs = self._witt(k, p**m)
         return IdentityCheck(lhs, rhs, lhs == rhs)
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
         split = self.split(r)
         dim = self.dim_b(r)
-        w = witt_dim(self.n, r)
+        w = self._witt(r)
         bound = self.lower_bound_b(split.m, split.k) if split.m >= 1 and split.k >= 2 else None
         return RatioReport(r=r, split=split, dim=dim, reference=w, ratio=Fraction(dim, w), bound=bound)

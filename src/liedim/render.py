@@ -5,12 +5,20 @@ Fraction into a decimal string for table output.  The value is first rounded
 half-even to a binary fixed-point number with a configurable number of
 fractional bits (default 128), then rendered half-even with the matching
 number of decimal digits.  Both steps are pure integer arithmetic, so the
-strings are identical across runs and platforms.  Every integer the package
-prints as text goes through int_to_str.
+strings are identical across runs and platforms.
+
+Every integer the package prints as text goes through int_to_str.  Below
+FAST_STR_MIN_BITS it is str(); above, where str() is quadratic on CPython
+3.10 and 3.11, it builds an equal decimal.Decimal by divide and conquer
+(split on a power of 2, convert both halves, recombine with a memoised
+Decimal 2**w) and takes its str(), the algorithm of CPython 3.12's
+Lib/_pylong.py (int_to_decimal).  The interpreter's int-to-str digit limit
+applies on both paths alike.
 """
 
 from __future__ import annotations
 
+import decimal
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -18,17 +26,78 @@ from math import isqrt
 DEFAULT_FLOAT_BITS = 128
 MAX_FLOAT_BITS = 65_536
 
+# Bit length from which int_to_str converts by divide and conquer; below it
+# str() is at least as fast.  Leaves of at most _LEAF_BITS convert directly.
+FAST_STR_MIN_BITS = 1 << 15
+_LEAF_BITS = 1024
+
+
+def _past_digit_limit(limit: int) -> ValueError:
+    return ValueError(
+        f"the result has an integer of more than {limit} decimal digits, "
+        "the interpreter's limit; raise it via PYTHONINTMAXSTRDIGITS (0 lifts it)"
+    )
+
+
+def refuse_past_digit_limit(bits: int) -> None:
+    """Refuse, as int_to_str would, a run that prints an integer of at least 2**bits.
+
+    Lets a command refuse before any work; bits * 10**6 >= limit * 3_321_929
+    implies 2**bits > 10**limit, since log2(10) < 3.321929."""
+    limit = sys.get_int_max_str_digits()
+    if limit and bits * 1_000_000 >= limit * 3_321_929:
+        raise _past_digit_limit(limit)
+
 
 def int_to_str(x: int) -> str:
-    """Decimal text of x; past the interpreter's int-to-str digit limit, a
-    ValueError that says how to lift the limit."""
-    try:
-        return str(x)
-    except ValueError:
-        raise ValueError(
-            f"the result has an integer of more than {sys.get_int_max_str_digits()} decimal digits, "
-            "the interpreter's limit; raise it via PYTHONINTMAXSTRDIGITS (0 lifts it)"
-        ) from None
+    """Decimal text of x, the same as str(x); past the interpreter's int-to-str
+    digit limit, a ValueError that says how to lift the limit."""
+    bits = x.bit_length()
+    if bits < FAST_STR_MIN_BITS:
+        try:
+            return str(x)
+        except ValueError:
+            raise _past_digit_limit(sys.get_int_max_str_digits()) from None
+    # str() refuses exactly when abs(x) >= 10**limit; 10**limit is built only
+    # when the bit length leaves it open (log2(10) is 3.3219...)
+    limit = sys.get_int_max_str_digits()
+    if limit and bits > limit * 3321 // 1000 and (bits > limit * 3322 // 1000 + 1 or abs(x) >= 10**limit):
+        raise _past_digit_limit(limit)
+    return ("-" if x < 0 else "") + _decimal_text(abs(x), bits)
+
+
+def _decimal_text(n: int, bits: int) -> str:
+    """str(n) for n >= 0 of the given bit length, by divide and conquer over decimal.Decimal."""
+    dec = decimal.Decimal
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(w: int) -> decimal.Decimal:
+        result = powers.get(w)
+        if result is None:
+            if w <= _LEAF_BITS:
+                result = dec(1 << w)
+            elif w - 1 in powers:
+                result = powers[w - 1] * 2
+            else:
+                # the smaller half first, so the larger one is often its double
+                half = w >> 1
+                result = two_to(half) * two_to(w - half)
+            powers[w] = result
+        return result
+
+    def build(n: int, w: int) -> decimal.Decimal:
+        if w <= _LEAF_BITS:
+            return dec(n)
+        half = w >> 1
+        hi = n >> half
+        return build(n - (hi << half), half) + build(hi, w - half) * two_to(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = True
+        return str(build(n, bits))
 
 
 def decimal_digits_for_bits(bits: int) -> int:

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import _check_chain, is_prime
-from .lie_modules import LieModuleContext
+from .lie_modules import LieModuleContext, dim_lie_bits_lower
 from .lie_powers import LiePowerContext, RatioBoundB
-from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction
+from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, refuse_past_digit_limit, render_fraction
+from .witt import witt_dim_bits_lower
 
 CSV_COLUMNS = (
     "r",
@@ -93,6 +94,13 @@ def _points(cfg: RunConfig) -> list[tuple[int, int, int]]:
     return pts
 
 
+def _top_degree(cfg: RunConfig) -> int:
+    """The table's largest degree, with m capped at 64 so that the size check on
+    it stays cheap; the bit bounds it feeds only grow with the degree, so they
+    stay sound for the capped one."""
+    return cfg.p ** min(cfg.m_max, 64) * max(cfg.k_list)
+
+
 def _build_rows(cfg: RunConfig, report: Callable, render_bound: Callable) -> list[ConvergenceRow]:
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
@@ -132,12 +140,16 @@ def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the b-ratio table for one (p, n), ordered by degree."""
     if cfg.n is None:
         raise ValueError("the b table needs n")
+    # the top row prints w(n, r); refuse before any work if it cannot be printed
+    refuse_past_digit_limit(witt_dim_bits_lower(cfg.n, _top_degree(cfg)))
     ctx = LiePowerContext(cfg.p, cfg.n)
     return _build_rows(cfg, ctx.report, RatioBoundB.float_str)
 
 
 def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the c-ratio table for one p, ordered by degree."""
+    # the top row prints (r-1)!; refuse before any work if it cannot be printed
+    refuse_past_digit_limit(dim_lie_bits_lower(_top_degree(cfg)))
     ctx = LieModuleContext(cfg.p)
     return _build_rows(cfg, ctx.report, render_fraction)
 

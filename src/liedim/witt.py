@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import divisors, exact_div, mobius
+from .arith import divisors, exact_div, mobius, power_bits_lower
 
 
 def witt_dim(n: int, r: int) -> int:
@@ -35,6 +35,18 @@ def witt_dim(n: int, r: int) -> int:
         raise ValueError("witt_dim() needs r >= 1")
     total = sum(mobius(d) * n ** (r // d) for d in divisors(r))
     return exact_div(total, r)
+
+
+def witt_dim_bits_lower(n: int, r: int) -> int:
+    """A b >= 0 with 2**b <= w(n, r), without building w(n, r); 0 when n < 2 or r < 3.
+
+    For n >= 2 and r >= 3 the words that are powers of shorter ones number at
+    most n + n**2 + ... + n**(r//2) <= 2 n**(r//2) <= n**r / 2, so
+    r * w(n, r) >= n**r / 2.
+    """
+    if n < 2 or r < 3:
+        return 0
+    return max(0, power_bits_lower(n, r) - 1 - r.bit_length())
 
 
 def aperiodic_word_count(n: int, r: int) -> int:

@@ -12,6 +12,7 @@ from liedim.arith import (
     is_prime,
     mobius,
     p_adic_split,
+    power_bits_lower,
 )
 
 
@@ -86,3 +87,12 @@ def test_factorial():
     assert factorial(6) == 720
     with pytest.raises(ValueError):
         factorial(-1)
+
+
+def test_power_bits_lower():
+    for x in range(1, 200):
+        for e in (0, 1, 2, 7, 64, 1000):
+            b = power_bits_lower(x, e)
+            assert 0 <= b and 1 << b <= x**e, (x, e)
+            # within e/16 + 1 bits of the bit length
+            assert (x**e).bit_length() - 1 - b <= e // 16 + 1, (x, e)

@@ -1,8 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import re
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from liedim import cli, lie_powers
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
 from liedim.cli import main
+from liedim.render import FAST_STR_MIN_BITS
 from liedim.report import RunConfig, build_b_rows, build_c_rows, to_csv
 
 
@@ -27,6 +30,26 @@ TABLE_DIGESTS = {
     "c-table --p 3 --k 1 --k 2 --k 4 --m-max 5 --format json":
         "14db73b42506c5742de48e5f17cf881f4d50c518f599e07159b8597a609f076f",
 }
+
+# stdout digests, under a lifted digit limit, of tables with integers past
+# FAST_STR_MIN_BITS bits ((3071)! ~ 31k bits never reaches that size): the
+# bytes the built-in str() conversion printed, which int_to_str must match
+BIG_TABLE_DIGESTS = {
+    "c-table --p 2 --k 3 --m-max 11":
+        "da3890d51bd91a338734ccc2f69b030d651e56a2c9c2f620e58bd84cce3d5aa2",
+    "b-table --p 2 --n 3 --k 5 --m-max 13 --format json":
+        "997b2c18858ca5b3869beb31364f3aeb61f61bf500db6865f35c939f257ff96b",
+}
+
+# past the default digit limit by millions of digits: each must be refused
+# before its integers are built, not at print time
+OVERSIZED = (
+    "b-table --p 2 --n 2 --k 3 --m-max 22",
+    "b-table --p 2 --n 2 --k 3 --m-max 40",
+    "c-table --p 2 --k 3 --m-max 22",
+    "c-table --p 2 --k 3 --m-max 40",
+    "witt --n 2 --r 100000000",
+)
 
 # (command, its rank function in the oracle, the expected rank, the exact stdout)
 RANK_COMMANDS = (
@@ -162,6 +185,49 @@ def test_closed_form_digit_limit(runner, set_digit_limit):
     result = runner.invoke(main, witt)
     assert result.exit_code == 0
     assert result.stdout.startswith("w(10, 5000) = ") and result.stdout.endswith("bounds OK\n")
+
+
+def test_big_tables_byte_identical(runner, set_digit_limit):
+    set_digit_limit(0)
+    for command, digest in BIG_TABLE_DIGESTS.items():
+        result = runner.invoke(main, command.split())
+        assert result.exit_code == 0, command
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, command
+        # the largest integer printed took int_to_str's divide-and-conquer path
+        assert int(max(re.findall(r"\d+", result.stdout), key=len)).bit_length() >= FAST_STR_MIN_BITS
+
+
+def test_oversized_runs_refused_up_front(runner, set_digit_limit):
+    set_digit_limit(sys.int_info.default_max_str_digits)
+    for command in OVERSIZED:
+        start = time.perf_counter()
+        result = runner.invoke(main, command.split())
+        assert time.perf_counter() - start < 1.0, command
+        _assert_one_line_refusal(result, command)
+        assert "more than 4300 decimal digits" in _error_lines(result)[0], command
+    # the check is sound: the longest c-table of this chain within the limit prints
+    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "9"])
+    assert result.exit_code == 0
+    assert len(result.stdout.splitlines()) == 11
+
+
+@pytest.mark.slow
+def test_c_table_converges_to_r_98304(runner, set_digit_limit):
+    # 16 rows along r = 3 * 2^m; the exact gap 1 - c_r falls at every step
+    set_digit_limit(0)
+    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "15"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+        "696c2567b4cc58bdc1b8324ddcbe87706f7324a75029d273350195b2bf4efe98"
+    )
+    header, *lines = result.stdout.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [int(row["m"]) for row in rows] == list(range(16))
+    assert int(rows[-1]["r"]) == 98304
+    gaps = [1 - Fraction(int(row["ratio_num"]), int(row["ratio_den"])) for row in rows]
+    assert gaps[0] == 0
+    assert all(gap > nxt for gap, nxt in zip(gaps[1:], gaps[2:]))
+    assert Fraction(2, 10**5) < gaps[-1] < Fraction(21, 10**6)
 
 
 def test_table_determinism(runner):

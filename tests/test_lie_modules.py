@@ -8,6 +8,7 @@ from liedim.lie_modules import (
     check_a_prime_ratio_identity,
     coeff_a_prime,
     dim_lie,
+    dim_lie_bits_lower,
     lower_bound_c,
     phi_count,
     w_phi_dim,
@@ -174,3 +175,11 @@ def test_context_domain_errors():
         ctx.ratio_c(0)
     with pytest.raises(ValueError):
         ctx.check_c_recurrence_identity(1, 4)
+
+
+def test_dim_lie_bits_lower_is_sound_and_tight():
+    for r in range(1, 1500):
+        assert 1 << dim_lie_bits_lower(r) <= dim_lie(r), r
+    # (3071)! has 31,153 bits; the bound is within 0.2 %
+    assert dim_lie(3072).bit_length() == 31153
+    assert 31090 <= dim_lie_bits_lower(3072) < 31153

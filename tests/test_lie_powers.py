@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liedim import lie_powers
 from liedim.arith import RatioReport
 from liedim.lie_powers import LiePowerContext
 from liedim.witt import witt_dim
@@ -173,3 +174,24 @@ def test_context_domain_errors():
     ctx = LiePowerContext(2, 2)
     with pytest.raises(ValueError):
         ctx.dim_b(0)
+
+
+def test_witt_dim_is_computed_once_per_argument(monkeypatch):
+    calls = []
+
+    def counted(n, r):
+        calls.append((n, r))
+        return witt_dim(n, r)
+
+    monkeypatch.setattr(lie_powers, "witt_dim", counted)
+    ctx = LiePowerContext(2, 3)
+    first = [ctx.report(r) for r in range(1, 49)]
+    for r in range(1, 49):
+        _, m, k = ctx.split(r)
+        ctx.check_dimension_identity(m, k)
+        ctx.coeff_a(m, k, m)
+    assert [ctx.report(r) for r in range(1, 49)] == first
+    assert len(calls) == len(set(calls))
+    # the memoised values are the plain ones
+    fresh = LiePowerContext(2, 3)
+    assert all(ctx.ratio_b(r) == fresh.ratio_b(r) for r in range(1, 49))

@@ -1,16 +1,33 @@
+import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liedim.render import (
+    FAST_STR_MIN_BITS,
     decimal_digits_for_bits,
     dyadic_round,
     format_decimal,
     int_to_str,
+    refuse_past_digit_limit,
     render_fraction,
     sqrt_dyadic,
 )
+
+
+@contextmanager
+def digit_limit(limit):
+    """The interpreter's int-to-str digit limit set to limit, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_decimal_digits_for_bits():
@@ -43,6 +60,65 @@ def test_int_to_str_digit_limit():
             int_to_str(10**limit)
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+# 10**9863 - 1 and 10**9863 take str(), 10**9864 - 1 and up the fast path
+NEAR_THRESHOLD = [s * (10**k + d) for k in (9863, 9864, 9865) for d in (-1, 0) for s in (1, -1)]
+
+
+def _with_bits(bits, rng, negative):
+    x = rng.getrandbits(bits) | (1 << bits) >> 1
+    return -x if negative else x
+
+
+@given(
+    st.one_of(
+        st.sampled_from(NEAR_THRESHOLD),
+        st.builds(
+            _with_bits,
+            st.integers(min_value=FAST_STR_MIN_BITS - 3000, max_value=FAST_STR_MIN_BITS + 3000),
+            st.randoms(use_true_random=False),
+            st.booleans(),
+        ),
+    )
+)
+@example(0)
+@example(-1)
+@example(10**9864)
+@example(-(10**9864 - 1))
+@example(_with_bits(5 * FAST_STR_MIN_BITS + 7, random.Random(1), False))
+def test_int_to_str_matches_str(x):
+    assert (10**9864 - 1).bit_length() == FAST_STR_MIN_BITS > (10**9863).bit_length()
+    bits = x.bit_length()
+    with digit_limit(0):
+        assert int_to_str(x) == str(x)
+        # all ones, then a single high bit: the most and the fewest nonzero leaves
+        assert int_to_str((1 << bits) - 1) == str((1 << bits) - 1)
+        assert int_to_str(1 << bits) == str(1 << bits)
+
+
+def test_int_to_str_digit_limit_on_the_fast_path():
+    # refused exactly when abs(x) >= 10**limit, as str() does
+    with digit_limit(40_000):
+        assert (10**40000 - 1).bit_length() > FAST_STR_MIN_BITS
+        assert int_to_str(10**40000 - 1) == "9" * 40000
+        assert int_to_str(-(10**40000 - 1)) == "-" + "9" * 40000
+        for x in (10**40000, -(10**40000), 1 << 200_000):
+            with pytest.raises(ValueError, match="^the result has an integer of more than 40000 decimal digits"):
+                int_to_str(x)
+            with pytest.raises(ValueError):
+                str(x)
+
+
+def test_refuse_past_digit_limit():
+    # 2**14284 < 10**4300 < 2**14285; the check is sound, so it may leave the
+    # one bit of slack to int_to_str, but no more
+    with digit_limit(4300):
+        refuse_past_digit_limit(14284)
+        with pytest.raises(ValueError, match="more than 4300 decimal digits.*PYTHONINTMAXSTRDIGITS"):
+            refuse_past_digit_limit(14286)
+    with digit_limit(0):
+        refuse_past_digit_limit(10**12)
 
 
 def test_dyadic_round():

@@ -1,6 +1,6 @@
 import pytest
 
-from liedim.witt import aperiodic_word_count, check_witt_bounds, witt_dim
+from liedim.witt import aperiodic_word_count, check_witt_bounds, witt_dim, witt_dim_bits_lower
 
 # hand-derived from the defining divisor sum
 FROZEN = {
@@ -76,3 +76,15 @@ def test_bounds_grid():
     for n in range(1, 11):
         for r in range(1, 65):
             assert check_witt_bounds(n, r).holds, (n, r)
+
+
+def test_witt_dim_bits_lower_is_sound_and_tight():
+    for n in range(1, 12):
+        for r in range(1, 400):
+            b = witt_dim_bits_lower(n, r)
+            w = witt_dim(n, r)
+            assert b >= 0 and (b == 0 or 1 << b <= w), (n, r)
+    # at a table's top degree, short of the true size only by taking log2(3) as 25/16
+    w = witt_dim(3, 7 * 2**13)
+    assert w.bit_length() == 90873
+    assert 89500 <= witt_dim_bits_lower(3, 7 * 2**13) < 90873
