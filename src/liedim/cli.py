@@ -130,13 +130,10 @@ def oracle_group() -> None:
 def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
     """Count (and optionally list) Lyndon words of length r over n letters."""
     oracle_mod.charge_word_enumeration(n, r, oracle_mod.work_budget(slow=slow))
-    if not words:
-        click.echo(str(sum(1 for _ in oracle_mod.iter_lyndon_words(n, r))))
-        return
-    found = oracle_mod.lyndon_words(n, r)
-    click.echo(str(len(found)))
-    for word in found:
-        click.echo(".".join(str(a) for a in word))
+    click.echo(str(oracle_mod.count_lyndon_words(n, r)))
+    if words:
+        for word in oracle_mod.iter_lyndon_words(n, r):
+            click.echo(".".join(str(a) for a in word))
 
 
 @oracle_group.command("aperiodic")

@@ -171,7 +171,9 @@ class LieModuleContext(_ChainTable):
 
 
 def _integral_dim(r: int, ratio: Fraction, lie_dim: int) -> int:
-    value = ratio * lie_dim
-    if value.denominator != 1:
-        raise ExactnessError(f"c_{r} * ({r}-1)! = {value} is not an integer")
-    return value.numerator
+    # ratio is in lowest terms, so ratio * lie_dim is an integer exactly when
+    # its denominator divides lie_dim; no Fraction product (and no gcd) is needed
+    quotient, remainder = divmod(lie_dim, ratio.denominator)
+    if remainder:
+        raise ExactnessError(f"c_{r} * ({r}-1)! = {ratio * lie_dim} is not an integer")
+    return quotient * ratio.numerator

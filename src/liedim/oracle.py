@@ -118,8 +118,9 @@ def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
     Duval's generation scheme: extend the current word periodically to length
     r, drop trailing maximal letters, then increment.  Each word produced on
     the way is Lyndon; we yield the ones of length exactly r.  Words are made
-    one at a time, so counting them needs no list of all of them.  The
-    arguments are checked when iteration starts.
+    one at a time and no list of all of them is kept; count_lyndon_words
+    counts them without making any.  The arguments are checked when
+    iteration starts.
     """
     if n < 1 or r < 1:
         raise ValueError("iter_lyndon_words() needs n >= 1 and r >= 1")
@@ -134,6 +135,37 @@ def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
             w.append(w[len(w) - m])
         while w and w[-1] == top:
             w.pop()
+
+
+def count_lyndon_words(n: int, r: int) -> int:
+    """The number of words iter_lyndon_words(n, r) yields, found by the same scan.
+
+    Whenever the scan's word has length r it is next raised in its last
+    letter, one step at a time, up to n - 1, and each step is a Lyndon word
+    of length r; after the last step the trailing maximal letters are popped.
+    So each such run of words is counted in one step: n - a words when an
+    increment lands on length r with last letter a, and n - 1 - a when an
+    extension reaches length r with last letter a (the extended word itself
+    is not counted).  No word tuple is made.
+    """
+    if n < 1 or r < 1:
+        raise ValueError("count_lyndon_words() needs n >= 1 and r >= 1")
+    top = n - 1
+    count = 0
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if m == r:
+            count += n - w[-1]
+        else:
+            while len(w) < r:
+                w.append(w[len(w) - m])
+            count += top - w[-1]
+        w.pop()
+        while w and w[-1] == top:
+            w.pop()
+    return count
 
 
 def lyndon_words(n: int, r: int) -> list[Word]:

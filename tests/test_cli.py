@@ -250,6 +250,36 @@ def test_oracle_lyndon(runner):
     assert result.output.splitlines() == ["2", "0.0.1", "0.1.1"]
 
 
+def test_oracle_lyndon_counts_by_runs_and_streams_words(runner, monkeypatch):
+    # the count never walks the word generator, and --words never builds the word list
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("built the Lyndon words")
+
+    monkeypatch.setattr(cli.oracle_mod, "lyndon_words", must_not_run)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.oracle_mod, "iter_lyndon_words", must_not_run)
+        result = runner.invoke(main, ["oracle", "lyndon", "--n", "2", "--r", "6"])
+    assert result.exit_code == 0
+    assert result.output == "9\n"
+    result = runner.invoke(main, ["oracle", "lyndon", "--n", "2", "--r", "4", "--words"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == ["3", "0.0.0.1", "0.0.1.1", "0.1.1.1"]
+
+
+def test_verify_lyndon_count_family_bites(runner, monkeypatch):
+    # a counter that is off by one at a single point fails that point and only it
+    real = cli.verify_mod.oracle.count_lyndon_words
+    monkeypatch.setattr(
+        cli.verify_mod.oracle, "count_lyndon_words", lambda n, r: real(n, r) + ((n, r) == (2, 5))
+    )
+    result = runner.invoke(main, ["verify", "--suite", "oracle"])
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    at = lines.index("oracle/lyndon-count: 48 checks, 1 failures")
+    assert lines[at + 1] == "  FAIL (n=2, r=5)"
+    assert lines[-1].startswith("FAIL: 1 of ")
+
+
 def test_oracle_expand(runner):
     result = runner.invoke(main, ["oracle", "expand", "001"])
     assert result.exit_code == 0

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from liedim.arith import RatioReport, factorial
+from liedim.arith import ExactnessError, RatioReport, factorial
 from liedim.lie_modules import (
     LieModuleContext,
+    _integral_dim,
     check_a_prime_ratio_identity,
     coeff_a_prime,
     dim_lie,
@@ -141,6 +142,18 @@ def test_dim_c_integral_grid():
         for r in range(1, 121):
             dim = ctx.dim_c(r)
             assert 0 <= dim <= dim_lie(r), (p, r)
+
+
+def test_integral_dim_divides_exactly():
+    # the quotient by the denominator equals the Fraction product, and a
+    # remainder raises with the Fraction shown
+    for p in (2, 3):
+        ctx = LieModuleContext(p)
+        for r in range(1, 61):
+            ratio = ctx.ratio_c(r)
+            assert _integral_dim(r, ratio, dim_lie(r)) == ratio * dim_lie(r), (p, r)
+    with pytest.raises(ExactnessError, match=r"^c_5 \* \(5-1\)! = 24/7 is not an integer$"):
+        _integral_dim(5, Fraction(1, 7), 24)
 
 
 def test_report_structure():

@@ -63,6 +63,31 @@ def test_iter_lyndon_words_increasing_lyndon_and_counted(n, r):
     assert len(words) == witt_dim(n, r)
 
 
+def test_count_lyndon_words_matches_generator():
+    for n in range(1, 5):
+        for r in range(1, 11):
+            assert oracle.count_lyndon_words(n, r) == len(list(oracle.iter_lyndon_words(n, r))), (n, r)
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7))
+def test_count_lyndon_words_matches_generator_hypothesis(n, r):
+    assert oracle.count_lyndon_words(n, r) == sum(1 for _ in oracle.iter_lyndon_words(n, r))
+
+
+def test_count_lyndon_words_rejects_bad_sizes():
+    for n, r in ((0, 3), (-1, 3), (2, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            oracle.count_lyndon_words(n, r)
+
+
+def test_count_lyndon_words_edges():
+    # one letter: only the word of length 1 is Lyndon
+    assert oracle.count_lyndon_words(1, 1) == 1
+    assert [oracle.count_lyndon_words(1, r) for r in range(2, 12)] == [0] * 10
+    # length 1: every letter is a Lyndon word
+    assert [oracle.count_lyndon_words(n, 1) for n in range(1, 12)] == list(range(1, 12))
+
+
 def test_is_lyndon():
     assert oracle.is_lyndon((0,))
     assert oracle.is_lyndon((0, 1, 1))
