@@ -163,8 +163,7 @@ class _ChainTable:
     """Memoized per-degree table for one prime p, filled bottom-up along each chain k, pk, p**2 k, ...
 
     A subclass supplies _level(j, k), the value at degree p**j * k, once every
-    lower level of that chain is in self._memo.  Call populate() first if the
-    table is to be shared across threads; after that all accesses are reads.
+    lower level of that chain is in self._memo.
     """
 
     def __init__(self, p: int):
@@ -184,11 +183,6 @@ class _ChainTable:
                 if rj not in self._memo:
                     self._memo[rj] = self._level(j, k)
         return self._memo[r]
-
-    def populate(self, max_r: int) -> None:
-        """Fill the table for every degree up to max_r."""
-        for r in range(1, max_r + 1):
-            self._walk(r)
 
 
 @dataclass(frozen=True)

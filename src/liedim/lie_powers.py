@@ -103,11 +103,7 @@ class LiePowerContext(_ChainTable):
         self._witt_memo: dict[tuple[int, int], int] = {}
 
     def _witt(self, r: int, e: int = 1) -> int:
-        """w(n**e, r), memoised for this context.
-
-        This memo also fills after populate(); two threads that miss the same
-        key both store the same value, so sharing the context stays safe.
-        """
+        """w(n**e, r), memoised for this context."""
         key = (e, r)
         if key not in self._witt_memo:
             self._witt_memo[key] = witt_dim(self.n**e, r)

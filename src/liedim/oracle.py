@@ -323,10 +323,10 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     own and updates those in place; the vectors are not modified.
 
     Over F_p pivots are scaled to lead 1 and a row loses a multiple of the
-    pivot.  Over the rationals rows stay integral: when the pivot's lead
-    divides the row's lead (always for the +-1 leads that bracket expansions
-    mostly have) the row loses an integer multiple of the pivot in place, and
-    only otherwise is it cross-multiplied into a new, gcd-compressed row.
+    pivot.  Over the rationals rows stay integral and take one update in
+    place: a row whose lead the pivot's lead does not divide is first scaled
+    so that it does (never needed for the +-1 leads that bracket expansions
+    mostly have), and then it loses an exact integer multiple of the pivot.
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
@@ -402,30 +402,30 @@ def _rank_prime(rows: list[dict[int, int]], p: int) -> int:
 
 
 def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
+    # row is nonempty and stores no zero, so g ends > 1 unless it returns early
     g = 0
     for v in row.values():
         g = gcd(g, v)
         if g == 1:
             return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    return {c: v // g for c, v in row.items()}
 
 
 def _rank_rational(rows: list[dict[int, int]]) -> int:
     """Rank over the rationals of integer rows, without ever making a Fraction.
 
-    Pivot rows are gcd-compressed with a positive lead a.  A row whose lead b
-    is a multiple of a (always so when a == 1, the usual case for bracket
-    expansions) loses (b // a) * pivot in place.  Otherwise the row is
-    cross-multiplied into a new dict, row * (a/g) - pivot * (b/g) with
-    g = gcd(a, b), and every 8th such step is gcd-compressed so that entries
-    do not snowball.  Rows are modified, so callers pass rows they own.
+    Pivot rows are gcd-compressed with a positive lead a.  A row with lead b
+    takes one update: when a does not divide b (never when a == 1, the usual
+    case for bracket expansions) the row is first scaled in place by
+    a / gcd(a, b), and then it loses (b // a) * pivot by exact division, so
+    that it becomes (a/g) * row - (b/g) * pivot.  Every 8th scaling of a row
+    first gcd-compresses it, so that entries do not snowball.  Rows are
+    modified, so callers pass rows they own.
     """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
-        steps = 0
+        scalings = 0
         while row:
             lead = min(row)
             piv = pivots.get(lead)
@@ -438,30 +438,23 @@ def _rank_rational(rows: list[dict[int, int]]) -> int:
                 break
             a = piv[lead]
             b = row[lead]
-            if b % a == 0:
-                f = b // a
-                get = row.get
-                for c, v in piv.items():
-                    nv = get(c, 0) - f * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        del row[c]  # f * v != 0, so a zero means c was stored
-                continue
-            g = gcd(a, b)
-            ma = a // g
-            mb = b // g
-            new = {c: ma * v for c, v in row.items()}
+            if b % a:
+                scalings += 1
+                if scalings % 8 == 0:
+                    row = _gcd_normalize(row)  # keep entries from snowballing
+                    b = row[lead]
+                s = a // gcd(a, b)
+                for c, v in row.items():
+                    row[c] = v * s
+                b *= s
+            f = b // a
+            get = row.get
             for c, v in piv.items():
-                nv = new.get(c, 0) - mb * v
+                nv = get(c, 0) - f * v
                 if nv:
-                    new[c] = nv
-                elif c in new:
-                    del new[c]
-            row = new
-            steps += 1
-            if row and steps % 8 == 0:
-                row = _gcd_normalize(row)  # keep entries from snowballing
+                    row[c] = nv
+                else:
+                    del row[c]  # f * v != 0, so a zero means c was stored
     return rank
 
 

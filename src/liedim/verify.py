@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import oracle
 from .arith import ExactnessError, divisors, mobius, p_adic_split
@@ -41,13 +42,11 @@ CONV_DIMS = (2, 3)
 CONV_KS = (2, 3, 5)
 CONV_MAX_R = 5000
 
-# oracle grids
-WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))
-APERIODIC_MAX_N = 3
-APERIODIC_MAX_R = 10
-ORACLE_POWER_MAX_N = 3
-ORACLE_POWER_MAX_R = 6
-ORACLE_MODULE_MAX_R = 6
+# oracle grids, each read by its suite and by _oracle_jobs
+WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))  # (q, k)
+APERIODIC_POINTS = tuple(product(range(1, 4), range(1, 11)))  # (n, r)
+ORACLE_POWER_POINTS = tuple(product(range(1, 4), range(1, 7)))  # (n, r)
+ORACLE_MODULE_POINTS = tuple((r,) for r in range(1, 7))
 ORACLE_MODULE_SLOW_R = 7
 ORACLE_FIELDS = (None, 2, 3)
 
@@ -272,25 +271,19 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
             lyndon.record(oracle.count_lyndon_words(n, r) == witt_dim(n, r), f"(n={n}, r={r})")
 
     aper = CheckFamily("oracle/aperiodic-count")
-    for n in range(1, APERIODIC_MAX_N + 1):
-        for r in range(1, APERIODIC_MAX_R + 1):
-            aper.record(
-                oracle.aperiodic_count_bruteforce(n, r) == r * witt_dim(n, r), f"(n={n}, r={r})"
-            )
+    for n, r in APERIODIC_POINTS:
+        aper.record(oracle.aperiodic_count_bruteforce(n, r) == r * witt_dim(n, r), f"(n={n}, r={r})")
 
     power = CheckFamily("oracle/lie-power-rank")
     basis = CheckFamily("oracle/lyndon-basis-rank")
-    for n in range(1, ORACLE_POWER_MAX_N + 1):
-        for r in range(1, ORACLE_POWER_MAX_R + 1):
-            w = witt_dim(n, r)
+    witt_at = {(n, r): witt_dim(n, r) for n, r in ORACLE_POWER_POINTS}
+    for fam, rank in ((power, oracle.lie_power_rank), (basis, oracle.lyndon_bracketing_rank)):
+        for (n, r), w in witt_at.items():
             for f in ORACLE_FIELDS:
-                power.record(oracle.lie_power_rank(n, r, f) == w, f"(n={n}, r={r}, field={f})")
-                basis.record(
-                    oracle.lyndon_bracketing_rank(n, r, f) == w, f"(n={n}, r={r}, field={f})"
-                )
+                fam.record(rank(n, r, f) == w, f"(n={n}, r={r}, field={f})")
 
     module = CheckFamily("oracle/lie-module-rank")
-    for r in range(1, ORACLE_MODULE_MAX_R + 1):
+    for (r,) in ORACLE_MODULE_POINTS:
         for f in ORACLE_FIELDS:
             module.record(oracle.lie_module_rank(r, f) == dim_lie(r), f"(r={r}, field={f})")
     if slow:
@@ -306,10 +299,8 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
             wspace.record(oracle.weight_space_rank(q, k, f) == expected, f"(q={q}, k={k}, field={f})")
 
     smoke = CheckFamily("oracle/bracket-smoke")
-    from itertools import product as _product
-
     for r in range(1, 6):
-        for word in _product(range(2), repeat=r):
+        for word in product(range(2), repeat=r):
             vec = oracle.left_normed_expand(word)
             smoke.record(oracle.weight_of(vec) != oracle.INHOMOGENEOUS, f"(word={word})")
     for a in range(3):
@@ -323,27 +314,32 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     return [lyndon, aper, power, basis, module, wspace, smoke]
 
 
+def _charge_slow_lie_module(r: int) -> None:
+    oracle.charge_lie_module(r, oracle.work_budget(slow=True))
+
+
+def _oracle_jobs(slow: bool) -> tuple:
+    """Every budget-charged oracle job as (the suites that run it, its charge,
+    its points), in the order the suites first charge them.  The --slow job's
+    raised budget is resolved only when the job is charged."""
+    return (
+        (("all", "c"), oracle.charge_weight_space, WEIGHT_SPACE_POINTS),
+        (("all", "oracle"), oracle.charge_aperiodic_count, APERIODIC_POINTS),
+        (("all", "oracle"), oracle.charge_lie_power, ORACLE_POWER_POINTS),
+        (("all", "oracle"), oracle.charge_word_enumeration, ORACLE_POWER_POINTS),
+        (("all", "oracle"), oracle.charge_lie_module, ORACLE_MODULE_POINTS),
+        (("all", "oracle"), _charge_slow_lie_module, ((ORACLE_MODULE_SLOW_R,),) if slow else ()),
+        (("all", "oracle"), oracle.charge_weight_space, WEIGHT_SPACE_POINTS),
+    )
+
+
 def _charge_oracle_jobs(suite: str, slow: bool) -> None:
     """Charge every budget-charged oracle job of the selected suites, in the order
     the suites run them, so the first refusal is the one a run would meet."""
-    if suite in ("all", "c"):
-        for q, k in WEIGHT_SPACE_POINTS:
-            oracle.charge_weight_space(q, k)
-    if suite not in ("all", "oracle"):
-        return
-    for n in range(1, APERIODIC_MAX_N + 1):
-        for r in range(1, APERIODIC_MAX_R + 1):
-            oracle.charge_aperiodic_count(n, r)
-    for n in range(1, ORACLE_POWER_MAX_N + 1):
-        for r in range(1, ORACLE_POWER_MAX_R + 1):
-            oracle.charge_lie_power(n, r)
-            oracle.charge_word_enumeration(n, r)
-    for r in range(1, ORACLE_MODULE_MAX_R + 1):
-        oracle.charge_lie_module(r)
-    if slow:
-        oracle.charge_lie_module(ORACLE_MODULE_SLOW_R, oracle.work_budget(slow=True))
-    for q, k in WEIGHT_SPACE_POINTS:
-        oracle.charge_weight_space(q, k)
+    for suites, charge, points in _oracle_jobs(slow):
+        if suite in suites:
+            for point in points:
+                charge(*point)
 
 
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:

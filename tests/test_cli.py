@@ -103,6 +103,18 @@ def test_witt_one_letter(runner):
     assert "w(1, 5) = 0" in result.output
 
 
+def test_witt_lower_bound_with_no_excess(runner):
+    # n^r = r*w, so the excess 2n^r - 2rw is 0 and the lower bound needs no square
+    result = runner.invoke(main, ["witt", "--n", "3", "--r", "1"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "w(3, 1) = 3\n"
+        "upper: r*w = 3 <= n^r = 3\n"
+        "lower: excess 2n^r - 2rw = 0 <= 0\n"
+        "bounds OK\n"
+    )
+
+
 def test_witt_domain_errors(runner):
     result = runner.invoke(main, ["witt", "--n", "2", "--r", "0"])
     assert result.exit_code == 2
@@ -386,6 +398,20 @@ def test_malformed_env_budget(runner, monkeypatch):
         assert _error_lines(result) == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
 
 
+def test_malformed_env_budget_only_where_verify_charges(runner, monkeypatch):
+    # --slow raises the budget of the oracle suite's r = 7 job only; the witt
+    # and b suites charge nothing, so they never read the budget
+    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    for suite in ("witt", "b"):
+        result = runner.invoke(main, ["verify", "--suite", suite, "--slow"])
+        assert result.exit_code == 0, suite
+        assert result.output.splitlines()[-1].startswith("PASS: "), suite
+    result = runner.invoke(main, ["verify", "--suite", "c", "--slow"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert _error_lines(result) == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
+
+
 def test_oracle_lyndon_budget(runner):
     result = runner.invoke(main, ["oracle", "lyndon", "--n", "10", "--r", "12"])
     assert result.exit_code == 2
@@ -409,6 +435,19 @@ def test_verify_witt_suite(runner):
     assert "witt/two-sided-bounds: 640 checks, 0 failures" in result.output
     assert "witt/one-letter-alphabet: 100 checks, 0 failures" in result.output
     assert result.output.strip().endswith("PASS: 740 checks")
+
+
+def test_verify_shows_at_most_20_failures_per_family(runner, monkeypatch):
+    fam = cli.verify_mod.CheckFamily("demo/family", checks=26, failures=[f"(i={i})" for i in range(25)])
+    monkeypatch.setattr(cli.verify_mod, "run_suites", lambda suite, slow: [fam])
+    result = runner.invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        "demo/family: 26 checks, 25 failures",
+        *(f"  FAIL (i={i})" for i in range(20)),
+        "  ... and 5 more",
+        "FAIL: 25 of 26 checks failed",
+    ]
 
 
 def test_verify_rejects_unknown_suite(runner):

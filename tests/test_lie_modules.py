@@ -172,14 +172,6 @@ def test_report_structure():
     assert rep.bound is None
 
 
-def test_populate_matches_single_calls():
-    ctx = LieModuleContext(3)
-    ctx.populate(100)
-    fresh = LieModuleContext(3)
-    for r in range(1, 101):
-        assert ctx.ratio_c(r) == fresh.ratio_c(r)
-
-
 def test_context_domain_errors():
     with pytest.raises(ValueError):
         LieModuleContext(6)

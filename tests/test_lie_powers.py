@@ -159,13 +159,6 @@ def test_report_structure(ctx22):
     assert ctx22.coeff_a(0, 3, 0) == 1
 
 
-def test_populate_matches_single_calls(ctx22):
-    ctx22.populate(64)
-    fresh = LiePowerContext(2, 2)
-    for r in range(1, 65):
-        assert ctx22.dim_b(r) == fresh.dim_b(r)
-
-
 def test_context_domain_errors():
     with pytest.raises(ValueError):
         LiePowerContext(4, 2)

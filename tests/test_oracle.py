@@ -275,6 +275,9 @@ def sparse_vectors(draw):
 @example([{(0, 0): 2, (0, 1): 1}, {(0, 0): 3, (1, 1): -1}, {(0, 0): 0, (0, 1): 4}], None)
 # nine cross-multiplied steps in one row, past the periodic gcd compression
 @example([{(j,): 2, (j + 1,): 1} for j in range(9)] + [{(0,): 3}], None)
+# seventeen scaled steps in one row, whose entry triples at each: the gcd
+# compression runs twice in it and divides by 3**8 both times
+@example([{(j,): 2, (j + 1,): 3} for j in range(17)] + [{(0,): 3}], None)
 def test_rank_over_field_matches_dense_reference(vectors, field):
     before = copy.deepcopy(vectors)
     assert oracle.rank_over_field(vectors, field) == _reference_rank(vectors, field)

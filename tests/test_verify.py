@@ -1,6 +1,6 @@
 import pytest
 
-from liedim import verify
+from liedim import oracle, verify
 
 
 def test_check_family_record():
@@ -46,3 +46,39 @@ def test_suite_dispatch_rejects_unknown():
 def test_all_suite_contains_every_family():
     # structural check only; the heavy grids run in the acceptance tests
     assert set(verify.SUITE_NAMES) == {"all", "witt", "b", "c", "oracle"}
+
+
+def _charged_jobs(monkeypatch, suite, slow):
+    """The (task, symbolic work) of the jobs the up-front charge and then the
+    suites themselves charge, each in the order of its first charge."""
+    log = []
+    charge = oracle._charge
+
+    def recording(budget, task, floor_bits, symbolic, work):
+        log.append((task, symbolic))
+        charge(budget, task, floor_bits, symbolic, work)
+
+    monkeypatch.setattr(oracle, "_charge", recording)
+    verify._charge_oracle_jobs(suite, slow)
+    up_front = list(dict.fromkeys(log))
+    log.clear()
+    monkeypatch.setattr(verify, "_charge_oracle_jobs", lambda suite, slow: None)
+    verify.run_suites(suite, slow)
+    return up_front, list(dict.fromkeys(log))
+
+
+@pytest.mark.parametrize(
+    "suite, slow",
+    [
+        ("c", False),
+        ("oracle", False),
+        ("all", False),
+        pytest.param("c", True, marks=pytest.mark.slow),
+        pytest.param("oracle", True, marks=pytest.mark.slow),
+        pytest.param("all", True, marks=pytest.mark.slow),
+    ],
+)
+def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
+    up_front, run = _charged_jobs(monkeypatch, suite, slow)
+    assert up_front == run
+    assert (("multilinear bracket span", "(7!)^2") in run) == (slow and suite != "c")
