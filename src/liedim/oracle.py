@@ -62,7 +62,8 @@ def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work)
     the limit the request is refused without building the work number, which
     may be far too large to print, and the work is shown as `symbolic`.
     Otherwise work() builds the exact count, which is compared and printed.
-    The floors used below: n**r >= 2**r for n >= 2, and r! >= 2**(r-1).
+    The floors used below: n**r >= 2**r for n >= 2, r >= 2**(r.bit_length() - 1)
+    and r! >= 2**(r-1).
     """
     limit = work_budget(budget)
     shown = symbolic
@@ -79,10 +80,16 @@ def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work)
 def charge_word_enumeration(
     n: int, r: int, budget: int | None = None, task: str = "Lyndon word enumeration"
 ) -> None:
-    """Refuse a walk over all n**r words of length r when it is over the budget."""
+    """Refuse a walk over all n**r words of length r when it is over the budget.
+
+    One letter gives one word, but the walk still builds its r letters, so it
+    is charged r."""
     if n < 1 or r < 1:
         raise ValueError(f"{task} needs n >= 1 and r >= 1")
-    _charge(budget, task, r if n >= 2 else 0, f"{n}^{r}", lambda: n**r)
+    if n == 1:
+        _charge(budget, task, r.bit_length() - 1, str(r), lambda: r)
+    else:
+        _charge(budget, task, r, f"{n}^{r}", lambda: n**r)
 
 
 def charge_aperiodic_count(n: int, r: int, budget: int | None = None) -> None:

@@ -52,17 +52,14 @@ def refuse_past_digit_limit(bits: int) -> None:
 def int_to_str(x: int) -> str:
     """Decimal text of x, the same as str(x); past the interpreter's int-to-str
     digit limit, a ValueError that says how to lift the limit."""
-    bits = x.bit_length()
-    if bits < FAST_STR_MIN_BITS:
-        try:
-            return str(x)
-        except ValueError:
-            raise _past_digit_limit(sys.get_int_max_str_digits()) from None
     # str() refuses exactly when abs(x) >= 10**limit; 10**limit is built only
     # when the bit length leaves it open (log2(10) is 3.3219...)
+    bits = x.bit_length()
     limit = sys.get_int_max_str_digits()
     if limit and bits > limit * 3321 // 1000 and (bits > limit * 3322 // 1000 + 1 or abs(x) >= 10**limit):
         raise _past_digit_limit(limit)
+    if bits < FAST_STR_MIN_BITS:
+        return str(x)
     return ("-" if x < 0 else "") + _decimal_text(abs(x), bits)
 
 

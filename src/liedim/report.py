@@ -1,13 +1,14 @@
 """Convergence tables and their CSV / JSON renderings.
 
-Row schema (shared by the b and c tables): the degree and its p-adic split,
-the summand dimension, the reference dimension it is measured against
-(w(n, r) for Lie powers, (r-1)! for Lie modules), the exact ratio as a
-normalized fraction, and decimal renderings of the ratio, the explicit lower
-bound and the gap 1 - ratio.  Big integers are emitted as strings in JSON so
-consumers without arbitrary precision stay safe; CSV uses LF line endings and
-a fixed column order, and all number formatting is locale-independent, so
-both formats are byte-identical across runs.
+The row schema, shared by the b and c tables, is the ConvergenceRow
+dataclass: its fields are the columns, in CSV order.  A row holds the degree
+and its p-adic split, the summand dimension, the reference dimension it is
+measured against (w(n, r) for Lie powers, (r-1)! for Lie modules), the exact
+ratio as a normalized fraction, and decimal renderings of the ratio, the
+explicit lower bound and the gap 1 - ratio.  Big integers are emitted as
+strings in JSON so consumers without arbitrary precision stay safe; CSV uses
+LF line endings, and all number formatting is locale-independent, so both
+formats are byte-identical across runs.
 
 Bound column conventions: at m = 0 the ratio is exactly 1 and the bound
 column renders the trivial bound 1; on the degenerate chain k = 1 (ratio 0,
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .arith import _check_chain, is_prime
@@ -26,20 +27,6 @@ from .lie_modules import LieModuleContext, dim_lie_bits_lower
 from .lie_powers import LiePowerContext, RatioBoundB
 from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, refuse_past_digit_limit, render_fraction
 from .witt import witt_dim_bits_lower
-
-CSV_COLUMNS = (
-    "r",
-    "p",
-    "m",
-    "k",
-    "dim_num",
-    "dim_den_context",
-    "ratio_num",
-    "ratio_den",
-    "ratio_float",
-    "bound_float",
-    "gap_float",
-)
 
 
 @dataclass(frozen=True)
@@ -73,7 +60,7 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One fully rendered table row; exact fields plus their decimal strings."""
+    """One fully rendered table row; its fields are the columns, in CSV order."""
 
     r: int
     p: int
@@ -81,11 +68,26 @@ class ConvergenceRow:
     k: int
     dim_num: int
     dim_den_context: int
-    ratio: Fraction
+    ratio_num: int
+    ratio_den: int
     ratio_float: str
     bound_float: str
-    gap: Fraction
     gap_float: str
+
+    @property
+    def ratio(self) -> Fraction:
+        """The exact ratio dim_num / dim_den_context, in lowest terms."""
+        return Fraction(self.ratio_num, self.ratio_den)
+
+    @property
+    def gap(self) -> Fraction:
+        """The exact gap 1 - ratio."""
+        return 1 - self.ratio
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
+# the columns printed as decimal text; JSON carries them as strings
+_INT_TEXT_COLUMNS = ("dim_num", "dim_den_context", "ratio_num", "ratio_den")
 
 
 def _points(cfg: RunConfig) -> list[tuple[int, int, int]]:
@@ -117,7 +119,6 @@ def _build_rows(cfg: RunConfig, report: Callable, render_bound: Callable) -> lis
             bound_float = render_fraction(Fraction(1), bits)
         else:
             bound_float = ""
-        gap = 1 - rep.ratio
         rows.append(
             ConvergenceRow(
                 r=r,
@@ -126,11 +127,11 @@ def _build_rows(cfg: RunConfig, report: Callable, render_bound: Callable) -> lis
                 k=k,
                 dim_num=rep.dim,
                 dim_den_context=rep.reference,
-                ratio=rep.ratio,
+                ratio_num=rep.ratio.numerator,
+                ratio_den=rep.ratio.denominator,
                 ratio_float=render_fraction(rep.ratio, bits),
                 bound_float=bound_float,
-                gap=gap,
-                gap_float=render_fraction(gap, bits),
+                gap_float=render_fraction(1 - rep.ratio, bits),
             )
         )
     return rows
@@ -156,19 +157,7 @@ def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
 
 def _record(row: ConvergenceRow) -> dict:
     """One row keyed by CSV_COLUMNS, in that order; big integers as decimal strings."""
-    return {
-        "r": row.r,
-        "p": row.p,
-        "m": row.m,
-        "k": row.k,
-        "dim_num": int_to_str(row.dim_num),
-        "dim_den_context": int_to_str(row.dim_den_context),
-        "ratio_num": int_to_str(row.ratio.numerator),
-        "ratio_den": int_to_str(row.ratio.denominator),
-        "ratio_float": row.ratio_float,
-        "bound_float": row.bound_float,
-        "gap_float": row.gap_float,
-    }
+    return {c: int_to_str(getattr(row, c)) if c in _INT_TEXT_COLUMNS else getattr(row, c) for c in CSV_COLUMNS}
 
 
 def to_csv(rows: list[ConvergenceRow]) -> str:
@@ -184,23 +173,8 @@ def to_json(rows: list[ConvergenceRow]) -> str:
 
 
 def rows_from_json(text: str) -> list[ConvergenceRow]:
-    """Inverse of to_json; the exact ratio and gap are rebuilt from the strings."""
-    rows = []
-    for obj in json.loads(text):
-        ratio = Fraction(int(obj["ratio_num"]), int(obj["ratio_den"]))
-        rows.append(
-            ConvergenceRow(
-                r=obj["r"],
-                p=obj["p"],
-                m=obj["m"],
-                k=obj["k"],
-                dim_num=int(obj["dim_num"]),
-                dim_den_context=int(obj["dim_den_context"]),
-                ratio=ratio,
-                ratio_float=obj["ratio_float"],
-                bound_float=obj["bound_float"],
-                gap=1 - ratio,
-                gap_float=obj["gap_float"],
-            )
-        )
-    return rows
+    """Inverse of to_json; the big integers are parsed back from their strings."""
+    return [
+        ConvergenceRow(**{c: int(obj[c]) if c in _INT_TEXT_COLUMNS else obj[c] for c in CSV_COLUMNS})
+        for obj in json.loads(text)
+    ]

@@ -421,6 +421,19 @@ def test_oracle_lyndon_budget(runner):
     assert "10^1000000000" in result.output
 
 
+def test_one_letter_walks_charged_their_length(runner):
+    # one word, but r letters built: charged r, so a long walk is refused at once
+    for command in ("lyndon", "aperiodic"):
+        args = ["oracle", command, "--n", "1", "--r", "100000000"]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0, args
+        _assert_one_line_refusal(result, args)
+        assert "needs about 100000000 units of work" in _error_lines(result)[0], args
+        assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "1"]).output == "1\n"
+        assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "5"]).output == "0\n"
+
+
 def test_oracle_lyndon_slow_flag(runner):
     args = ["oracle", "lyndon", "--n", "4", "--r", "12"]
     assert runner.invoke(main, args).exit_code == 2

@@ -346,7 +346,10 @@ def test_word_enumeration_charge():
     with pytest.raises(oracle.WorkBudgetExceeded, match="Lyndon word enumeration"):
         oracle.charge_word_enumeration(4, 12)  # 16,777,216 units
     oracle.charge_word_enumeration(4, 12, budget=10**8)
-    oracle.charge_word_enumeration(1, 10**9)  # one word, whatever its length
+    # one word, but the walk builds its r letters: charged r
+    oracle.charge_word_enumeration(1, 10**6)
+    with pytest.raises(oracle.WorkBudgetExceeded, match="needs about 1000000000 units"):
+        oracle.charge_word_enumeration(1, 10**9)
     # refused from the exponent alone, without building 10**(10**9)
     with pytest.raises(oracle.WorkBudgetExceeded, match=r"10\^1000000000 units"):
         oracle.charge_word_enumeration(10, 10**9)

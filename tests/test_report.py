@@ -1,10 +1,13 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from liedim.render import FAST_STR_MIN_BITS
 from liedim.report import (
     CSV_COLUMNS,
+    ConvergenceRow,
     RunConfig,
     build_b_rows,
     build_c_rows,
@@ -108,6 +111,26 @@ def test_json_round_trip():
     cfg = RunConfig(p=3, k_list=(2,), m_max=2)
     rows = build_c_rows(cfg)
     assert rows_from_json(to_json(rows)) == rows
+
+
+def test_one_schema_at_size():
+    # (r-1)! at r = 3 * 2^11 is past FAST_STR_MIN_BITS, so the records take
+    # int_to_str's divide-and-conquer path
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rows = build_c_rows(RunConfig(p=2, k_list=(3,), m_max=11))
+        text = to_json(rows)
+        assert rows_from_json(text) == rows
+        records = json.loads(text)
+        assert records[-1]["dim_den_context"] == str(rows[-1].dim_den_context)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert rows[-1].dim_den_context.bit_length() > FAST_STR_MIN_BITS
+    assert all(type(row) is ConvergenceRow for row in rows)
+    assert len(records) == len(rows) == 12
+    for record in records:
+        assert tuple(record) == CSV_COLUMNS
 
 
 def test_json_big_integers_as_strings():
