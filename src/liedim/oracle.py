@@ -19,6 +19,7 @@ import os
 from collections.abc import Iterator
 from itertools import permutations, product
 from math import factorial, gcd
+from operator import itemgetter
 
 from .arith import divisors, is_prime
 
@@ -329,11 +330,17 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     lexicographic column order.  Each call converts the vectors to rows of its
     own and updates those in place; the vectors are not modified.
 
-    Over F_p pivots are scaled to lead 1 and a row loses a multiple of the
-    pivot.  Over the rationals rows stay integral and take one update in
-    place: a row whose lead the pivot's lead does not divide is first scaled
-    so that it does (never needed for the +-1 leads that bracket expansions
-    mostly have), and then it loses an exact integer multiple of the pivot.
+    One kernel per field, each fed the same columns:
+    - F_2: a row is one bitmask, and a step XORs in the pivot;
+    - F_3: a row is two bit-planes, the columns holding 1 and those holding
+      2, and a step is a handful of big-int bit operations (bitslicing, after
+      Boothby and Bradshaw);
+    - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
+      1 and a row loses a multiple of the pivot;
+    - the rationals: rows stay integral and take one update in place: a row
+      whose lead the pivot's lead does not divide is first scaled so that it
+      does (never needed for the +-1 leads that bracket expansions mostly
+      have), and then it loses an exact integer multiple of the pivot.
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
@@ -355,6 +362,18 @@ def rank_over_field(vectors, field: int | None = None) -> int:
                     mask |= 1 << col_id[idx]
             masks.append(mask)
         return _rank_gf2(masks)
+    if field == 3:
+        planes = []
+        for vec in vectors:
+            ones = twos = 0
+            for idx, c in vec.items():
+                c %= 3
+                if c == 1:
+                    ones |= 1 << col_id[idx]
+                elif c:
+                    twos |= 1 << col_id[idx]
+            planes.append((ones, twos))
+        return _rank_gf3(planes)
     p = field
     rows = []
     for vec in vectors:
@@ -381,6 +400,36 @@ def _rank_gf2(rows: list[int]) -> int:
                 rank += 1
                 break
             x ^= piv
+    return rank
+
+
+def _rank_gf3(rows: list[tuple[int, int]]) -> int:
+    # A row is (ones, twos): the bitmasks of its columns holding 1 and holding
+    # 2, with bits as in _rank_gf2, so the lowest bit of ones | twos leads.
+    # Negation swaps the planes, and pivots are stored with their planes
+    # swapped where needed so that each leads with 1.  Then a row leading
+    # with 1 adds the negated pivot and a row leading with 2 adds the pivot.
+    # The sum of (a1, a2) and (b1, b2) is ((a2|b2) ^ t, (a1|b1) ^ t) with
+    # t = (a1|b2) ^ (a2|b1), as checking the nine residue pairs shows.
+    pivots: dict[int, tuple[int, int]] = {}
+    rank = 0
+    for a1, a2 in rows:
+        x = a1 | a2
+        while x:
+            low = x & -x
+            lead = low.bit_length() - 1
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = (a1, a2) if a1 & low else (a2, a1)
+                rank += 1
+                break
+            if a1 & low:
+                b2, b1 = piv
+            else:
+                b1, b2 = piv
+            t = (a1 | b2) ^ (a2 | b1)
+            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+            x = a1 | a2
     return rank
 
 
@@ -495,19 +544,35 @@ def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int
     return rank_over_field(vectors, field)
 
 
+def multilinear_brackets(r: int) -> list[SparseTensorVector]:
+    """The expansions of the r! brackets [e_{pi(1)}, ..., e_{pi(r)}], in
+    permutations() order: left_normed_expand(pi) for each permutation pi.
+
+    The bracket of pi is the bracket of 0..r-1 with each letter i renamed
+    pi[i], so 0..r-1 is expanded once and each term's index tuple idx becomes
+    itemgetter(*idx)(pi) for each pi.  The letters are distinct, so nothing
+    cancels or merges and the coefficients carry over unchanged.
+    """
+    base = left_normed_expand(range(r))
+    if r == 1:
+        return [base]  # itemgetter of one index returns a letter, not a tuple
+    terms = [(itemgetter(*idx), c) for idx, c in base.items()]
+    return [{get(perm): c for get, c in terms} for perm in permutations(range(r))]
+
+
 def lie_module_rank(r: int, field: int | None = None, budget: int | None = None) -> int:
     """Rank of the span of the r! multilinear left-normed brackets.
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
-    multilinear component; the rank equals (r-1)! over every field.  The work
-    charge is (r!)**2 (vectors times columns), which the default budget admits
-    up to r = 6; r = 7 needs a raised budget.
+    multilinear component; the rank equals (r-1)! over every field.  They come
+    from one expansion, relabelled per permutation (multilinear_brackets).
+    The work charge is (r!)**2 (vectors times columns), which the default
+    budget admits up to r = 6; r = 7 needs a raised budget.
     """
     if r < 1:
         raise ValueError("lie_module_rank() needs r >= 1")
     charge_lie_module(r, budget)
-    vectors = [left_normed_expand(perm) for perm in permutations(range(r))]
-    return rank_over_field(vectors, field)
+    return rank_over_field(multilinear_brackets(r), field)
 
 
 def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | None = None) -> int:

@@ -1,7 +1,10 @@
 import copy
+import signal
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -256,10 +259,10 @@ SPARSE_VECTOR = st.dictionaries(
 
 
 @st.composite
-def sparse_vectors(draw):
+def sparse_vectors(draw, vector=SPARSE_VECTOR, max_base=6):
     # drawn vectors (entries -4..4, explicit zeros included) and, shuffled among
     # them, integer combinations of them, so that dependent rows are common
-    base = draw(st.lists(SPARSE_VECTOR, max_size=6))
+    base = draw(st.lists(vector, max_size=max_base))
     vectors = list(base)
     for coeffs in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base)), max_size=4)):
         combo: dict = {}
@@ -282,6 +285,85 @@ def test_rank_over_field_matches_dense_reference(vectors, field):
     before = copy.deepcopy(vectors)
     assert oracle.rank_over_field(vectors, field) == _reference_rank(vectors, field)
     assert vectors == before
+
+
+# Wide vectors over 100 to 300 one-letter columns, so that the F3 kernel's
+# bit-planes span several machine words.  One byte per column, drawn in one
+# go: below 128 the column is absent, else it holds b % 9 - 4 (zeros included).
+WIDE_VECTOR = (
+    st.integers(100, 300)
+    .flatmap(lambda width: st.binary(min_size=width, max_size=width))
+    .map(lambda data: {(j,): b % 9 - 4 for j, b in enumerate(data) if b >= 128})
+)
+
+
+# Rows over about 300 columns that all lead with 2 in column 0, so the first
+# pivot leads with 2 too and each later row is reduced by it.  The
+# combination r1 - r2 + 2*r3 leads with 4 = 1 mod 3 and depends on the rows
+# before it; negated, the rows lead with -2 = 1 mod 3.
+_LEAD_TWO = [{(0,): 2, **{(j,): j * k % 5 - 2 for j in range(k, 300, 2)}} for k in range(1, 20)]
+_LEAD_TWO_COMBO = {
+    idx: _LEAD_TWO[0].get(idx, 0) - _LEAD_TWO[1].get(idx, 0) + 2 * _LEAD_TWO[2].get(idx, 0)
+    for idx in sorted({*_LEAD_TWO[0], *_LEAD_TWO[1], *_LEAD_TWO[2]})
+}
+_NEGATED = [{idx: -v for idx, v in row.items()} for row in _LEAD_TWO]
+
+
+@contextmanager
+def _time_limit(seconds):
+    # an elimination step that fails to clear the lead can cycle for ever:
+    # turn that into a failure
+    def expire(signum, frame):
+        raise TimeoutError(f"rank kernel still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(sparse_vectors(WIDE_VECTOR, max_base=5))
+@example(_LEAD_TWO)
+@example(_LEAD_TWO[:3] + [_LEAD_TWO_COMBO])
+@example([_LEAD_TWO_COMBO] + _LEAD_TWO[:3])
+@example(_LEAD_TWO[:1] + _NEGATED[1:] + [_LEAD_TWO_COMBO])
+def test_rank_gf3_wide_matches_dense_reference(vectors):
+    with _time_limit(5):
+        got = oracle.rank_over_field(vectors, 3)
+    assert got == _reference_rank(vectors, 3)
+
+
+def _kernel_rows(vectors):
+    # the column order rank_over_field uses, then F3 bit-planes and residue dicts
+    col_id = {idx: j for j, idx in enumerate(sorted({idx for vec in vectors for idx in vec}))}
+    planes = []
+    for vec in vectors:
+        ones = sum(1 << col_id[idx] for idx, c in vec.items() if c % 3 == 1)
+        twos = sum(1 << col_id[idx] for idx, c in vec.items() if c % 3 == 2)
+        planes.append((ones, twos))
+    dicts = [{col_id[idx]: c % 3 for idx, c in vec.items() if c % 3} for vec in vectors]
+    return planes, dicts
+
+
+def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
+    for r in range(1, 7):
+        planes, dicts = _kernel_rows(oracle.multilinear_brackets(r))
+        with _time_limit(5):
+            got = oracle._rank_gf3(planes)
+        assert got == oracle._rank_prime(dicts, 3) == dim_lie(r), r
+
+
+def test_multilinear_brackets_relabel_one_expansion():
+    for r in range(1, 7):
+        expected = [oracle.left_normed_expand(perm) for perm in permutations(range(r))]
+        assert oracle.multilinear_brackets(r) == expected, r
+    # one letter: itemgetter of a single index would give a letter, not a tuple
+    assert oracle.multilinear_brackets(1) == [{(0,): 1}]
+    for f in (None, 2, 3, 5):
+        assert oracle.lie_module_rank(1, f) == 1, f
 
 
 def test_rank_over_field_validation():
@@ -358,8 +440,9 @@ def test_word_enumeration_charge():
 
 
 @pytest.mark.slow
-def test_lie_module_rank_r7_slow():
-    assert oracle.lie_module_rank(7, 2, budget=10**9) == dim_lie(7) == 720
+@pytest.mark.parametrize("field", [2, 3, None])
+def test_lie_module_rank_r7_slow(field):
+    assert oracle.lie_module_rank(7, field, budget=10**9) == dim_lie(7) == 720
 
 
 def test_weight_space_rank_23():
