@@ -330,17 +330,22 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     lexicographic column order.  Each call converts the vectors to rows of its
     own and updates those in place; the vectors are not modified.
 
-    One kernel per field, each fed the same columns:
+    The kernels, each fed the same columns:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
-    - F_3: a row is two bit-planes, the columns holding 1 and those holding
-      2, and a step is a handful of big-int bit operations (bitslicing, after
-      Boothby and Bradshaw);
+    - F_3 and the rationals share one signed two-plane kernel (bitslicing,
+      after Boothby and Bradshaw): a row is two bitmasks, the columns holding
+      +1 and those holding -1, and a step is a handful of big-int bit
+      operations.  Over F_3 each entry is taken as its residue in {-1, 0, 1}
+      and a step wraps mod 3.  Over the rationals the entries are the
+      integers themselves, and a step that would make a +-2 gives up;
+    - the rationals, when an entry or a step leaves {-1, 0, 1}: the whole
+      input is ranked again as integer dict rows.  Each row takes one update
+      in place: a row whose lead the pivot's lead does not divide is first
+      scaled so that it does, and then it loses an exact integer multiple of
+      the pivot.  The worst case of trying the planes first is one wasted
+      planes pass;
     - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
-      1 and a row loses a multiple of the pivot;
-    - the rationals: rows stay integral and take one update in place: a row
-      whose lead the pivot's lead does not divide is first scaled so that it
-      does (never needed for the +-1 leads that bracket expansions mostly
-      have), and then it loses an exact integer multiple of the pivot.
+      1 and a row loses a multiple of the pivot.
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
@@ -351,8 +356,6 @@ def rank_over_field(vectors, field: int | None = None) -> int:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     col_id = {idx: j for j, idx in enumerate(columns)}
 
-    if field is None:
-        return _rank_rational([{col_id[i]: c for i, c in vec.items() if c} for vec in vectors])
     if field == 2:
         masks = []
         for vec in vectors:
@@ -362,18 +365,13 @@ def rank_over_field(vectors, field: int | None = None) -> int:
                     mask |= 1 << col_id[idx]
             masks.append(mask)
         return _rank_gf2(masks)
-    if field == 3:
-        planes = []
-        for vec in vectors:
-            ones = twos = 0
-            for idx, c in vec.items():
-                c %= 3
-                if c == 1:
-                    ones |= 1 << col_id[idx]
-                elif c:
-                    twos |= 1 << col_id[idx]
-            planes.append((ones, twos))
-        return _rank_gf3(planes)
+    if field is None or field == 3:
+        wrap = field == 3
+        planes = _signed_planes(vectors, col_id, wrap)
+        rank = None if planes is None else _rank_planes(planes, wrap)
+        if rank is not None:
+            return rank
+        return _rank_rational([{col_id[i]: c for i, c in vec.items() if c} for vec in vectors])
     p = field
     rows = []
     for vec in vectors:
@@ -403,15 +401,43 @@ def _rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def _rank_gf3(rows: list[tuple[int, int]]) -> int:
-    # A row is (ones, twos): the bitmasks of its columns holding 1 and holding
-    # 2, with bits as in _rank_gf2, so the lowest bit of ones | twos leads.
-    # Negation swaps the planes, and pivots are stored with their planes
-    # swapped where needed so that each leads with 1.  Then a row leading
-    # with 1 adds the negated pivot and a row leading with 2 adds the pivot.
-    # The sum of (a1, a2) and (b1, b2) is ((a2|b2) ^ t, (a1|b1) ^ t) with
+def _signed_planes(vectors, col_id: dict, wrap: bool) -> list[tuple[int, int]] | None:
+    # Each vector as (plus, minus): the bitmasks of its columns holding +1 and
+    # holding -1, with bits as in _rank_gf2.  With wrap (F_3) an entry is
+    # taken mod 3, where 2 stands for -1; without it (the rationals) the entry
+    # itself, and None is returned when one lies outside {-1, 0, 1}.
+    minus_one = 2 if wrap else -1
+    rows = []
+    for vec in vectors:
+        plus = minus = 0
+        for idx, c in vec.items():
+            if wrap:
+                c %= 3
+            if c == 1:
+                plus |= 1 << col_id[idx]
+            elif c == minus_one:
+                minus |= 1 << col_id[idx]
+            elif c:
+                return None
+        rows.append((plus, minus))
+    return rows
+
+
+def _rank_planes(rows: list[tuple[int, int]], wrap: bool) -> int | None:
+    # A row is (plus, minus) from _signed_planes, so the lowest bit of its
+    # support x = plus | minus leads.  Negation swaps the planes, and pivots
+    # are stored with their planes swapped where needed so that each leads
+    # with +1, and with their support y.  Then a row leading with +1 adds the
+    # negated pivot and a row leading with -1 adds the pivot.  With wrap the
+    # sum over F_3 of (a1, a2) and (b1, b2) is ((a2|b2) ^ t, (a1|b1) ^ t) with
     # t = (a1|b2) ^ (a2|b1), as checking the nine residue pairs shows.
-    pivots: dict[int, tuple[int, int]] = {}
+    # Without it the sum is over the integers, and t = x & y are the columns
+    # both hold.  Where they hold opposite signs the sum is 0, so it is
+    # (a1 ^ b1 ^ t, a2 ^ b2 ^ t) with support x ^ y.  Where they hold the same
+    # sign it is +-2, and that column lands in both planes: the kernel gives
+    # up and returns None.  Until then every lead is +-1, so this is
+    # _rank_rational's elimination exactly.
+    pivots: dict[int, tuple[int, int, int]] = {}
     rank = 0
     for a1, a2 in rows:
         x = a1 | a2
@@ -420,16 +446,23 @@ def _rank_gf3(rows: list[tuple[int, int]]) -> int:
             lead = low.bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = (a1, a2) if a1 & low else (a2, a1)
+                pivots[lead] = (a1, a2, x) if a1 & low else (a2, a1, x)
                 rank += 1
                 break
             if a1 & low:
-                b2, b1 = piv
+                b2, b1, y = piv
             else:
-                b1, b2 = piv
-            t = (a1 | b2) ^ (a2 | b1)
-            a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
-            x = a1 | a2
+                b1, b2, y = piv
+            if wrap:
+                t = (a1 | b2) ^ (a2 | b1)
+                a1, a2 = (a2 | b2) ^ t, (a1 | b1) ^ t
+                x = a1 | a2
+            else:
+                t = x & y
+                a1, a2 = a1 ^ b1 ^ t, a2 ^ b2 ^ t
+                if a1 & a2:
+                    return None
+                x ^= y
     return rank
 
 

@@ -336,8 +336,49 @@ def test_rank_gf3_wide_matches_dense_reference(vectors):
     assert got == _reference_rank(vectors, 3)
 
 
+# Wide vectors over 100 to 300 one-letter columns with entries in {-1, 0, 1},
+# which the rationals rank on two bit-planes.  Each column gets one byte: its
+# low three bits put it in one of six atoms (6 stores an explicit zero in
+# every vector, 7 leaves it out) and bit 3 gives its sign.  The atoms have
+# disjoint supports, so every vector, a combination of atoms with coefficients
+# in {-1, 0, 1}, has entries in {-1, 0, 1}.  Dependent vectors are common,
+# and so are steps that would make a +-2 and send the rank to the dict rows.
+@st.composite
+def signed_wide_vectors(draw):
+    width = draw(st.integers(100, 300))
+    labels = draw(st.binary(min_size=width, max_size=width))
+    atoms = [{(j,): 1 - 2 * (b >> 3 & 1) for j, b in enumerate(labels) if b % 8 == a} for a in range(6)]
+    zeros = {(j,): 0 for j, b in enumerate(labels) if b % 8 == 6}
+    coeffs = draw(st.lists(st.lists(st.sampled_from([-1, 0, 0, 1]), min_size=6, max_size=6), max_size=10))
+    return [
+        {**zeros, **{idx: c * v for c, atom in zip(cs, atoms) if c for idx, v in atom.items()}} for cs in coeffs
+    ]
+
+
+# A wide pivot that leads with -1 at column 0, so it is stored negated
+_MINUS_LEAD = {(0,): -1, **{(j,): 1 - 2 * (j // 3 % 2) for j in range(1, 300, 3)}}
+
+
+@given(signed_wide_vectors())
+# the second row leads with -1 and adds the pivot: +1 + 1 on the plus plane
+@example([{(0,): 1, (1,): 1}, {(0,): -1, (1,): 1}])
+# the second row leads with -1 and adds the pivot: -1 - 1 on the minus plane
+@example([{(0,): 1, (1,): -1}, {(0,): -1, (1,): -1}])
+# the first row leads with -1 and is stored negated; the second, its
+# negation, cancels, and the third leads with +1 and adds the stored pivot's
+# negation, the first row itself
+@example([_MINUS_LEAD, {idx: -v for idx, v in _MINUS_LEAD.items()}, {(0,): 1, (2,): 1, (299,): -1}])
+def test_rank_rational_planes_match_dense_reference(vectors):
+    before = copy.deepcopy(vectors)
+    with _time_limit(5):
+        got = oracle.rank_over_field(vectors, None)
+    assert got == _reference_rank(vectors, None)
+    assert vectors == before
+
+
 def _kernel_rows(vectors):
-    # the column order rank_over_field uses, then F3 bit-planes and residue dicts
+    # the column order rank_over_field uses, then F3 bit-planes, residue dicts
+    # and integer dicts
     col_id = {idx: j for j, idx in enumerate(sorted({idx for vec in vectors for idx in vec}))}
     planes = []
     for vec in vectors:
@@ -345,15 +386,23 @@ def _kernel_rows(vectors):
         twos = sum(1 << col_id[idx] for idx, c in vec.items() if c % 3 == 2)
         planes.append((ones, twos))
     dicts = [{col_id[idx]: c % 3 for idx, c in vec.items() if c % 3} for vec in vectors]
-    return planes, dicts
+    integers = [{col_id[idx]: c for idx, c in vec.items() if c} for vec in vectors]
+    return planes, dicts, integers
 
 
 def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
     for r in range(1, 7):
-        planes, dicts = _kernel_rows(oracle.multilinear_brackets(r))
+        planes, dicts, integers = _kernel_rows(oracle.multilinear_brackets(r))
         with _time_limit(5):
-            got = oracle._rank_gf3(planes)
+            got = oracle._rank_planes(planes, wrap=True)
         assert got == oracle._rank_prime(dicts, 3) == dim_lie(r), r
+        # the entries are +-1, so these are also the rational planes, and they
+        # must finish with a rank, not give up to the dict rows; negated, every
+        # row and so every pivot leads with -1
+        negated = [(twos, ones) for ones, twos in planes]
+        with _time_limit(5):
+            got = [oracle._rank_planes(rows, wrap=False) for rows in (planes, negated)]
+        assert got == [oracle._rank_rational(integers)] * 2, r
 
 
 def test_multilinear_brackets_relabel_one_expansion():
