@@ -2,8 +2,9 @@
 
 Everything here works in explicit tensor coordinates.  A vector is a dict
 mapping index tuples (one letter per tensor factor) to nonzero integer
-coefficients; a commutator [x, y] of basis tensors is the difference of the
-two concatenations.  Spans are built from bracket expansions of explicit word
+coefficients (the multilinear rows key them by column number instead); a
+commutator [x, y] of basis tensors is the difference of the two
+concatenations.  Spans are built from bracket expansions of explicit word
 lists and measured with deterministic sparse Gaussian elimination, exactly
 over the rationals or over a prime field.
 
@@ -324,11 +325,14 @@ def format_expansion(vec: SparseTensorVector) -> str:
 def rank_over_field(vectors, field: int | None = None) -> int:
     """Exact rank of the span of the given sparse vectors.
 
-    field None means the rationals; a prime p means F_p.  Deterministic by
-    construction: vectors are consumed in the given order and each row is
-    reduced against pivots chosen as the first nonzero position in
-    lexicographic column order.  Each call converts the vectors to rows of its
-    own and updates those in place; the vectors are not modified.
+    A vector's keys are either index tuples, all of one tensor degree, or
+    column numbers (ints, as multilinear_brackets makes); one input does not
+    mix the two.  field None means the rationals; a prime p means F_p.
+    Deterministic by construction: vectors are consumed in the given order
+    and each row is reduced against pivots chosen as the first nonzero
+    position in sorted column order (lexicographic for tuples).  Each call
+    converts the vectors to rows of its own and updates those in place; the
+    vectors are not modified.
 
     The kernels, each fed the same columns:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
@@ -350,11 +354,13 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
-    columns = sorted({idx for vec in vectors for idx, c in vec.items() if c})
-    degrees = {len(idx) for idx in columns}
-    if len(degrees) > 1:
-        raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
-    col_id = {idx: j for j, idx in enumerate(columns)}
+    keys = {idx for vec in vectors for idx, c in vec.items() if c}
+    kinds = {len(idx) if isinstance(idx, tuple) else 0 for idx in keys}
+    if len(kinds) > 1:
+        if 0 in kinds:
+            raise ValueError("rank input mixes column numbers and index tuples")
+        raise ValueError(f"mixed tensor degrees in rank input: {sorted(kinds)}")
+    col_id = {idx: j for j, idx in enumerate(sorted(keys))}
 
     if field == 2:
         masks = []
@@ -577,20 +583,31 @@ def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int
     return rank_over_field(vectors, field)
 
 
-def multilinear_brackets(r: int) -> list[SparseTensorVector]:
+def multilinear_brackets(r: int) -> list[dict[int, int]]:
     """The expansions of the r! brackets [e_{pi(1)}, ..., e_{pi(r)}], in
-    permutations() order: left_normed_expand(pi) for each permutation pi.
+    permutations() order, each keyed by column number: row i is
+    left_normed_expand(perms[i]) with each index tuple replaced by its
+    position in perms = list(permutations(range(r))).
 
-    The bracket of pi is the bracket of 0..r-1 with each letter i renamed
-    pi[i], so 0..r-1 is expanded once and each term's index tuple idx becomes
-    itemgetter(*idx)(pi) for each pi.  The letters are distinct, so nothing
-    cancels or merges and the coefficients carry over unchanged.
+    permutations() of a sorted range yields the tuples in lexicographic
+    order, so column numbers sort exactly as the index tuples they stand for,
+    and rank_over_field orders the columns, and so chooses the pivots, as it
+    would for the tuples.  The bracket of pi is the bracket of 0..r-1 with
+    each letter i renamed pi[i], so 0..r-1 is expanded once, and the rows are
+    built one base term at a time: the term's index tuple idx becomes
+    itemgetter(*idx)(pi) for every pi, and only its position in perms is
+    kept.
+    The letters are distinct, so nothing cancels or merges and the
+    coefficients carry over unchanged.
     """
     base = left_normed_expand(range(r))
     if r == 1:
-        return [base]  # itemgetter of one index returns a letter, not a tuple
-    terms = [(itemgetter(*idx), c) for idx, c in base.items()]
-    return [{get(perm): c for get, c in terms} for perm in permutations(range(r))]
+        return [{0: c} for c in base.values()]  # itemgetter of one index returns a letter, not a tuple
+    perms = list(permutations(range(r)))
+    pid = {perm: i for i, perm in enumerate(perms)}.__getitem__
+    ids = [list(map(pid, map(itemgetter(*idx), perms))) for idx in base]
+    coeffs = list(base.values())
+    return [dict(zip(row_ids, coeffs)) for row_ids in zip(*ids)]
 
 
 def lie_module_rank(r: int, field: int | None = None, budget: int | None = None) -> int:
@@ -598,7 +615,10 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
     multilinear component; the rank equals (r-1)! over every field.  They come
-    from one expansion, relabelled per permutation (multilinear_brackets).
+    from one expansion, relabelled per permutation (multilinear_brackets),
+    and are keyed by column number: the position of each tensor index among
+    the permutations in permutations() order, which is lexicographic, so the
+    columns and pivots are those of the index tuples themselves.
     The work charge is (r!)**2 (vectors times columns), which the default
     budget admits up to r = 6; r = 7 needs a raised budget.
     """

@@ -204,15 +204,32 @@ def test_format_expansion_multi_digit_letters():
     assert oracle.format_expansion({}) == ""
 
 
+@contextmanager
+def _time_limit(seconds):
+    # an elimination step that fails to clear the lead can cycle for ever:
+    # turn that into a failure
+    def expire(signum, frame):
+        raise TimeoutError(f"rank kernel still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_rank_over_field_basic():
     a, b = (0,), (1,)
     vectors = [{a: 1, b: 1}, {a: 1, b: -1}, {a: 2, b: 0}]
-    assert oracle.rank_over_field(vectors) == 2
-    # over F_2 the first two rows coincide and the third vanishes
-    assert oracle.rank_over_field(vectors, field=2) == 1
-    assert oracle.rank_over_field(vectors, field=3) == 2
-    assert oracle.rank_over_field([]) == 0
-    assert oracle.rank_over_field([{}, {a: 0}]) == 0
+    with _time_limit(5):
+        assert oracle.rank_over_field(vectors) == 2
+        # over F_2 the first two rows coincide and the third vanishes
+        assert oracle.rank_over_field(vectors, field=2) == 1
+        assert oracle.rank_over_field(vectors, field=3) == 2
+        assert oracle.rank_over_field([]) == 0
+        assert oracle.rank_over_field([{}, {a: 0}]) == 0
 
 
 def test_rank_over_field_ignores_zero_entries():
@@ -281,9 +298,13 @@ def sparse_vectors(draw, vector=SPARSE_VECTOR, max_base=6):
 # seventeen scaled steps in one row, whose entry triples at each: the gcd
 # compression runs twice in it and divides by 3**8 both times
 @example([{(j,): 2, (j + 1,): 3} for j in range(17)] + [{(0,): 3}], None)
+# over F3 the first pivot leads with 2 = -1, so it is stored negated
+@example([{(0,): 2, (1,): 1}, {(0,): 1, (1,): 1}], 3)
 def test_rank_over_field_matches_dense_reference(vectors, field):
     before = copy.deepcopy(vectors)
-    assert oracle.rank_over_field(vectors, field) == _reference_rank(vectors, field)
+    with _time_limit(5):
+        got = oracle.rank_over_field(vectors, field)
+    assert got == _reference_rank(vectors, field)
     assert vectors == before
 
 
@@ -307,22 +328,6 @@ _LEAD_TWO_COMBO = {
     for idx in sorted({*_LEAD_TWO[0], *_LEAD_TWO[1], *_LEAD_TWO[2]})
 }
 _NEGATED = [{idx: -v for idx, v in row.items()} for row in _LEAD_TWO]
-
-
-@contextmanager
-def _time_limit(seconds):
-    # an elimination step that fails to clear the lead can cycle for ever:
-    # turn that into a failure
-    def expire(signum, frame):
-        raise TimeoutError(f"rank kernel still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @given(sparse_vectors(WIDE_VECTOR, max_base=5))
@@ -407,12 +412,26 @@ def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
 
 def test_multilinear_brackets_relabel_one_expansion():
     for r in range(1, 7):
-        expected = [oracle.left_normed_expand(perm) for perm in permutations(range(r))]
+        perms = list(permutations(range(r)))
+        # column numbers sort as the tuples they stand for, so the pivots do too
+        assert perms == sorted(perms), r
+        column = {perm: i for i, perm in enumerate(perms)}
+        expected = [{column[idx]: c for idx, c in oracle.left_normed_expand(perm).items()} for perm in perms]
         assert oracle.multilinear_brackets(r) == expected, r
     # one letter: itemgetter of a single index would give a letter, not a tuple
-    assert oracle.multilinear_brackets(1) == [{(0,): 1}]
+    assert oracle.multilinear_brackets(1) == [{0: 1}]
     for f in (None, 2, 3, 5):
         assert oracle.lie_module_rank(1, f) == 1, f
+
+
+def test_rank_over_field_column_numbers_match_index_tuples():
+    for r in range(1, 7):
+        numbered = oracle.multilinear_brackets(r)
+        tupled = [oracle.left_normed_expand(perm) for perm in permutations(range(r))]
+        for f in (None, 2, 3, 5):
+            with _time_limit(5):
+                got = [oracle.rank_over_field(numbered, f), oracle.rank_over_field(tupled, f)]
+            assert got == [dim_lie(r)] * 2, (r, f)
 
 
 def test_rank_over_field_validation():
@@ -420,6 +439,8 @@ def test_rank_over_field_validation():
         oracle.rank_over_field([{(0,): 1}], field=4)
     with pytest.raises(ValueError):
         oracle.rank_over_field([{(0,): 1}, {(0, 1): 1}])
+    with pytest.raises(ValueError, match="column numbers and index tuples"):
+        oracle.rank_over_field([{0: 1}, {(0,): 1}])
 
 
 def test_lie_power_rank_small():
@@ -428,14 +449,16 @@ def test_lie_power_rank_small():
         for r in range(1, 6):
             w = witt_dim(n, r)
             for f in (None, 2, 3):
-                assert oracle.lie_power_rank(n, r, f) == w, (n, r, f)
-                assert oracle.lyndon_bracketing_rank(n, r, f) == w, (n, r, f)
+                with _time_limit(5):
+                    assert oracle.lie_power_rank(n, r, f) == w, (n, r, f)
+                    assert oracle.lyndon_bracketing_rank(n, r, f) == w, (n, r, f)
 
 
 def test_lie_module_rank_small():
     for r in range(1, 6):
         for f in (None, 2, 3):
-            assert oracle.lie_module_rank(r, f) == dim_lie(r), (r, f)
+            with _time_limit(5):
+                assert oracle.lie_module_rank(r, f) == dim_lie(r), (r, f)
 
 
 def test_weight_space_rank_small():
@@ -491,7 +514,8 @@ def test_word_enumeration_charge():
 @pytest.mark.slow
 @pytest.mark.parametrize("field", [2, 3, None])
 def test_lie_module_rank_r7_slow(field):
-    assert oracle.lie_module_rank(7, field, budget=10**9) == dim_lie(7) == 720
+    with _time_limit(60):
+        assert oracle.lie_module_rank(7, field, budget=10**9) == dim_lie(7) == 720
 
 
 def test_weight_space_rank_23():
