@@ -144,7 +144,9 @@ def p_adic_split(r: int, p: int) -> PAdicSplit:
     while k % p == 0:
         k //= p
         m += 1
-    return PAdicSplit(p, m, k)
+    # tuple.__new__ skips the namedtuple's Python-level __new__; the result
+    # is the same PAdicSplit
+    return tuple.__new__(PAdicSplit, (p, m, k))
 
 
 def _check_chain(p: int, m: int, k: int, k_min: int = 2) -> None:

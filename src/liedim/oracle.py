@@ -155,11 +155,22 @@ def count_lyndon_words(n: int, r: int) -> int:
     So each such run of words is counted in one step: n - a words when an
     increment lands on length r with last letter a, and n - 1 - a when an
     extension reaches length r with last letter a (the extended word itself
-    is not counted).  No word tuple is made.
+    is not counted).
+
+    Runs at length r - 1 are taken in one step too.  An increment that lands
+    on length r - 1 >= 2 gives a Lyndon word w with last letter a, which is
+    then raised through a, ..., n - 1 in turn.  Each raise extends by the one
+    letter w[0], which the raise leaves alone, to a word whose run counts
+    n - 1 - w[0] words, so the whole run counts (n - a) * (n - 1 - w[0]).  At
+    length 1 the raised letter is w[0] itself, so r = 2 keeps the step-wise
+    walk.  This is still Duval's scan over the same words in the same order;
+    it only takes some runs in one step, and it uses no closed-form count.
+    No word tuple is made.
     """
     if n < 1 or r < 1:
         raise ValueError("count_lyndon_words() needs n >= 1 and r >= 1")
     top = n - 1
+    short = r - 1 if r >= 3 else 0
     count = 0
     w = [-1]
     while w:
@@ -167,6 +178,8 @@ def count_lyndon_words(n: int, r: int) -> int:
         m = len(w)
         if m == r:
             count += n - w[-1]
+        elif m == short:
+            count += (n - w[-1]) * (top - w[0])
         else:
             while len(w) < r:
                 w.append(w[len(w) - m])
@@ -194,16 +207,23 @@ def is_lyndon(word: Word) -> bool:
 def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int:
     """Count the length-r words over n letters that are no power of a shorter word.
 
-    Every one of the n**r words is tested against every proper period, so
-    this is a pure counting oracle with no number theory in it.
+    Every one of the n**r words is tested, so this is a pure counting oracle.
+    A word that is u**j for some j >= 2 is also (u**(j // q))**q for each
+    prime q dividing j, and q divides r as well, so it has period r // q.
+    Testing the maximal proper periods r // q, for the primes q dividing r,
+    therefore finds every power; at r = 12 that is periods 6 and 4 instead of
+    1, 2, 3, 4 and 6.
     """
     if n < 1 or r < 1:
         raise ValueError("aperiodic_count_bruteforce() needs n >= 1 and r >= 1")
     charge_aperiodic_count(n, r, budget)
-    periods = [d for d in divisors(r) if d < r]
+    periods = [(r // q, q) for q in divisors(r) if is_prime(q)]
     count = 0
     for word in product(range(n), repeat=r):
-        if not any(word == word[:d] * (r // d) for d in periods):
+        for d, q in periods:
+            if word == word[:d] * q:
+                break
+        else:
             count += 1
     return count
 

@@ -204,6 +204,44 @@ def _run_cli(args):
     return proc.stdout
 
 
+# The families `verify --suite all` prints and their check counts, in order.
+# Families added later go after these.
+VERIFY_ALL_FAMILIES = [
+    ("arith/mobius-divisor-sum", 10000),
+    ("arith/p-adic-round-trip", 400000),
+    ("witt/two-sided-bounds", 640),
+    ("witt/one-letter-alphabet", 100),
+    ("b/dimension-identity", 1800),
+    ("b/ratio-range", 4782),
+    ("b/coefficient-bounds", 2652),
+    ("b/lower-bound", 576),
+    ("b/convergence", 80),
+    ("c/integrality-and-range", 1008),
+    ("c/recurrence-cross-check", 615),
+    ("c/coefficient-ratio-identity", 2050),
+    ("c/lower-bound", 396),
+    ("c/weight-space-formula", 64),
+    ("c/weight-space-oracle", 6),
+    ("c/convergence", 53),
+    ("oracle/lyndon-count", 48),
+    ("oracle/aperiodic-count", 30),
+    ("oracle/lie-power-rank", 54),
+    ("oracle/lyndon-basis-rank", 54),
+    ("oracle/lie-module-rank", 18),
+    ("oracle/weight-space-rank", 12),
+    ("oracle/bracket-smoke", 71),
+]
+
+
+def _verify_families(out: bytes) -> list[tuple[str, int]]:
+    # "name: N checks, 0 failures" lines, then the PASS line
+    families = []
+    for line in out.decode().splitlines()[:-1]:
+        name, rest = line.split(": ", 1)
+        families.append((name, int(rest.split(" ", 1)[0])))
+    return families
+
+
 def test_criterion_10_byte_identical_reruns():
     # fresh interpreter per run, so hash randomization is actually exercised
     commands = [
@@ -216,4 +254,9 @@ def test_criterion_10_byte_identical_reruns():
         first = _run_cli(args)
         second = _run_cli(args)
         assert first == second, f"output differs between runs of {args}"
+        if args[0] == "verify":
+            families = _verify_families(first)
+            assert families[: len(VERIFY_ALL_FAMILIES)] == VERIFY_ALL_FAMILIES
+            assert sum(checks for _, checks in VERIFY_ALL_FAMILIES) == 425_109
+            assert first.decode().splitlines()[-1] == f"PASS: {sum(checks for _, checks in families)} checks"
     print("ACCEPTANCE 10: PASS (byte-identical reruns, fresh processes)")

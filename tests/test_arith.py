@@ -76,9 +76,13 @@ def test_p_adic_split_examples():
     assert p_adic_split(12, 3) == PAdicSplit(3, 1, 4)
     assert p_adic_split(7, 5) == PAdicSplit(5, 0, 7)
     assert p_adic_split(8, 2) == PAdicSplit(2, 3, 1)
-    with pytest.raises(ValueError):
+    s = p_adic_split(12, 2)
+    assert type(s) is PAdicSplit
+    assert repr(s) == "PAdicSplit(p=2, m=2, k=3)"
+    assert (s.p, s.m, s.k, s.r) == (2, 2, 3, 12)
+    with pytest.raises(ValueError, match="needs r >= 1"):
         p_adic_split(0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs a prime p, got 4"):
         p_adic_split(6, 4)
 
 

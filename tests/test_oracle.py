@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -67,9 +67,14 @@ def test_iter_lyndon_words_increasing_lyndon_and_counted(n, r):
 
 
 def test_count_lyndon_words_matches_generator():
-    for n in range(1, 5):
-        for r in range(1, 11):
-            assert oracle.count_lyndon_words(n, r) == len(list(oracle.iter_lyndon_words(n, r))), (n, r)
+    # n <= 4 through r = 10; wider alphabets through r = 6, so the runs at
+    # length r - 1 start from more first and last letters; and the r = 2 and
+    # r = 3 edges of those runs
+    points = [(n, r) for n in range(1, 5) for r in range(1, 11)]
+    points += [(n, r) for n in range(5, 8) for r in range(1, 7)]
+    points += [(n, r) for n in range(1, 8) for r in (2, 3)]
+    for n, r in points:
+        assert oracle.count_lyndon_words(n, r) == len(list(oracle.iter_lyndon_words(n, r))), (n, r)
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7))
@@ -104,6 +109,21 @@ def test_counts_match_witt():
         for r in range(1, 9):
             assert len(oracle.lyndon_words(n, r)) == witt_dim(n, r), (n, r)
             assert oracle.aperiodic_count_bruteforce(n, r) == r * witt_dim(n, r), (n, r)
+
+
+def _aperiodic_count_every_divisor(n, r):
+    # tries every proper divisor of r as a period
+    periods = [d for d in range(1, r) if r % d == 0]
+    return sum(1 for word in product(range(n), repeat=r) if not any(word == word[:d] * (r // d) for d in periods))
+
+
+def test_aperiodic_count_matches_every_divisor_reference():
+    points = [(2, r) for r in range(1, 17)] + [(3, r) for r in range(1, 11)]
+    for n, r in points:
+        assert oracle.aperiodic_count_bruteforce(n, r) == _aperiodic_count_every_divisor(n, r), (n, r)
+    # 010101 has period 2 but not 3, the largest proper divisor of 6
+    assert _aperiodic_count_every_divisor(2, 6) == 54
+    assert oracle.aperiodic_count_bruteforce(2, 6) == 54
 
 
 def test_standard_factorization():
@@ -220,6 +240,11 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+# Each generated rank example takes milliseconds.  A kernel that cycles on one
+# fails it after this limit, once per shrink step, so keep it short.
+EXAMPLE_SECONDS = 1
+
+
 def test_rank_over_field_basic():
     a, b = (0,), (1,)
     vectors = [{a: 1, b: 1}, {a: 1, b: -1}, {a: 2, b: 0}]
@@ -302,7 +327,7 @@ def sparse_vectors(draw, vector=SPARSE_VECTOR, max_base=6):
 @example([{(0,): 2, (1,): 1}, {(0,): 1, (1,): 1}], 3)
 def test_rank_over_field_matches_dense_reference(vectors, field):
     before = copy.deepcopy(vectors)
-    with _time_limit(5):
+    with _time_limit(EXAMPLE_SECONDS):
         got = oracle.rank_over_field(vectors, field)
     assert got == _reference_rank(vectors, field)
     assert vectors == before
@@ -336,7 +361,7 @@ _NEGATED = [{idx: -v for idx, v in row.items()} for row in _LEAD_TWO]
 @example([_LEAD_TWO_COMBO] + _LEAD_TWO[:3])
 @example(_LEAD_TWO[:1] + _NEGATED[1:] + [_LEAD_TWO_COMBO])
 def test_rank_gf3_wide_matches_dense_reference(vectors):
-    with _time_limit(5):
+    with _time_limit(EXAMPLE_SECONDS):
         got = oracle.rank_over_field(vectors, 3)
     assert got == _reference_rank(vectors, 3)
 
@@ -375,7 +400,7 @@ _MINUS_LEAD = {(0,): -1, **{(j,): 1 - 2 * (j // 3 % 2) for j in range(1, 300, 3)
 @example([_MINUS_LEAD, {idx: -v for idx, v in _MINUS_LEAD.items()}, {(0,): 1, (2,): 1, (299,): -1}])
 def test_rank_rational_planes_match_dense_reference(vectors):
     before = copy.deepcopy(vectors)
-    with _time_limit(5):
+    with _time_limit(EXAMPLE_SECONDS):
         got = oracle.rank_over_field(vectors, None)
     assert got == _reference_rank(vectors, None)
     assert vectors == before
