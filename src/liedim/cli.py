@@ -6,8 +6,8 @@ that turns an error into an exit code, printed as one `Error:` line and
 never as a traceback:
 
 - a work-budget refusal or a ValueError exits 2: a bad prime, k divisible by
-  p, a non-Lyndon word, a malformed LIEDIM_BUDGET, an integer past the
-  interpreter's int-to-str digit limit;
+  p, a non-Lyndon word, a malformed LIEDIM_BUDGET, an oracle job or a witt
+  or table output over the budget;
 - an ExactnessError, an exact identity that failed, exits 1 like any other
   failed check.
 """
@@ -19,9 +19,10 @@ import click
 from . import oracle as oracle_mod
 from . import verify as verify_mod
 from .arith import ExactnessError, power_bits_lower
+from .budget import WorkBudgetExceeded, charge_output, work_budget
 from .lie_modules import dim_lie, weight_space_dim_formula
 from .report import RunConfig, build_b_rows, build_c_rows, to_csv, to_json
-from .render import DEFAULT_FLOAT_BITS, int_to_str, refuse_past_digit_limit
+from .render import DEFAULT_FLOAT_BITS, int_to_str
 from .witt import check_witt_bounds, witt_dim
 
 FIELD_CHOICES = {"q": None, "f2": 2, "f3": 3, "f5": 5}
@@ -54,7 +55,7 @@ class _FailureBoundary(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (oracle_mod.WorkBudgetExceeded, ValueError) as exc:
+        except (WorkBudgetExceeded, ValueError) as exc:
             raise click.UsageError(str(exc)) from exc
         except ExactnessError as exc:
             raise click.ClickException(str(exc)) from exc
@@ -74,8 +75,8 @@ def witt_cmd(n: int, r: int) -> None:
         raise click.UsageError("r must be >= 1")
     if n < 1:
         raise click.UsageError("n must be >= 1")
-    # n^r is printed; refuse before building it if it cannot be
-    refuse_past_digit_limit(power_bits_lower(n, r))
+    # n^r and r^2 n^r are printed; charge their size before building them
+    charge_output("witt output", [power_bits_lower(n, r)])
     chk = check_witt_bounds(n, r)
     s = int_to_str
     lines = [f"w({s(n)}, {s(r)}) = {s(chk.w)}", f"upper: r*w = {s(chk.upper_lhs)} <= n^r = {s(chk.upper_rhs)}"]
@@ -129,7 +130,7 @@ def oracle_group() -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
     """Count (and optionally list) Lyndon words of length r over n letters."""
-    oracle_mod.charge_word_enumeration(n, r, oracle_mod.work_budget(slow=slow))
+    oracle_mod.charge_word_enumeration(n, r, work_budget(slow=slow))
     click.echo(str(oracle_mod.count_lyndon_words(n, r)))
     if words:
         for word in oracle_mod.iter_lyndon_words(n, r):
@@ -142,7 +143,7 @@ def oracle_lyndon(n: int, r: int, words: bool, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
     """Count aperiodic words of length r over n letters by direct filtering."""
-    click.echo(str(oracle_mod.aperiodic_count_bruteforce(n, r, oracle_mod.work_budget(slow=slow))))
+    click.echo(str(oracle_mod.aperiodic_count_bruteforce(n, r, work_budget(slow=slow))))
 
 
 @oracle_group.command("lie-power")
@@ -152,7 +153,7 @@ def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
-    rank = oracle_mod.lie_power_rank(n, r, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
+    rank = oracle_mod.lie_power_rank(n, r, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "witt", witt_dim(n, r))
 
 
@@ -162,7 +163,7 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
-    rank = oracle_mod.lie_module_rank(r, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
+    rank = oracle_mod.lie_module_rank(r, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "(r-1)!", dim_lie(r))
 
 
@@ -173,7 +174,7 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
-    rank = oracle_mod.weight_space_rank(q, k, FIELD_CHOICES[field], oracle_mod.work_budget(slow=slow))
+    rank = oracle_mod.weight_space_rank(q, k, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "(qk)!/k", weight_space_dim_formula(q, k))
 
 

@@ -10,73 +10,27 @@ over the rationals or over a prime field.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
-between the two is meaningful evidence.  Enumeration sizes are guarded by a
-work budget (LIEDIM_BUDGET in the environment overrides the default).
+between the two is meaningful evidence.  Enumeration sizes are guarded by
+the work budget of budget.py.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Iterator
 from itertools import permutations, product
 from math import factorial, gcd
 from operator import itemgetter
 
 from .arith import divisors, is_prime
+from .budget import _charge
 
 Word = tuple[int, ...]
 TensorIndex = tuple[int, ...]
 SparseTensorVector = dict[TensorIndex, int]
 
-DEFAULT_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "LIEDIM_BUDGET"
-
 # weight_of() markers
 ZERO_WEIGHT = "zero"
 INHOMOGENEOUS = "inhomogeneous"
-
-
-class WorkBudgetExceeded(RuntimeError):
-    """Estimated work for a brute-force computation is over the active budget."""
-
-
-def work_budget(budget: int | None = None, slow: bool = False) -> int:
-    """Resolve the active budget: explicit argument, else environment, else
-    100 times the default for slow runs, else the default."""
-    if budget is not None:
-        return budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is None:
-        return 100 * DEFAULT_BUDGET if slow else DEFAULT_BUDGET
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {env!r}")
-    return value
-
-
-def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work) -> None:
-    """Refuse a computation whose work is over the budget.
-
-    2**floor_bits is a cheap lower bound on the work.  When it alone exceeds
-    the limit the request is refused without building the work number, which
-    may be far too large to print, and the work is shown as `symbolic`.
-    Otherwise work() builds the exact count, which is compared and printed.
-    The floors used below: n**r >= 2**r for n >= 2, r >= 2**(r.bit_length() - 1)
-    and r! >= 2**(r-1).
-    """
-    limit = work_budget(budget)
-    shown = symbolic
-    if floor_bits <= limit.bit_length():
-        shown = work()
-        if shown <= limit:
-            return
-    raise WorkBudgetExceeded(
-        f"{task} needs about {shown} units of work, budget is {limit} "
-        f"(raise it via the budget argument or {BUDGET_ENV_VAR})"
-    )
 
 
 def charge_word_enumeration(
@@ -84,12 +38,13 @@ def charge_word_enumeration(
 ) -> None:
     """Refuse a walk over all n**r words of length r when it is over the budget.
 
-    One letter gives one word, but the walk still builds its r letters, so it
-    is charged r."""
+    One letter gives one word, but the walk still holds its r letters, in up
+    to four r-slot arrays of 8-byte pointers at once (product's pools and
+    indices, the word, a period's copy), so it is charged those 32*r bytes."""
     if n < 1 or r < 1:
         raise ValueError(f"{task} needs n >= 1 and r >= 1")
     if n == 1:
-        _charge(budget, task, r.bit_length() - 1, str(r), lambda: r)
+        _charge(budget, task, r.bit_length() + 4, f"32*{r}", lambda: 32 * r)
     else:
         _charge(budget, task, r, f"{n}^{r}", lambda: n**r)
 
@@ -214,8 +169,6 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     therefore finds every power; at r = 12 that is periods 6 and 4 instead of
     1, 2, 3, 4 and 6.
     """
-    if n < 1 or r < 1:
-        raise ValueError("aperiodic_count_bruteforce() needs n >= 1 and r >= 1")
     charge_aperiodic_count(n, r, budget)
     periods = [(r // q, q) for q in divisors(r) if is_prime(q)]
     count = 0

@@ -12,8 +12,9 @@ FAST_STR_MIN_BITS it is str(); above, where str() is quadratic on CPython
 3.10 and 3.11, it builds an equal decimal.Decimal by divide and conquer
 (split on a power of 2, convert both halves, recombine with a memoised
 Decimal 2**w) and takes its str(), the algorithm of CPython 3.12's
-Lib/_pylong.py (int_to_decimal).  The interpreter's int-to-str digit limit
-applies on both paths alike.
+Lib/_pylong.py (int_to_decimal).  Past the interpreter's int-to-str digit
+limit it takes that path too, so it never refuses and its text does not depend
+on the limit; the work budget bounds what is printed (budget.charge_output).
 """
 
 from __future__ import annotations
@@ -32,35 +33,24 @@ FAST_STR_MIN_BITS = 1 << 15
 _LEAF_BITS = 1024
 
 
-def _past_digit_limit(limit: int) -> ValueError:
-    return ValueError(
-        f"the result has an integer of more than {limit} decimal digits, "
-        "the interpreter's limit; raise it via PYTHONINTMAXSTRDIGITS (0 lifts it)"
-    )
-
-
-def refuse_past_digit_limit(bits: int) -> None:
-    """Refuse, as int_to_str would, a run that prints an integer of at least 2**bits.
-
-    Lets a command refuse before any work; bits * 10**6 >= limit * 3_321_929
-    implies 2**bits > 10**limit, since log2(10) < 3.321929."""
-    limit = sys.get_int_max_str_digits()
-    if limit and bits * 1_000_000 >= limit * 3_321_929:
-        raise _past_digit_limit(limit)
-
-
 def int_to_str(x: int) -> str:
-    """Decimal text of x, the same as str(x); past the interpreter's int-to-str
-    digit limit, a ValueError that says how to lift the limit."""
-    # str() refuses exactly when abs(x) >= 10**limit; 10**limit is built only
-    # when the bit length leaves it open (log2(10) is 3.3219...)
+    """Decimal text of x, the same as str(x) under a lifted int-to-str digit limit."""
+    # str() only where it is fast and allowed: a nonzero limit L admits every x
+    # of at most L * 3321 // 1000 bits, as 2**(3.321 * L) < 10**L
     bits = x.bit_length()
     limit = sys.get_int_max_str_digits()
-    if limit and bits > limit * 3321 // 1000 and (bits > limit * 3322 // 1000 + 1 or abs(x) >= 10**limit):
-        raise _past_digit_limit(limit)
-    if bits < FAST_STR_MIN_BITS:
+    if bits < FAST_STR_MIN_BITS and (not limit or bits <= limit * 3321 // 1000):
         return str(x)
     return ("-" if x < 0 else "") + _decimal_text(abs(x), bits)
+
+
+def str_to_int(text: str) -> int:
+    """The integer of a text of decimal digits, the inverse of int_to_str at any
+    digit limit: the text is split in halves down to 640 digits, the least limit."""
+    if len(text) <= 640:
+        return int(text)
+    half = len(text) // 2
+    return str_to_int(text[:-half]) * 10**half + str_to_int(text[-half:])
 
 
 def _decimal_text(n: int, bits: int) -> str:

@@ -21,11 +21,13 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 from .arith import _check_chain, is_prime
+from .budget import charge_output
 from .lie_modules import LieModuleContext, dim_lie_bits_lower
 from .lie_powers import LiePowerContext, RatioBoundB
-from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, refuse_past_digit_limit, render_fraction
+from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction, str_to_int
 from .witt import witt_dim_bits_lower
 
 
@@ -90,28 +92,24 @@ CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 _INT_TEXT_COLUMNS = ("dim_num", "dim_den_context", "ratio_num", "ratio_den")
 
 
-def _points(cfg: RunConfig) -> list[tuple[int, int, int]]:
-    pts = [(cfg.p**m * k, m, k) for k in cfg.k_list for m in range(cfg.m_max + 1)]
-    pts.sort()
-    return pts
+def _points(cfg: RunConfig, m_max: int) -> list[tuple[int, int, int]]:
+    return sorted((cfg.p**m * k, m, k) for k in cfg.k_list for m in range(m_max + 1))
 
 
-def _top_degree(cfg: RunConfig) -> int:
-    """The table's largest degree, with m capped at 64 so that the size check on
-    it stays cheap; the bit bounds it feeds only grow with the degree, so they
-    stay sound for the capped one."""
-    return cfg.p ** min(cfg.m_max, 64) * max(cfg.k_list)
-
-
-def _build_rows(cfg: RunConfig, report: Callable, render_bound: Callable) -> list[ConvergenceRow]:
+def _build_rows(
+    cfg: RunConfig, task: str, bits_lower: Callable, report: Callable, render_bound: Callable
+) -> list[ConvergenceRow]:
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
+    The output is charged first, from bits_lower(r), a sound floor on the bits
+    of row r's largest integer; that sum stops at m = 64, which can only lower it.
     report(r) is the context's per-degree RatioReport and render_bound(bound,
     bits) the decimal bound column.
     """
+    charge_output(task, (bits_lower(r) for r, _, _ in _points(cfg, min(cfg.m_max, 64))))
     bits = cfg.float_bits
     rows = []
-    for r, m, k in _points(cfg):
+    for r, m, k in _points(cfg, cfg.m_max):
         rep = report(r)
         if rep.bound is not None:
             bound_float = render_bound(rep.bound, bits)
@@ -141,18 +139,14 @@ def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the b-ratio table for one (p, n), ordered by degree."""
     if cfg.n is None:
         raise ValueError("the b table needs n")
-    # the top row prints w(n, r); refuse before any work if it cannot be printed
-    refuse_past_digit_limit(witt_dim_bits_lower(cfg.n, _top_degree(cfg)))
-    ctx = LiePowerContext(cfg.p, cfg.n)
-    return _build_rows(cfg, ctx.report, RatioBoundB.float_str)
+    report = LiePowerContext(cfg.p, cfg.n).report
+    return _build_rows(cfg, "b table output", partial(witt_dim_bits_lower, cfg.n), report, RatioBoundB.float_str)
 
 
 def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the c-ratio table for one p, ordered by degree."""
-    # the top row prints (r-1)!; refuse before any work if it cannot be printed
-    refuse_past_digit_limit(dim_lie_bits_lower(_top_degree(cfg)))
-    ctx = LieModuleContext(cfg.p)
-    return _build_rows(cfg, ctx.report, render_fraction)
+    report = LieModuleContext(cfg.p).report
+    return _build_rows(cfg, "c table output", dim_lie_bits_lower, report, render_fraction)
 
 
 def _record(row: ConvergenceRow) -> dict:
@@ -175,6 +169,6 @@ def to_json(rows: list[ConvergenceRow]) -> str:
 def rows_from_json(text: str) -> list[ConvergenceRow]:
     """Inverse of to_json; the big integers are parsed back from their strings."""
     return [
-        ConvergenceRow(**{c: int(obj[c]) if c in _INT_TEXT_COLUMNS else obj[c] for c in CSV_COLUMNS})
+        ConvergenceRow(**{c: str_to_int(obj[c]) if c in _INT_TEXT_COLUMNS else obj[c] for c in CSV_COLUMNS})
         for obj in json.loads(text)
     ]

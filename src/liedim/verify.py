@@ -14,6 +14,7 @@ from itertools import product
 
 from . import oracle
 from .arith import ExactnessError, divisors, mobius, p_adic_split
+from .budget import work_budget
 from .lie_modules import (
     LieModuleContext,
     check_a_prime_ratio_identity,
@@ -289,7 +290,7 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     if slow:
         r = ORACLE_MODULE_SLOW_R
         module.record(
-            oracle.lie_module_rank(r, 2, oracle.work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)"
+            oracle.lie_module_rank(r, 2, work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)"
         )
 
     wspace = CheckFamily("oracle/weight-space-rank")
@@ -315,7 +316,7 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
 
 
 def _charge_slow_lie_module(r: int) -> None:
-    oracle.charge_lie_module(r, oracle.work_budget(slow=True))
+    oracle.charge_lie_module(r, work_budget(slow=True))
 
 
 def _oracle_jobs(slow: bool) -> tuple:

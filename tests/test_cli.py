@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -9,13 +11,15 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liedim import cli, lie_powers
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
 from liedim.cli import main
-from liedim.render import FAST_STR_MIN_BITS
-from liedim.report import RunConfig, build_b_rows, build_c_rows, to_csv
+from liedim.render import FAST_STR_MIN_BITS, str_to_int
+from liedim.report import ConvergenceRow, RunConfig, build_b_rows, build_c_rows, rows_from_json, to_csv, to_json
 
 
 # stdout digests at the default --float-bits: an odd prime, the m = 0 bound of
@@ -31,9 +35,9 @@ TABLE_DIGESTS = {
         "14db73b42506c5742de48e5f17cf881f4d50c518f599e07159b8597a609f076f",
 }
 
-# stdout digests, under a lifted digit limit, of tables with integers past
-# FAST_STR_MIN_BITS bits ((3071)! ~ 31k bits never reaches that size): the
-# bytes the built-in str() conversion printed, which int_to_str must match
+# stdout digests of tables with integers past FAST_STR_MIN_BITS bits ((3071)!
+# ~ 31k bits never reaches that size): the bytes the built-in str() conversion
+# printed under a lifted digit limit, which int_to_str must match at any limit
 BIG_TABLE_DIGESTS = {
     "c-table --p 2 --k 3 --m-max 11":
         "da3890d51bd91a338734ccc2f69b030d651e56a2c9c2f620e58bd84cce3d5aa2",
@@ -41,14 +45,21 @@ BIG_TABLE_DIGESTS = {
         "997b2c18858ca5b3869beb31364f3aeb61f61bf500db6865f35c939f257ff96b",
 }
 
-# past the default digit limit by millions of digits: each must be refused
-# before its integers are built, not at print time
-OVERSIZED = (
-    "b-table --p 2 --n 2 --k 3 --m-max 22",
+# over the default work budget, most by far: each must be refused before its
+# integers are built, at any digit limit; the first three ran unbounded under a
+# lifted limit while the limit was the only size gate, and the last two are the
+# smallest of their chains over the budget
+BASELINE_UNBOUNDED = (
+    "witt --n 2 --r 100000000",
     "b-table --p 2 --n 2 --k 3 --m-max 40",
     "c-table --p 2 --k 3 --m-max 22",
+)
+OVERSIZED = (
+    *BASELINE_UNBOUNDED,
+    "b-table --p 2 --n 2 --k 3 --m-max 22",
     "c-table --p 2 --k 3 --m-max 40",
-    "witt --n 2 --r 100000000",
+    "b-table --p 2 --n 2 --k 3 --m-max 20",
+    "c-table --p 2 --k 3 --m-max 16",
 )
 
 # (command, its rank function in the oracle, the expected rank, the exact stdout)
@@ -60,6 +71,7 @@ RANK_COMMANDS = (
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -176,27 +188,24 @@ def test_table_domain_errors(runner):
 
 
 def test_closed_form_digit_limit(runner, set_digit_limit):
-    # an integer past the interpreter's int-to-str digit limit is refused before
-    # anything is printed, with exit 2 and one line, not a traceback
+    # integers past the interpreter's int-to-str digit limit print in full at
+    # the default limit, the same bytes as under a lifted one
     witt = ["witt", "--n", "10", "--r", "5000"]
     c_table = ["c-table", "--p", "2", "--k", "3", "--m-max", "10"]
     b_table = ["b-table", "--p", "2", "--n", "2", "--k", "3", "--m-max", "13"]
-    set_digit_limit(sys.int_info.default_max_str_digits)
-    for args in (witt, c_table, b_table):
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2, args
-        assert isinstance(result.exception, SystemExit), args
-        assert result.stdout == "", args
-        errors = _error_lines(result)
-        assert len(errors) == 1 and "PYTHONINTMAXSTRDIGITS" in errors[0], args
-    # with the limit lifted the same commands print in full, byte for byte as before
-    set_digit_limit(0)
-    result = runner.invoke(main, c_table)
-    assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == _benchmark_workloads().C_TABLE_M10
-    result = runner.invoke(main, witt)
-    assert result.exit_code == 0
-    assert result.stdout.startswith("w(10, 5000) = ") and result.stdout.endswith("bounds OK\n")
+    outputs = {}
+    for limit in (sys.int_info.default_max_str_digits, 0):
+        set_digit_limit(limit)
+        for args in (witt, c_table, b_table):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (limit, args, result.output)
+            outputs.setdefault(tuple(args), set()).add(result.stdout)
+    assert all(len(texts) == 1 for texts in outputs.values())
+    (c_text,) = outputs[tuple(c_table)]
+    assert hashlib.sha256(c_text.encode()).hexdigest() == _benchmark_workloads().C_TABLE_M10
+    (witt_text,) = outputs[tuple(witt)]
+    assert witt_text.startswith("w(10, 5000) = ") and witt_text.endswith("bounds OK\n")
+    assert len(witt_text.splitlines()[0]) > sys.int_info.default_max_str_digits
 
 
 def test_big_tables_byte_identical(runner, set_digit_limit):
@@ -210,36 +219,95 @@ def test_big_tables_byte_identical(runner, set_digit_limit):
 
 
 def test_oversized_runs_refused_up_front(runner, set_digit_limit):
+    for limit in (sys.int_info.default_max_str_digits, 0):
+        set_digit_limit(limit)
+        for command in OVERSIZED:
+            start = time.perf_counter()
+            result = runner.invoke(main, command.split())
+            assert time.perf_counter() - start < 1.0, (limit, command)
+            _assert_one_line_refusal(result, (limit, command))
+            assert "output needs about" in _error_lines(result)[0], command
+            assert "budget is 10000000" in _error_lines(result)[0], command
+    # the charge is sound: a c-table past the default digit limit within the budget prints
     set_digit_limit(sys.int_info.default_max_str_digits)
-    for command in OVERSIZED:
-        start = time.perf_counter()
-        result = runner.invoke(main, command.split())
-        assert time.perf_counter() - start < 1.0, command
-        _assert_one_line_refusal(result, command)
-        assert "more than 4300 decimal digits" in _error_lines(result)[0], command
-    # the check is sound: the longest c-table of this chain within the limit prints
-    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "9"])
+    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "12"])
     assert result.exit_code == 0
-    assert len(result.stdout.splitlines()) == 11
+    assert len(result.stdout.splitlines()) == 14
+
+
+def test_baseline_unbounded_runs_refused_in_fresh_processes():
+    # a fresh interpreter with the digit limit lifted through the environment;
+    # the time includes the interpreter's start-up
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONINTMAXSTRDIGITS": "0"}
+    env.pop("LIEDIM_BUDGET", None)
+    for command in BASELINE_UNBOUNDED:
+        start = time.perf_counter()
+        argv = [sys.executable, "-m", "liedim.cli", *command.split()]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert time.perf_counter() - start < 2.0, command
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert proc.stdout == ""
+        assert [line for line in proc.stderr.splitlines() if line.strip()][-1].startswith("Error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.slow
 def test_c_table_converges_to_r_98304(runner, set_digit_limit):
-    # 16 rows along r = 3 * 2^m; the exact gap 1 - c_r falls at every step
-    set_digit_limit(0)
+    # 16 rows along r = 3 * 2^m, the longest table of this chain that the
+    # default budget admits; the exact gap 1 - c_r falls at every step
+    set_digit_limit(sys.int_info.default_max_str_digits)
     result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "15"])
     assert result.exit_code == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "696c2567b4cc58bdc1b8324ddcbe87706f7324a75029d273350195b2bf4efe98"
     )
-    header, *lines = result.stdout.splitlines()
-    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
-    assert [int(row["m"]) for row in rows] == list(range(16))
-    assert int(rows[-1]["r"]) == 98304
-    gaps = [1 - Fraction(int(row["ratio_num"]), int(row["ratio_den"])) for row in rows]
+    rows = _rows_from_csv(result.stdout)
+    assert [row.m for row in rows] == list(range(16))
+    assert rows[-1].r == 98304
+    gaps = [row.gap for row in rows]
     assert gaps[0] == 0
     assert all(gap > nxt for gap, nxt in zip(gaps[1:], gaps[2:]))
     assert Fraction(2, 10**5) < gaps[-1] < Fraction(21, 10**6)
+
+
+def _rows_from_csv(text):
+    header, *lines = text.splitlines()
+    columns = header.split(",")
+    return [
+        ConvergenceRow(**{c: v if c.endswith("_float") else str_to_int(v) for c, v in zip(columns, line.split(","))})
+        for line in lines
+    ]
+
+
+@given(
+    table=st.sampled_from(("b-table", "c-table")),
+    p=st.sampled_from((2, 3, 5, 0, 1, 4, -3)),
+    n=st.integers(min_value=1, max_value=4),
+    ks=st.lists(st.integers(min_value=-2, max_value=12), min_size=1, max_size=2),
+    m_max=st.integers(min_value=-1, max_value=4),
+)
+# about 100 examples of two small tables each; the runs take milliseconds, but
+# a per-example deadline would time the host's load
+@settings(deadline=None, max_examples=100)
+def test_table_commands_sweep(table, p, n, ks, m_max):
+    args = [table, "--p", str(p), *(["--n", str(n)] if table == "b-table" else []), "--m-max", str(m_max)]
+    args += [arg for k in ks for arg in ("--k", str(k))]
+    runner = CliRunner()
+    csv_result = runner.invoke(main, args)
+    json_result = runner.invoke(main, [*args, "--format", "json"])
+    for result in (csv_result, json_result):
+        assert result.exit_code in (0, 2), (args, result.output)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+        assert "Traceback" not in result.output, args
+    assert csv_result.exit_code == json_result.exit_code, args
+    if csv_result.exit_code == 2:
+        assert csv_result.stdout == "" and len(_error_lines(csv_result)) == 1, (args, csv_result.output)
+        return
+    rows = _rows_from_csv(csv_result.stdout)
+    assert rows == rows_from_json(json_result.stdout), args
+    assert to_json(rows) == json_result.stdout, args
+    assert len(rows) == len(ks) * (m_max + 1), args
+    assert all(0 <= row.ratio <= 1 for row in rows), args
 
 
 def test_table_determinism(runner):
@@ -422,14 +490,17 @@ def test_oracle_lyndon_budget(runner):
 
 
 def test_one_letter_walks_charged_their_length(runner):
-    # one word, but r letters built: charged r, so a long walk is refused at once
+    # one word, but r letters held several times over: charged 32*r, so a long
+    # walk is refused at once, and r = 10**7 (some 360 MiB) at the default budget
     for command in ("lyndon", "aperiodic"):
-        args = ["oracle", command, "--n", "1", "--r", "100000000"]
-        start = time.perf_counter()
-        result = runner.invoke(main, args)
-        assert time.perf_counter() - start < 1.0, args
-        _assert_one_line_refusal(result, args)
-        assert "needs about 100000000 units of work" in _error_lines(result)[0], args
+        for r in ("100000000", "10000000"):
+            args = ["oracle", command, "--n", "1", "--r", r]
+            start = time.perf_counter()
+            result = runner.invoke(main, args)
+            assert time.perf_counter() - start < 1.0, args
+            _assert_one_line_refusal(result, args)
+            assert f"needs about 32*{r} units of work" in _error_lines(result)[0], args
+        assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "312500"]).output == "0\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "1"]).output == "1\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "5"]).output == "0\n"
 
@@ -521,6 +592,9 @@ BAD_INVOCATIONS = (
             ["oracle", "weight-space", "--q", "1", "--k", "2"],
             ["oracle", "expand", "001"],
             ["verify", "--suite", "oracle"],
+            ["witt", "--n", "2", "--r", "6"],
+            ["b-table", "--p", "2", "--n", "2", "--k", "3"],
+            ["c-table", "--p", "2", "--k", "3"],
         )
     ),
     ("-5", ["oracle", "lie-module", "--r", "3"]),
@@ -544,9 +618,9 @@ def test_bad_invocations_fail_in_one_line(runner, monkeypatch):
         _assert_one_line_refusal(runner.invoke(main, args), (budget, args))
     # the budget is checked only by the commands that read it
     monkeypatch.setenv("LIEDIM_BUDGET", "abc")
-    result = runner.invoke(main, ["witt", "--n", "2", "--r", "6"])
+    result = runner.invoke(main, ["verify", "--suite", "witt"])
     assert result.exit_code == 0
-    assert result.stdout.endswith("bounds OK\n")
+    assert result.stdout.startswith("witt/two-sided-bounds: 640 checks")
 
 
 def test_failed_exact_identity_exits_1(runner, monkeypatch):
@@ -565,16 +639,16 @@ def test_failed_exact_identity_exits_1(runner, monkeypatch):
 
 
 def test_float_bits_past_the_digit_limit(runner, set_digit_limit):
+    # 6020 decimal places, past the default digit limit, print at any limit
     args = ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", "20000"]
-    set_digit_limit(sys.int_info.default_max_str_digits)
-    result = runner.invoke(main, args)
-    _assert_one_line_refusal(result, args)
-    assert "PYTHONINTMAXSTRDIGITS" in _error_lines(result)[0]
-    # under a lifted limit the same table prints, at 6020 decimal places
-    set_digit_limit(0)
-    result = runner.invoke(main, args)
-    assert result.exit_code == 0
-    ratio_float = result.stdout.splitlines()[2].split(",")[8]
+    outputs = []
+    for limit in (sys.int_info.default_max_str_digits, 0):
+        set_digit_limit(limit)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (limit, result.output)
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    ratio_float = outputs[0].splitlines()[2].split(",")[8]
     assert len(ratio_float.split(".")[1]) == 6020
 
 

@@ -3,7 +3,8 @@
 No module imports a name it never uses: a name counts as used when the
 module reads it anywhere (annotations included) or, in the package's
 ``__init__``, when ``__all__`` lists it.  oracle.py imports no closed form,
-and cli.py handles errors in one place only.
+cli.py handles errors in one place only, and the work budget is the one size
+gate.
 """
 
 import ast
@@ -46,7 +47,8 @@ def test_no_unused_imports(path):
 
 # What oracle.py may import from the package: it is the independent check on
 # the closed forms, so no count or recurrence may reach it (ROADMAP aim 2).
-ORACLE_PACKAGE_IMPORTS = {("arith", "divisors"), ("arith", "is_prime")}
+# The work budget it charges its jobs against knows no closed form either.
+ORACLE_PACKAGE_IMPORTS = {("arith", "divisors"), ("arith", "is_prime"), ("budget", "_charge")}
 
 
 def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:
@@ -92,3 +94,34 @@ def test_cli_has_one_failure_boundary():
     inside = {id(node) for node in ast.walk(boundary)}
     stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and id(node) not in inside]
     assert not stray, f"cli.py handles errors outside the group boundary, at lines {stray}"
+
+
+def _size_gate_sites(tree: ast.Module) -> dict[str, list[int]]:
+    """Lines that read the environment, raise WorkBudgetExceeded or set the
+    interpreter's int-to-str digit limit."""
+    kind_of = {"environ": "environ", "getenv": "environ", "set_int_max_str_digits": "set_int_max_str_digits"}
+    sites = {"environ": [], "raise": [], "set_int_max_str_digits": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in kind_of:
+            sites[kind_of[node.attr]].append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            sites["environ"].append(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).split(".")[-1] == "WorkBudgetExceeded":
+                sites["raise"].append(node.lineno)
+    return sites
+
+
+def test_one_size_gate():
+    # the work budget is the only size gate: budget.py alone reads its setting
+    # from the environment and refuses a job, and no module changes the
+    # interpreter's digit limit, so the limit changes no byte that is printed
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        sites = _size_gate_sites(ast.parse(path.read_text(), filename=str(path)))
+        if path.name == "budget.py":
+            allowed = (sites.pop("environ"), sites.pop("raise"))
+            assert all(allowed), "budget.py no longer reads the budget or refuses a job"
+        found.update({f"{path.name} {kind}": lines for kind, lines in sites.items() if lines})
+    assert not found, f"size gates outside budget.py: {found}"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from liedim import oracle
+from liedim import budget, oracle
 from liedim.lie_modules import dim_lie, weight_space_dim_formula
 from liedim.witt import witt_dim
 
@@ -494,45 +494,47 @@ def test_weight_space_rank_small():
 
 
 def test_budget_rejects_oversized_jobs():
-    with pytest.raises(oracle.WorkBudgetExceeded):
+    with pytest.raises(budget.WorkBudgetExceeded):
         oracle.aperiodic_count_bruteforce(2, 10, budget=100)
-    with pytest.raises(oracle.WorkBudgetExceeded):
+    with pytest.raises(budget.WorkBudgetExceeded):
         oracle.lie_module_rank(7)  # needs (7!)^2 > default budget
     # explicit budgets unlock the same call
     assert oracle.aperiodic_count_bruteforce(2, 10, budget=2000) == 990
 
 
 def test_budget_env_var(monkeypatch):
-    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "50")
-    assert oracle.work_budget() == 50
-    with pytest.raises(oracle.WorkBudgetExceeded):
+    monkeypatch.setenv(budget.BUDGET_ENV_VAR, "50")
+    assert budget.work_budget() == 50
+    with pytest.raises(budget.WorkBudgetExceeded):
         oracle.aperiodic_count_bruteforce(2, 8)
     # explicit argument beats the environment, which beats --slow
     assert oracle.aperiodic_count_bruteforce(2, 8, budget=10**6) == 240
-    assert oracle.work_budget(slow=True) == 50
-    assert oracle.work_budget(7, slow=True) == 7
-    monkeypatch.delenv(oracle.BUDGET_ENV_VAR)
-    assert oracle.work_budget(slow=True) == 100 * oracle.DEFAULT_BUDGET
-    assert oracle.work_budget() == oracle.DEFAULT_BUDGET
+    assert budget.work_budget(slow=True) == 50
+    assert budget.work_budget(7, slow=True) == 7
+    monkeypatch.delenv(budget.BUDGET_ENV_VAR)
+    assert budget.work_budget(slow=True) == 100 * budget.DEFAULT_BUDGET
+    assert budget.work_budget() == budget.DEFAULT_BUDGET
     for bad in ("not a number", "-5", ""):
-        monkeypatch.setenv(oracle.BUDGET_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=oracle.BUDGET_ENV_VAR):
-            oracle.work_budget()
+        monkeypatch.setenv(budget.BUDGET_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=budget.BUDGET_ENV_VAR):
+            budget.work_budget()
 
 
 def test_word_enumeration_charge():
     oracle.charge_word_enumeration(4, 11)  # 4**11 = 4,194,304 units
-    with pytest.raises(oracle.WorkBudgetExceeded, match="Lyndon word enumeration"):
+    with pytest.raises(budget.WorkBudgetExceeded, match="Lyndon word enumeration"):
         oracle.charge_word_enumeration(4, 12)  # 16,777,216 units
     oracle.charge_word_enumeration(4, 12, budget=10**8)
-    # one word, but the walk builds its r letters: charged r
-    oracle.charge_word_enumeration(1, 10**6)
-    with pytest.raises(oracle.WorkBudgetExceeded, match="needs about 1000000000 units"):
+    # one word, but the walk holds its r letters several times over: charged 32*r
+    oracle.charge_word_enumeration(1, 312_500)
+    with pytest.raises(budget.WorkBudgetExceeded, match="needs about 10000032 units"):
+        oracle.charge_word_enumeration(1, 312_501)
+    with pytest.raises(budget.WorkBudgetExceeded, match=r"needs about 32\*1000000000 units"):
         oracle.charge_word_enumeration(1, 10**9)
     # refused from the exponent alone, without building 10**(10**9)
-    with pytest.raises(oracle.WorkBudgetExceeded, match=r"10\^1000000000 units"):
+    with pytest.raises(budget.WorkBudgetExceeded, match=r"10\^1000000000 units"):
         oracle.charge_word_enumeration(10, 10**9)
-    with pytest.raises(oracle.WorkBudgetExceeded):
+    with pytest.raises(budget.WorkBudgetExceeded):
         oracle.lyndon_bracketing_rank(4, 12)
 
 

@@ -13,9 +13,9 @@ from liedim.render import (
     dyadic_round,
     format_decimal,
     int_to_str,
-    refuse_past_digit_limit,
     render_fraction,
     sqrt_dyadic,
+    str_to_int,
 )
 
 
@@ -49,17 +49,32 @@ def test_decimal_digits_for_bits_matches_the_digit_count():
         sys.set_int_max_str_digits(saved)
 
 
+def _lifted_str(x):
+    """str(x) under a lifted int-to-str digit limit."""
+    with digit_limit(0):
+        return str(x)
+
+
+def _near_limit(limit):
+    """Integers just below and above 10**limit, both signs."""
+    return [s * (10**limit + d) for d in (-1, 0, 1) for s in (1, -1)]
+
+
 def test_int_to_str_digit_limit():
+    # int_to_str never refuses: under the default limit, integers past it,
+    # including those below FAST_STR_MIN_BITS that str() would refuse, print in full
     assert int_to_str(-120) == "-120"
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    try:
-        limit = sys.get_int_max_str_digits()
+    limit = sys.int_info.default_max_str_digits
+    rng = random.Random(4300)
+    values = _near_limit(limit) + [_with_bits(bits, rng, bits % 2) for bits in range(14_000, 33_001, 1_500)]
+    expected = [_lifted_str(x) for x in values]
+    with digit_limit(limit):
+        assert [int_to_str(x) for x in values] == expected
         assert int_to_str(-(10**limit - 1)) == "-" + "9" * limit
-        with pytest.raises(ValueError, match=f"more than {limit} decimal digits.*PYTHONINTMAXSTRDIGITS"):
-            int_to_str(10**limit)
-    finally:
-        sys.set_int_max_str_digits(saved)
+        assert int_to_str(10**limit) == "1" + "0" * limit
+        # and str_to_int reads them back
+        assert [str_to_int(text.lstrip("-")) for text in expected] == [abs(x) for x in values]
+        assert str_to_int("0" * 5000 + "7") == 7
 
 
 # 10**9863 - 1 and 10**9863 take str(), 10**9864 - 1 and up the fast path
@@ -101,27 +116,16 @@ def test_int_to_str_matches_str(x):
 
 
 def test_int_to_str_digit_limit_on_the_fast_path():
-    # refused exactly when abs(x) >= 10**limit, as str() does
+    # under a limit of 40,000 digits the same text, on both paths and past the limit
+    rng = random.Random(40_000)
+    values = _near_limit(40_000) + [1 << 200_000]
+    values += [_with_bits(bits, rng, bits % 2) for bits in range(14_000, 33_001, 1_500)]
+    expected = [_lifted_str(x) for x in values]
     with digit_limit(40_000):
         assert (10**40000 - 1).bit_length() > FAST_STR_MIN_BITS
-        assert int_to_str(10**40000 - 1) == "9" * 40000
-        assert int_to_str(-(10**40000 - 1)) == "-" + "9" * 40000
-        for x in (10**40000, -(10**40000), 1 << 200_000):
-            with pytest.raises(ValueError, match="^the result has an integer of more than 40000 decimal digits"):
-                int_to_str(x)
-            with pytest.raises(ValueError):
-                str(x)
-
-
-def test_refuse_past_digit_limit():
-    # 2**14284 < 10**4300 < 2**14285; the check is sound, so it may leave the
-    # one bit of slack to int_to_str, but no more
-    with digit_limit(4300):
-        refuse_past_digit_limit(14284)
-        with pytest.raises(ValueError, match="more than 4300 decimal digits.*PYTHONINTMAXSTRDIGITS"):
-            refuse_past_digit_limit(14286)
-    with digit_limit(0):
-        refuse_past_digit_limit(10**12)
+        assert [int_to_str(x) for x in values] == expected
+        with pytest.raises(ValueError):
+            str(10**40000)
 
 
 def test_dyadic_round():

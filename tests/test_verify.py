@@ -1,6 +1,6 @@
 import pytest
 
-from liedim import oracle, verify
+from liedim import budget, oracle, verify
 
 
 def test_check_family_record():
@@ -52,11 +52,11 @@ def _charged_jobs(monkeypatch, suite, slow):
     """The (task, symbolic work) of the jobs the up-front charge and then the
     suites themselves charge, each in the order of its first charge."""
     log = []
-    charge = oracle._charge
+    charge = budget._charge
 
-    def recording(budget, task, floor_bits, symbolic, work):
+    def recording(limit, task, floor_bits, symbolic, work):
         log.append((task, symbolic))
-        charge(budget, task, floor_bits, symbolic, work)
+        charge(limit, task, floor_bits, symbolic, work)
 
     monkeypatch.setattr(oracle, "_charge", recording)
     verify._charge_oracle_jobs(suite, slow)
