@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .render import int_to_str
+
 
 class ExactnessError(ArithmeticError):
     """An operation that must be exact was not.
@@ -27,14 +29,14 @@ def exact_div(a: int, b: int) -> int:
     """Divide a by b, insisting on a zero remainder."""
     q, rem = divmod(a, b)
     if rem:
-        raise ExactnessError(f"{a} is not divisible by {b}")
+        raise ExactnessError(f"{int_to_str(a)} is not divisible by {int_to_str(b)}")
     return q
 
 
 def checked_sub(a: int, b: int) -> int:
     """Subtract b from a, insisting on a non-negative result."""
     if b > a:
-        raise ExactnessError(f"{a} - {b} would be negative")
+        raise ExactnessError(f"{int_to_str(a)} - {int_to_str(b)} would be negative")
     return a - b
 
 

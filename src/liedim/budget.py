@@ -1,6 +1,5 @@
 """The work budget, liedim's one size gate: a job is charged its estimated work
-before it starts, and refused when that is over the budget (LIEDIM_BUDGET in
-the environment overrides the default)."""
+before it starts and refused over the budget (the default, or LIEDIM_BUDGET)."""
 
 from __future__ import annotations
 
@@ -53,9 +52,8 @@ def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work)
     )
 
 
-def charge_output(task: str, row_bits, budget: int | None = None) -> None:
+def charge_output(task: str, row_bits) -> None:
     """Refuse, before any work, a run whose rows print integers of at least 2**b
-    for the b in row_bits.  The gcd and division behind a row are quadratic in
-    b, so the charge is sum(b*b) >> 19 units."""
+    for the b in row_bits; a row's gcd and division are quadratic in b."""
     units = sum(b * b for b in row_bits) >> 19
-    _charge(budget, task, units.bit_length() - 1, f"2^{units.bit_length() - 1}", lambda: units)
+    _charge(None, task, units.bit_length() - 1, f"2^{units.bit_length() - 1}", lambda: units)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,20 @@ def test_checked_sub():
     assert checked_sub(3, 3) == 0
     with pytest.raises(ExactnessError):
         checked_sub(3, 5)
+
+
+def test_exactness_messages_past_the_digit_limit():
+    # operands longer than the int-to-str digit limit still make an ExactnessError
+    big = 10 ** (sys.int_info.default_max_str_digits + 100)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(ExactnessError, match=r"^10{4400} is not divisible by 3$"):
+            exact_div(big, 3)
+        with pytest.raises(ExactnessError, match=r"^1 - 10{4400} would be negative$"):
+            checked_sub(1, big)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_is_prime_small():

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liedim import cli, lie_powers
+from liedim import arith, cli, lie_powers
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
 from liedim.cli import main
@@ -636,6 +636,16 @@ def test_failed_exact_identity_exits_1(runner, monkeypatch):
             result = runner.invoke(main, args)
         _assert_one_line_refusal(result, args, exit_code=1)
         assert "is not divisible by" in _error_lines(result)[0]
+
+
+def test_failed_exact_identity_past_the_digit_limit_exits_1(runner, monkeypatch, set_digit_limit):
+    # w(10, 5000) has 4997 digits, past the default limit; its failed division exits 1
+    set_digit_limit(sys.int_info.default_max_str_digits)
+    args = ["witt", "--n", "10", "--r", "5000"]
+    monkeypatch.setattr(witt_mod, "exact_div", lambda a, b: arith.exact_div(a * b + 1, b))
+    result = runner.invoke(main, args)
+    _assert_one_line_refusal(result, args, exit_code=1)
+    assert _error_lines(result)[0].endswith("is not divisible by 5000")
 
 
 def test_float_bits_past_the_digit_limit(runner, set_digit_limit):
