@@ -4,6 +4,7 @@ before it starts and refused over the budget (the default, or LIEDIM_BUDGET)."""
 from __future__ import annotations
 
 import os
+from math import isqrt
 
 DEFAULT_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "LIEDIM_BUDGET"
@@ -57,3 +58,9 @@ def charge_output(task: str, row_bits) -> None:
     for the b in row_bits; a row's gcd and division are quadratic in b."""
     units = sum(b * b for b in row_bits) >> 19
     _charge(None, task, units.bit_length() - 1, f"2^{units.bit_length() - 1}", lambda: units)
+
+
+def charge_divisor_walk(task: str, r: int) -> None:
+    """Refuse, before any work, a walk over the divisors of r >= 1 by trial
+    division, which takes about isqrt(r) steps."""
+    _charge(None, task, (r.bit_length() - 1) // 2, f"isqrt({r})", lambda: isqrt(r))

@@ -19,7 +19,7 @@ import click
 from . import oracle as oracle_mod
 from . import verify as verify_mod
 from .arith import ExactnessError, power_bits_lower
-from .budget import WorkBudgetExceeded, charge_output, work_budget
+from .budget import WorkBudgetExceeded, charge_divisor_walk, charge_output, work_budget
 from .lie_modules import dim_lie, weight_space_dim_formula
 from .report import RunConfig, build_b_rows, build_c_rows, to_csv, to_json
 from .render import DEFAULT_FLOAT_BITS, int_to_str
@@ -77,6 +77,8 @@ def witt_cmd(n: int, r: int) -> None:
         raise click.UsageError("n must be >= 1")
     # n^r and r^2 n^r are printed; charge their size before building them
     charge_output("witt output", [power_bits_lower(n, r)])
+    # w(n, r) walks the divisors of r whatever n is; at n = 1 the output charge is 0
+    charge_divisor_walk("witt divisor walk", r)
     chk = check_witt_bounds(n, r)
     s = int_to_str
     lines = [f"w({s(n)}, {s(r)}) = {s(chk.w)}", f"upper: r*w = {s(chk.upper_lhs)} <= n^r = {s(chk.upper_rhs)}"]

@@ -2,11 +2,13 @@
 
 Everything here works in explicit tensor coordinates.  A vector is a dict
 mapping index tuples (one letter per tensor factor) to nonzero integer
-coefficients (the multilinear rows key them by column number instead); a
-commutator [x, y] of basis tensors is the difference of the two
-concatenations.  Spans are built from bracket expansions of explicit word
-lists and measured with deterministic sparse Gaussian elimination, exactly
-over the rationals or over a prime field.
+coefficients; a commutator [x, y] of basis tensors is the difference of the
+two concatenations.  Spans are built from bracket expansions of explicit
+word lists and measured with deterministic sparse Gaussian elimination,
+exactly over the rationals or over a prime field.  The span oracles make
+each expansion straight in column numbers, the positions of the index
+tuples in lexicographic order, and stream the rows to the elimination one
+at a time.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -181,14 +183,24 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     return count
 
 
-def _left_normed(symbols: list[tuple]) -> SparseTensorVector:
+def left_normed_expand(word) -> SparseTensorVector:
+    """Tensor-coordinate expansion of the left-normed bracket of the word's letters.
+
+    [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left.
+    The result has at most 2**(r-1) terms; repeated letters can cancel or
+    combine, so coefficients other than +-1 do occur.
+    """
+    letters = tuple(word)
+    if not letters:
+        raise ValueError("left_normed_expand() needs a nonempty word")
     # Fold [[..[s1, s2], s3] ..., st] in coordinates; each step is
     # v  ->  v (x) s  -  s (x) v  on concatenated index tuples.
     # The v (x) s keys are distinct with v's nonzero coefficients, so that half
     # is copied whole; a key of the s (x) v half can only meet one of them, and
     # is deleted when the two cancel, so no zero coefficient is ever stored.
-    vec: SparseTensorVector = {tuple(symbols[0]): 1}
-    for sym in symbols[1:]:
+    vec: SparseTensorVector = {letters[:1]: 1}
+    for letter in letters[1:]:
+        sym = (letter,)
         nxt = {idx + sym: coeff for idx, coeff in vec.items()}
         get = nxt.get
         for idx, coeff in vec.items():
@@ -202,17 +214,28 @@ def _left_normed(symbols: list[tuple]) -> SparseTensorVector:
     return vec
 
 
-def left_normed_expand(word) -> SparseTensorVector:
-    """Tensor-coordinate expansion of the left-normed bracket of the word's letters.
-
-    [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left.
-    The result has at most 2**(r-1) terms; repeated letters can cancel or
-    combine, so coefficients other than +-1 do occur.
-    """
-    letters = tuple(word)
-    if not letters:
-        raise ValueError("left_normed_expand() needs a nonempty word")
-    return _left_normed([(letter,) for letter in letters])
+def _left_normed_columns(word: Word, n: int) -> dict[int, int]:
+    # left_normed_expand(word) with each index tuple read as a base-n numeral,
+    # which is its position among the n**r words of length r in product()
+    # order, the lexicographic order.  The same fold: appending letter s to a
+    # word numbered c gives c*n + s, and prepending it to a word of length L
+    # gives s*n**L + c.
+    vec = {word[0]: 1}
+    size = n
+    for s in word[1:]:
+        nxt = {c * n + s: v for c, v in vec.items()}
+        get = nxt.get
+        high = s * size
+        for c, v in vec.items():
+            key = high + c
+            nv = get(key, 0) - v
+            if nv:
+                nxt[key] = nv
+            else:
+                del nxt[key]
+        vec = nxt
+        size *= n
+    return vec
 
 
 def _bracket(a: SparseTensorVector, b: SparseTensorVector) -> SparseTensorVector:
@@ -295,29 +318,149 @@ def format_expansion(vec: SparseTensorVector) -> str:
 # exact rank computation
 
 
-def rank_over_field(vectors, field: int | None = None) -> int:
-    """Exact rank of the span of the given sparse vectors.
+def _bitmask(columns, nbytes: int) -> int:
+    # The int with bit c set for each column c.  The bits are set in a
+    # bytearray and read once, so no entry costs a big-int operation.
+    bits = bytearray(nbytes)
+    for c in columns:
+        bits[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(bits, "little")
 
-    A vector's keys are either index tuples, all of one tensor degree, or
-    column numbers (ints, as multilinear_brackets makes); one input does not
-    mix the two.  field None means the rationals; a prime p means F_p.
-    Deterministic by construction: vectors are consumed in the given order
-    and each row is reduced against pivots chosen as the first nonzero
-    position in sorted column order (lexicographic for tuples).  Each call
-    converts the vectors to rows of its own and updates those in place; the
-    vectors are not modified.
 
-    The kernels, each fed the same columns:
+class _Rows:
+    """A re-iterable source of rows for the rank kernels.
+
+    Each call of entries() starts a pass over the rows, in a fixed order, and
+    yields each row as (column, integer) pairs, no column twice.  The columns
+    are numbered 0..width-1 in the lexicographic order of the tensor indices
+    they stand for.  A zero entry is skipped and may have no column.  Each
+    method below starts a pass and yields one kernel's rows one at a time, so
+    no pass makes a list of rows, and a kernel holds only its pivots and the
+    row at hand.
+    """
+
+    def __init__(self, entries, width: int):
+        self.entries = entries
+        self.nbytes = (width + 7) >> 3
+
+    def masks(self):
+        """F_2 rows: the bitmask of the odd entries' columns."""
+        nbytes = self.nbytes
+        for row in self.entries():
+            yield _bitmask([c for c, v in row if v & 1], nbytes)
+
+    def planes(self, wrap: bool):
+        """Signed rows (plus, minus): the bitmasks of the columns holding +1 and
+        holding -1.  With wrap (F_3) an entry is taken mod 3, where 2 stands for
+        -1; without it (the rationals) the entry itself, and a row with an entry
+        outside {-1, 0, 1} comes as None and ends the pass."""
+        nbytes = self.nbytes
+        minus_one = 2 if wrap else -1
+        for row in self.entries():
+            plus, minus = [], []
+            for c, v in row:
+                if wrap:
+                    v %= 3
+                if v == 1:
+                    plus.append(c)
+                elif v == minus_one:
+                    minus.append(c)
+                elif v:
+                    yield None
+                    return
+            yield _bitmask(plus, nbytes), _bitmask(minus, nbytes)
+
+    def integers(self):
+        """Rows as fresh dicts of nonzero integers, which the kernel may modify."""
+        for row in self.entries():
+            yield {c: v for c, v in row if v}
+
+    def residues(self, p: int):
+        """Rows as fresh dicts of nonzero residues mod p."""
+        for row in self.entries():
+            yield {c: m for c, v in row if (m := v % p)}
+
+
+class _BlockBracketRows(_Rows):
+    """The rows of the brackets [B_1, ..., B_k] of k blocks of q letters, where
+    the q*k letters run through every permutation of 0..q*k-1 in
+    permutations() order and B_j is the permutation's j-th run of q letters.
+    A row's columns are the positions of its terms' index tuples among the
+    permutations, which permutations() yields in lexicographic order.
+
+    Each pass makes the column tables of the terms of one bracket, those of
+    the blocks 0..q-1, q..2q-1, ... in order, and reads the rows off them.  A
+    term's table holds its column in the bracket of every permutation pi, in
+    order; the bracket of pi renames each letter i as pi[i], so its term with
+    index tuple P (itself a permutation) has index tuple pi o P.  The fold
+    v -> v (x) B - B (x) v builds each term from a shorter one by appending
+    or prepending a block.  Write a word as a permutation P by padding it
+    with the letters still to come, in order.  Appending the next block then
+    leaves P as it is, and so the table too.  Prepending the block of letters
+    s..s+q-1 to a word of s letters gives P o c, for the fixed cycle c of
+    positions (s..s+q-1, 0..s-1, s+q..); pi o P o c = pi' o c for the pi' at
+    the parent's table entry, so the new table is c's own table read at the
+    parent's entries, one list composition.  The letters are distinct, so no
+    two terms meet, and every coefficient is +-1: + for the terms made with
+    an even number of prepends.
+    """
+
+    def __init__(self, q: int, k: int):
+        super().__init__(self._entries, factorial(q * k))
+        self.q = q
+        self.k = k
+
+    def _tables(self):
+        # the terms' signs, + first, and an iterator over the rows' columns in
+        # that order; the tables live as long as the iterator
+        q, r = self.q, self.q * self.k
+        perms = list(permutations(range(r)))
+        column = {perm: i for i, perm in enumerate(perms)}
+        terms = [(list(range(len(perms))), 1)]
+        for s in range(q, r, q):
+            cycle = (*range(s, s + q), *range(s), *range(s + q, r))
+            at = [column[perm] for perm in map(itemgetter(*cycle), perms)].__getitem__
+            terms += [(list(map(at, table)), -sign) for table, sign in terms]
+        terms.sort(key=lambda term: -term[1])
+        return tuple(sign for _, sign in terms), zip(*(table for table, _ in terms))
+
+    def _entries(self):
+        signs, rows = self._tables()
+        return (zip(cols, signs) for cols in rows)
+
+    def masks(self):
+        nbytes = self.nbytes
+        _, rows = self._tables()
+        for cols in rows:
+            yield _bitmask(cols, nbytes)
+
+    def planes(self, wrap: bool):
+        nbytes = self.nbytes
+        signs, rows = self._tables()
+        split = signs.count(1)
+        for cols in rows:
+            yield _bitmask(cols[:split], nbytes), _bitmask(cols[split:], nbytes)
+
+
+def _rank_rows(rows: _Rows, field: int | None) -> int:
+    """Exact rank of the span of a row source's rows (see _Rows).
+
+    field None means the rationals; a prime p means F_p.  Deterministic by
+    construction: the rows are reduced one at a time, in the source's order,
+    each against pivots chosen as the first nonzero position in column order.
+
+    The kernels:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
     - F_3 and the rationals share one signed two-plane kernel (bitslicing,
       after Boothby and Bradshaw): a row is two bitmasks, the columns holding
       +1 and those holding -1, and a step is a handful of big-int bit
       operations.  Over F_3 each entry is taken as its residue in {-1, 0, 1}
       and a step wraps mod 3.  Over the rationals the entries are the
-      integers themselves, and a step that would make a +-2 gives up;
-    - the rationals, when an entry or a step leaves {-1, 0, 1}: the whole
-      input is ranked again as integer dict rows.  Each row takes one update
-      in place: a row whose lead the pivot's lead does not divide is first
+      integers themselves, and an entry or a step that would make a +-2 gives
+      up;
+    - the rationals, when the planes give up: the source is streamed again,
+      from its first row, as integer dict rows.  Each row takes one update in
+      place: a row whose lead the pivot's lead does not divide is first
       scaled so that it does, and then it loses an exact integer multiple of
       the pivot.  The worst case of trying the planes first is one wasted
       planes pass;
@@ -326,6 +469,29 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
+    if field == 2:
+        return _rank_gf2(rows.masks())
+    if field is None or field == 3:
+        wrap = field == 3
+        rank = _rank_planes(rows.planes(wrap), wrap)
+        if rank is not None:
+            return rank
+        return _rank_rational(rows.integers())
+    return _rank_prime(rows.residues(field), field)
+
+
+def rank_over_field(vectors, field: int | None = None) -> int:
+    """Exact rank of the span of the given list of sparse vectors.
+
+    A vector's keys are either index tuples, all of one tensor degree, or
+    column numbers (ints); one input does not mix the two.  field None means
+    the rationals; a prime p means F_p.  The keys of the nonzero entries,
+    sorted (lexicographically for tuples), number the columns, and the
+    vectors go to _rank_rows in the given order, one at a time, so each
+    pivot is a row's first nonzero key in sorted order.  The vectors are not
+    modified.  lie_power_rank, lie_module_rank and weight_space_rank make
+    no such list: they stream their rows to _rank_rows.
+    """
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
     keys = {idx for vec in vectors for idx, c in vec.items() if c}
     kinds = {len(idx) if isinstance(idx, tuple) else 0 for idx in keys}
@@ -333,37 +499,12 @@ def rank_over_field(vectors, field: int | None = None) -> int:
         if 0 in kinds:
             raise ValueError("rank input mixes column numbers and index tuples")
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(kinds)}")
-    col_id = {idx: j for j, idx in enumerate(sorted(keys))}
-
-    if field == 2:
-        masks = []
-        for vec in vectors:
-            mask = 0
-            for idx, c in vec.items():
-                if c & 1:
-                    mask |= 1 << col_id[idx]
-            masks.append(mask)
-        return _rank_gf2(masks)
-    if field is None or field == 3:
-        wrap = field == 3
-        planes = _signed_planes(vectors, col_id, wrap)
-        rank = None if planes is None else _rank_planes(planes, wrap)
-        if rank is not None:
-            return rank
-        return _rank_rational([{col_id[i]: c for i, c in vec.items() if c} for vec in vectors])
-    p = field
-    rows = []
-    for vec in vectors:
-        row = {}
-        for idx, c in vec.items():
-            c %= p
-            if c:
-                row[col_id[idx]] = c
-        rows.append(row)
-    return _rank_prime(rows, p)
+    column = {idx: j for j, idx in enumerate(sorted(keys))}.get
+    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(keys))
+    return _rank_rows(rows, field)
 
 
-def _rank_gf2(rows: list[int]) -> int:
+def _rank_gf2(rows) -> int:
     # Rows are bitmasks; bit i is the i-th column in lexicographic order, so
     # the lowest set bit is the leading entry.
     pivots: dict[int, int] = {}
@@ -380,45 +521,27 @@ def _rank_gf2(rows: list[int]) -> int:
     return rank
 
 
-def _signed_planes(vectors, col_id: dict, wrap: bool) -> list[tuple[int, int]] | None:
-    # Each vector as (plus, minus): the bitmasks of its columns holding +1 and
-    # holding -1, with bits as in _rank_gf2.  With wrap (F_3) an entry is
-    # taken mod 3, where 2 stands for -1; without it (the rationals) the entry
-    # itself, and None is returned when one lies outside {-1, 0, 1}.
-    minus_one = 2 if wrap else -1
-    rows = []
-    for vec in vectors:
-        plus = minus = 0
-        for idx, c in vec.items():
-            if wrap:
-                c %= 3
-            if c == 1:
-                plus |= 1 << col_id[idx]
-            elif c == minus_one:
-                minus |= 1 << col_id[idx]
-            elif c:
-                return None
-        rows.append((plus, minus))
-    return rows
-
-
-def _rank_planes(rows: list[tuple[int, int]], wrap: bool) -> int | None:
-    # A row is (plus, minus) from _signed_planes, so the lowest bit of its
-    # support x = plus | minus leads.  Negation swaps the planes, and pivots
-    # are stored with their planes swapped where needed so that each leads
-    # with +1, and with their support y.  Then a row leading with +1 adds the
-    # negated pivot and a row leading with -1 adds the pivot.  With wrap the
-    # sum over F_3 of (a1, a2) and (b1, b2) is ((a2|b2) ^ t, (a1|b1) ^ t) with
-    # t = (a1|b2) ^ (a2|b1), as checking the nine residue pairs shows.
-    # Without it the sum is over the integers, and t = x & y are the columns
-    # both hold.  Where they hold opposite signs the sum is 0, so it is
-    # (a1 ^ b1 ^ t, a2 ^ b2 ^ t) with support x ^ y.  Where they hold the same
-    # sign it is +-2, and that column lands in both planes: the kernel gives
-    # up and returns None.  Until then every lead is +-1, so this is
-    # _rank_rational's elimination exactly.
+def _rank_planes(rows, wrap: bool) -> int | None:
+    # A row is (plus, minus) from _Rows.planes, so the lowest bit of its
+    # support x = plus | minus leads; a row None is an entry outside
+    # {-1, 0, 1}, and the kernel gives up.  Negation swaps the planes, and
+    # pivots are stored with their planes swapped where needed so that each
+    # leads with +1, and with their support y.  Then a row leading with +1
+    # adds the negated pivot and a row leading with -1 adds the pivot.  With
+    # wrap the sum over F_3 of (a1, a2) and (b1, b2) is
+    # ((a2|b2) ^ t, (a1|b1) ^ t) with t = (a1|b2) ^ (a2|b1), as checking the
+    # nine residue pairs shows.  Without it the sum is over the integers, and
+    # t = x & y are the columns both hold.  Where they hold opposite signs the
+    # sum is 0, so it is (a1 ^ b1 ^ t, a2 ^ b2 ^ t) with support x ^ y.  Where
+    # they hold the same sign it is +-2, and that column lands in both planes:
+    # the kernel gives up and returns None.  Until then every lead is +-1, so
+    # this is _rank_rational's elimination exactly.
     pivots: dict[int, tuple[int, int, int]] = {}
     rank = 0
-    for a1, a2 in rows:
+    for row in rows:
+        if row is None:
+            return None
+        a1, a2 = row
         x = a1 | a2
         while x:
             low = x & -x
@@ -445,7 +568,7 @@ def _rank_planes(rows: list[tuple[int, int]], wrap: bool) -> int | None:
     return rank
 
 
-def _rank_prime(rows: list[dict[int, int]], p: int) -> int:
+def _rank_prime(rows, p: int) -> int:
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
@@ -479,7 +602,7 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()}
 
 
-def _rank_rational(rows: list[dict[int, int]]) -> int:
+def _rank_rational(rows) -> int:
     """Rank over the rationals of integer rows, without ever making a Fraction.
 
     Pivot rows are gcd-compressed with a positive lead a.  A row with lead b
@@ -530,17 +653,30 @@ def _rank_rational(rows: list[dict[int, int]]) -> int:
 # span oracles
 
 
+def _lie_power_rows(n: int, r: int) -> _Rows:
+    # The left-normed expansions of the n**r words in product() order.  Their
+    # columns are the n**r words of length r in that order, which is
+    # lexicographic, so a word's column is the word read as a base-n numeral
+    # and no column map is made.
+    def expansions():
+        return (_left_normed_columns(word, n).items() for word in product(range(n), repeat=r))
+
+    return _Rows(expansions, n**r)
+
+
 def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
     """Rank of the span of the left-normed expansions of all n**r words.
 
     This measures the dimension of the degree-r Lie power of an n-dimensional
-    space directly in coordinates; the answer is field-independent.
+    space directly in coordinates; the answer is field-independent.  Each
+    word's expansion is made straight in column numbers, the positions of its
+    index tuples among all n**r in lexicographic order, and streamed to the
+    kernel one row at a time.
     """
     if n < 1 or r < 1:
         raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
     charge_lie_power(n, r, budget)
-    vectors = [left_normed_expand(word) for word in product(range(n), repeat=r)]
-    return rank_over_field(vectors, field)
+    return _rank_rows(_lie_power_rows(n, r), field)
 
 
 def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
@@ -556,49 +692,25 @@ def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int
     return rank_over_field(vectors, field)
 
 
-def multilinear_brackets(r: int) -> list[dict[int, int]]:
-    """The expansions of the r! brackets [e_{pi(1)}, ..., e_{pi(r)}], in
-    permutations() order, each keyed by column number: row i is
-    left_normed_expand(perms[i]) with each index tuple replaced by its
-    position in perms = list(permutations(range(r))).
-
-    permutations() of a sorted range yields the tuples in lexicographic
-    order, so column numbers sort exactly as the index tuples they stand for,
-    and rank_over_field orders the columns, and so chooses the pivots, as it
-    would for the tuples.  The bracket of pi is the bracket of 0..r-1 with
-    each letter i renamed pi[i], so 0..r-1 is expanded once, and the rows are
-    built one base term at a time: the term's index tuple idx becomes
-    itemgetter(*idx)(pi) for every pi, and only its position in perms is
-    kept.
-    The letters are distinct, so nothing cancels or merges and the
-    coefficients carry over unchanged.
-    """
-    base = left_normed_expand(range(r))
-    if r == 1:
-        return [{0: c} for c in base.values()]  # itemgetter of one index returns a letter, not a tuple
-    perms = list(permutations(range(r)))
-    pid = {perm: i for i, perm in enumerate(perms)}.__getitem__
-    ids = [list(map(pid, map(itemgetter(*idx), perms))) for idx in base]
-    coeffs = list(base.values())
-    return [dict(zip(row_ids, coeffs)) for row_ids in zip(*ids)]
-
-
 def lie_module_rank(r: int, field: int | None = None, budget: int | None = None) -> int:
     """Rank of the span of the r! multilinear left-normed brackets.
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
-    multilinear component; the rank equals (r-1)! over every field.  They come
-    from one expansion, relabelled per permutation (multilinear_brackets),
-    and are keyed by column number: the position of each tensor index among
-    the permutations in permutations() order, which is lexicographic, so the
-    columns and pivots are those of the index tuples themselves.
+    multilinear component; the rank equals (r-1)! over every field.  Their
+    rows are those of _BlockBracketRows with blocks of one letter: each pass
+    composes the 2**(r-1) terms' column tables from r - 1 cycle tables and
+    streams the rows, made straight from the tables, to the kernel one at a
+    time.  Row i is the bracket of the i-th permutation in permutations()
+    order, and its columns are the positions of its index tuples in that
+    order, which is lexicographic, so the columns and pivots are those of the
+    index tuples themselves.
     The work charge is (r!)**2 (vectors times columns), which the default
     budget admits up to r = 6; r = 7 needs a raised budget.
     """
     if r < 1:
         raise ValueError("lie_module_rank() needs r >= 1")
     charge_lie_module(r, budget)
-    return rank_over_field(multilinear_brackets(r), field)
+    return _rank_rows(_BlockBracketRows(1, r), field)
 
 
 def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | None = None) -> int:
@@ -606,14 +718,11 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
 
     Spanning vectors: for every permutation of the q*k symbols, cut it into k
     consecutive blocks of length q, treat each block as one composite letter,
-    and expand the left-normed bracket of the k blocks.  The rank equals
-    (q*k)! / k.  Work charge ((q*k)!)**2, so q*k <= 6 fits the default budget.
+    and expand the left-normed bracket of the k blocks; _BlockBracketRows
+    streams them.  The rank equals (q*k)! / k.  Work charge ((q*k)!)**2, so
+    q*k <= 6 fits the default budget.
     """
     if q < 1 or k < 1:
         raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
     charge_weight_space(q, k, budget)
-    vectors = []
-    for perm in permutations(range(q * k)):
-        blocks = [perm[j * q : (j + 1) * q] for j in range(k)]
-        vectors.append(_left_normed(blocks))
-    return rank_over_field(vectors, field)
+    return _rank_rows(_BlockBracketRows(q, k), field)

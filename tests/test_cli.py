@@ -251,6 +251,27 @@ def test_baseline_unbounded_runs_refused_in_fresh_processes():
         assert "Traceback" not in proc.stderr
 
 
+def test_one_letter_witt_divisor_walk_charged_in_fresh_processes():
+    # w(1, r) prints nothing large, but its divisor walk takes about isqrt(r)
+    # steps; that is charged, and r = 10^16 (10^8 steps) is refused at once
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("LIEDIM_BUDGET", None)
+    argv = [sys.executable, "-m", "liedim.cli", "witt", "--n", "1", "--r"]
+    start = time.perf_counter()
+    proc = subprocess.run([*argv, "10000000000000000"], capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert [line for line in proc.stderr.splitlines() if line.startswith("Error:")] == [
+        "Error: witt divisor walk needs about isqrt(10000000000000000) units of work, budget is 10000000 "
+        "(raise it via the budget argument or LIEDIM_BUDGET)"
+    ]
+    assert "Traceback" not in proc.stderr
+    proc = subprocess.run([*argv, "10000000000"], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "w(1, 10000000000) = 0"
+    assert proc.stdout.endswith("bounds OK\n")
+
+
 @pytest.mark.slow
 def test_c_table_converges_to_r_98304(runner, set_digit_limit):
     # 16 rows along r = 3 * 2^m, the longest table of this chain that the
@@ -308,6 +329,43 @@ def test_table_commands_sweep(table, p, n, ks, m_max):
     assert to_json(rows) == json_result.stdout, args
     assert len(rows) == len(ks) * (m_max + 1), args
     assert all(0 <= row.ratio <= 1 for row in rows), args
+
+
+# every oracle subcommand and witt, with small and invalid sizes and fields
+_SIZE = st.integers(min_value=-1, max_value=5)
+_FIELD = st.sampled_from(("q", "f2", "f3", "f5", "f4", "f7", ""))
+_ORACLE_ARGS = st.one_of(
+    st.tuples(st.just("witt"), st.just("--n"), _SIZE.map(str), st.just("--r"), _SIZE.map(str)),
+    st.tuples(
+        st.sampled_from((("oracle", "lyndon"), ("oracle", "aperiodic"))),
+        st.just("--n"), _SIZE.map(str), st.just("--r"), _SIZE.map(str),
+    ).map(lambda t: (*t[0], *t[1:])),
+    st.tuples(
+        st.just("oracle"), st.just("lie-power"), st.just("--n"), st.integers(-1, 3).map(str),
+        st.just("--r"), _SIZE.map(str), st.just("--field"), _FIELD,
+    ),
+    st.tuples(st.just("oracle"), st.just("lie-module"), st.just("--r"), st.integers(-1, 6).map(str), st.just("--field"), _FIELD),
+    st.tuples(
+        st.just("oracle"), st.just("weight-space"), st.just("--q"), st.integers(-1, 3).map(str),
+        st.just("--k"), st.integers(-1, 3).map(str), st.just("--field"), _FIELD,
+    ),
+    st.tuples(
+        st.just("oracle"), st.just("expand"), st.text("0123x-", max_size=6),
+        st.sampled_from(("--bracketing=standard", "--bracketing=left-normed", "--bracketing=other")),
+    ),
+)
+
+
+# about 100 runs of milliseconds each; no per-example deadline, as above
+@given(args=_ORACLE_ARGS)
+@settings(deadline=None, max_examples=100)
+def test_oracle_and_witt_commands_sweep(args):
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code in (0, 2), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
+    assert "Traceback" not in result.output, args
+    if result.exit_code == 2:
+        assert result.stdout == "" and len(_error_lines(result)) == 1, (args, result.output)
 
 
 def test_table_determinism(runner):

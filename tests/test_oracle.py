@@ -148,14 +148,15 @@ def test_left_normed_expand():
     }
 
 
-def _reference_left_normed(word):
-    # the plain fold, zeros filtered once at the end
-    vec = Counter({(word[0],): 1})
-    for letter in word[1:]:
+def _reference_left_normed(word, q=1):
+    # the plain fold over the word's runs of q letters, zeros filtered once at the end
+    blocks = [tuple(word[i : i + q]) for i in range(0, len(word), q)]
+    vec = Counter({blocks[0]: 1})
+    for block in blocks[1:]:
         nxt = Counter()
         for idx, coeff in vec.items():
-            nxt[idx + (letter,)] += coeff
-            nxt[(letter,) + idx] -= coeff
+            nxt[idx + block] += coeff
+            nxt[block + idx] -= coeff
         vec = nxt
     return {idx: coeff for idx, coeff in vec.items() if coeff}
 
@@ -406,57 +407,192 @@ def test_rank_rational_planes_match_dense_reference(vectors):
     assert vectors == before
 
 
-def _kernel_rows(vectors):
-    # the column order rank_over_field uses, then F3 bit-planes, residue dicts
-    # and integer dicts
-    col_id = {idx: j for j, idx in enumerate(sorted({idx for vec in vectors for idx in vec}))}
-    planes = []
+def _reference_kernel_rows(vectors, columns, p):
+    # what each kernel should be fed for the tuple-keyed vectors under the
+    # column map: F2 masks, F3 planes, rational planes up to and including the
+    # first row they give up on (None), integer dicts and residue dicts mod p
+    def mask(vec, keep):
+        return sum(1 << columns[idx] for idx, c in vec.items() if keep(c))
+
+    rational = []
     for vec in vectors:
-        ones = sum(1 << col_id[idx] for idx, c in vec.items() if c % 3 == 1)
-        twos = sum(1 << col_id[idx] for idx, c in vec.items() if c % 3 == 2)
-        planes.append((ones, twos))
-    dicts = [{col_id[idx]: c % 3 for idx, c in vec.items() if c % 3} for vec in vectors]
-    integers = [{col_id[idx]: c for idx, c in vec.items() if c} for vec in vectors]
-    return planes, dicts, integers
+        if any(c not in (-1, 0, 1) for c in vec.values()):
+            rational.append(None)
+            break
+        rational.append((mask(vec, lambda c: c == 1), mask(vec, lambda c: c == -1)))
+    return {
+        "masks": [mask(vec, lambda c: c % 2) for vec in vectors],
+        "f3": [(mask(vec, lambda c: c % 3 == 1), mask(vec, lambda c: c % 3 == 2)) for vec in vectors],
+        "rational": rational,
+        "integers": [{columns[idx]: c for idx, c in vec.items()} for vec in vectors],
+        "residues": [{columns[idx]: c % p for idx, c in vec.items() if c % p} for vec in vectors],
+    }
 
 
-def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
-    for r in range(1, 7):
-        planes, dicts, integers = _kernel_rows(oracle.multilinear_brackets(r))
-        with _time_limit(5):
-            got = oracle._rank_planes(planes, wrap=True)
-        assert got == oracle._rank_prime(dicts, 3) == dim_lie(r), r
-        # the entries are +-1, so these are also the rational planes, and they
-        # must finish with a rank, not give up to the dict rows; negated, every
-        # row and so every pivot leads with -1
-        negated = [(twos, ones) for ones, twos in planes]
-        with _time_limit(5):
-            got = [oracle._rank_planes(rows, wrap=False) for rows in (planes, negated)]
-        assert got == [oracle._rank_rational(integers)] * 2, r
+def _streamed_kernel_rows(rows, p):
+    return {
+        "masks": list(rows.masks()),
+        "f3": list(rows.planes(True)),
+        "rational": list(rows.planes(False)),
+        "integers": list(rows.integers()),
+        "residues": list(rows.residues(p)),
+    }
 
 
-def test_multilinear_brackets_relabel_one_expansion():
+def test_lie_module_rows_match_expansions():
+    # row for row, every kernel gets the rows of left_normed_expand under the
+    # sorted tuple column map, so the pivots are those of the index tuples
     for r in range(1, 7):
         perms = list(permutations(range(r)))
-        # column numbers sort as the tuples they stand for, so the pivots do too
         assert perms == sorted(perms), r
-        column = {perm: i for i, perm in enumerate(perms)}
-        expected = [{column[idx]: c for idx, c in oracle.left_normed_expand(perm).items()} for perm in perms]
-        assert oracle.multilinear_brackets(r) == expected, r
-    # one letter: itemgetter of a single index would give a letter, not a tuple
-    assert oracle.multilinear_brackets(1) == [{0: 1}]
+        columns = {perm: i for i, perm in enumerate(perms)}
+        vectors = [oracle.left_normed_expand(perm) for perm in perms]
+        for p in (5, 7):
+            expected = _reference_kernel_rows(vectors, columns, p)
+            assert _streamed_kernel_rows(oracle._BlockBracketRows(1, r), p) == expected, (r, p)
     for f in (None, 2, 3, 5):
         assert oracle.lie_module_rank(1, f) == 1, f
 
 
+def test_weight_space_rows_match_block_expansions():
+    for q, k in ((1, 1), (2, 1), (1, 4), (2, 2), (3, 2), (2, 3)):
+        perms = list(permutations(range(q * k)))
+        columns = {perm: i for i, perm in enumerate(perms)}
+        vectors = [_reference_left_normed(perm, q) for perm in perms]
+        assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k), 5) == _reference_kernel_rows(vectors, columns, 5)
+
+
+def test_lie_power_rows_match_expansions():
+    # the columns are all n**r words in product() order, which is sorted
+    for n in (1, 2, 3):
+        for r in range(1, 6):
+            words = list(product(range(n), repeat=r))
+            assert words == sorted(words), (n, r)
+            columns = {word: i for i, word in enumerate(words)}
+            vectors = [oracle.left_normed_expand(word) for word in words]
+            expected = _reference_kernel_rows(vectors, columns, 5)
+            assert _streamed_kernel_rows(oracle._lie_power_rows(n, r), 5) == expected, (n, r)
+
+
+def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
+    for r in range(1, 7):
+        rows = oracle._BlockBracketRows(1, r)
+        with _time_limit(5):
+            got = oracle._rank_planes(rows.planes(True), wrap=True)
+        assert got == oracle._rank_prime(rows.residues(3), 3) == dim_lie(r), r
+        # the entries are +-1, so these are also the rational planes, and they
+        # must finish with a rank, not give up to the dict rows; negated, every
+        # row and so every pivot leads with -1
+        planes = list(rows.planes(False))
+        negated = [(twos, ones) for ones, twos in planes]
+        with _time_limit(5):
+            got = [oracle._rank_planes(signed, wrap=False) for signed in (planes, negated)]
+        assert got == [oracle._rank_rational(rows.integers())] * 2, r
+
+
 def test_rank_over_field_column_numbers_match_index_tuples():
     for r in range(1, 7):
-        numbered = oracle.multilinear_brackets(r)
-        tupled = [oracle.left_normed_expand(perm) for perm in permutations(range(r))]
+        perms = list(permutations(range(r)))
+        tupled = [oracle.left_normed_expand(perm) for perm in perms]
+        column = {perm: i for i, perm in enumerate(perms)}
+        numbered = [{column[idx]: c for idx, c in vec.items()} for vec in tupled]
         for f in (None, 2, 3, 5):
             with _time_limit(5):
                 got = [oracle.rank_over_field(numbered, f), oracle.rank_over_field(tupled, f)]
             assert got == [dim_lie(r)] * 2, (r, f)
+
+
+class _CountedRows(oracle._Rows):
+    """A row source that counts its passes."""
+
+    def __init__(self, vectors):
+        super().__init__(self._entries, 1 + max((c for vec in vectors for c in vec), default=-1))
+        self.vectors = vectors
+        self.passes = 0
+
+    def _entries(self):
+        self.passes += 1
+        return (vec.items() for vec in self.vectors)
+
+
+def test_rational_stream_restarts_after_pivots_are_stored():
+    # rows 0-2 have entries +-1 and become pivots on the planes; row 3 does
+    # too, but its reduction by row 0 makes a 2 in column 1, so the planes
+    # give up with three pivots stored and the source is streamed again
+    vectors = [{0: 1, 1: 1}, {2: 1, 3: -1}, {4: -1, 5: 1}, {0: -1, 1: 1, 2: 1}, {1: 1, 3: 1}]
+    for rows in (vectors, [{(c,): v for c, v in vec.items()} for vec in vectors]):
+        assert oracle.rank_over_field(rows) == _reference_rank(rows, None) == 5
+    counted = _CountedRows(vectors)
+    assert oracle._rank_rows(counted, None) == 5
+    assert counted.passes == 2
+    planes = list(_CountedRows(vectors).planes(False))
+    assert planes[0] == (0b11, 0)
+    assert oracle._rank_planes(planes, wrap=False) is None
+    # an input entry of 2 after stored pivots ends the planes pass at that row
+    vectors = [{0: 1}, {1: -1}, {2: 2, 3: 1}, {2: 1}]
+    counted = _CountedRows(vectors)
+    assert list(counted.planes(False)) == [(1, 0), (0, 2), None]
+    assert oracle._rank_rows(counted, None) == 4 == _reference_rank(vectors, None)
+    assert counted.passes == 3
+    # over F3 the same rows never give up, so one pass
+    counted = _CountedRows(vectors)
+    assert oracle._rank_rows(counted, 3) == _reference_rank(vectors, 3)
+    assert counted.passes == 1
+    # lie_power_rank over the rationals restarts too: the words 0 1 ... make 2s
+    assert oracle.lie_power_rank(2, 5, None) == witt_dim(2, 5)
+
+
+# tracemalloc peaks of the span oracles, in MiB.  With every row built first,
+# as lists of dict rows, a column map and converted rows, they were 1.05 to
+# 1.2 at r = 6, 1.7 for lie_power_rank(3, 6, 5) and 15 at r = 7; streamed,
+# about 0.3, 0.15 and 3.5 to 4.3.
+PEAK_CEILING_MIB = 0.6
+PEAK_CEILING_R7_MIB = 6.0
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_span_oracles_stream_in_little_memory():
+    for field in (None, 2, 3):
+        peak = _traced_peak_mib(lambda: oracle.lie_module_rank(6, field))
+        assert peak < PEAK_CEILING_MIB, (field, peak)
+    peak = _traced_peak_mib(lambda: oracle.lie_power_rank(3, 6, 5))
+    assert peak < PEAK_CEILING_MIB, peak
+
+
+def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
+    # every kernel input is an iterator, never a list of rows
+    fed = []
+    for name in ("_rank_gf2", "_rank_planes", "_rank_prime", "_rank_rational"):
+        kernel = getattr(oracle, name)
+
+        def recording(rows, *args, kernel=kernel, name=name):
+            fed.append((name, type(rows).__name__))
+            assert iter(rows) is rows, name
+            return kernel(rows, *args)
+
+        monkeypatch.setattr(oracle, name, recording)
+    for field in (None, 2, 3, 5):
+        assert oracle.lie_module_rank(5, field) == dim_lie(5)
+        assert oracle.lie_power_rank(2, 6, field) == witt_dim(2, 6)
+        assert oracle.weight_space_rank(2, 2, field) == weight_space_dim_formula(2, 2)
+    # the rationals over two letters give up on the planes and take the dict kernel
+    assert {name for name, _ in fed} == {"_rank_gf2", "_rank_planes", "_rank_prime", "_rank_rational"}
+    assert {kind for _, kind in fed} == {"generator"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", [2, 3, None])
+def test_lie_module_rank_r7_streams_in_little_memory(field):
+    peak = _traced_peak_mib(lambda: oracle.lie_module_rank(7, field, budget=10**9))
+    assert peak < PEAK_CEILING_R7_MIB, peak
 
 
 def test_rank_over_field_validation():
