@@ -8,7 +8,6 @@ layer, and only as renderings of exact rationals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -103,13 +102,6 @@ def mobius(d: int) -> int:
     return result
 
 
-def factorial(r: int) -> int:
-    """r!, delegated to math.factorial."""
-    if r < 0:
-        raise ValueError("factorial() needs r >= 0")
-    return math.factorial(r)
-
-
 def power_bits_lower(x: int, e: int) -> int:
     """A b with 2**b <= x**e, for x >= 1 and e >= 0, without building x**e.
 
@@ -202,16 +194,9 @@ class RatioReport:
     bound: object
 
 
-class BoundCheck(NamedTuple):
-    """Result of an exact inequality check: lhs <= rhs."""
-
-    lhs: Fraction
-    rhs: Fraction
-    holds: bool
-
-
-class IdentityCheck(NamedTuple):
-    """Result of an exact equality check between two independently computed sides."""
+class Check(NamedTuple):
+    """Result of an exact comparison of two independently computed sides:
+    lhs == rhs for an identity, lhs <= rhs for a bound."""
 
     lhs: object
     rhs: object

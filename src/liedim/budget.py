@@ -53,10 +53,11 @@ def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work)
     )
 
 
-def charge_output(task: str, row_bits) -> None:
+def charge_output(task: str, row_bits, price: int = 1) -> None:
     """Refuse, before any work, a run whose rows print integers of at least 2**b
-    for the b in row_bits; a row's gcd and division are quadratic in b."""
-    units = sum(b * b for b in row_bits) >> 19
+    for the b in row_bits; a row's gcd and division are quadratic in b, and
+    price weighs a row against a c-table row of the same b."""
+    units = price * sum(b * b for b in row_bits) >> 19
     _charge(None, task, units.bit_length() - 1, f"2^{units.bit_length() - 1}", lambda: units)
 
 

@@ -35,24 +35,16 @@ term a'_1 * c(k)**p = a'_1, so the bound is an equality there.
 
 The weight-space count behind the factorial form is also exposed:
 weight_space_dim_formula(q, k) = (qk)!/k, which factors as the number of
-block decompositions (qk)!/k! times the bracket-span dimension (k-1)! per
-block pattern.
+block decompositions phi_count(q, k) = (qk)!/k! times dim_lie(k) = (k-1)!,
+the bracket-span dimension per block pattern.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from .arith import (
-    ExactnessError,
-    IdentityCheck,
-    RatioReport,
-    _ChainTable,
-    _check_chain,
-    exact_div,
-    factorial,
-    power_bits_lower,
-)
+from .arith import Check, ExactnessError, RatioReport, _ChainTable, _check_chain, exact_div, power_bits_lower
 
 
 def dim_lie(r: int) -> int:
@@ -76,14 +68,14 @@ def coeff_a_prime(p: int, m: int, k: int, i: int) -> Fraction:
     return Fraction(1, (p ** (m - i) * k) ** (p**i - 1))
 
 
-def check_a_prime_ratio_identity(p: int, m: int, k: int, i: int, s: int) -> IdentityCheck:
+def check_a_prime_ratio_identity(p: int, m: int, k: int, i: int, s: int) -> Check:
     """Certify a'_i / a'_(i-s) = p**-s * (p**s / (p**(m-i) k)**(p**s - 1))**(p**(i-s)) exactly."""
     _check_chain(p, m, k, k_min=1)
     if not 0 <= s <= i <= m:
         raise ValueError(f"need 0 <= s <= i <= m, got i={i}, s={s}, m={m}")
     lhs = coeff_a_prime(p, m, k, i) / coeff_a_prime(p, m, k, i - s)
     rhs = Fraction(1, p**s) * Fraction(p**s, (p ** (m - i) * k) ** (p**s - 1)) ** (p ** (i - s))
-    return IdentityCheck(lhs, rhs, lhs == rhs)
+    return Check(lhs, rhs, lhs == rhs)
 
 
 def weight_space_dim_formula(q: int, k: int) -> int:
@@ -98,13 +90,6 @@ def phi_count(q: int, k: int) -> int:
     if q < 1 or k < 1:
         raise ValueError("phi_count() needs q >= 1 and k >= 1")
     return exact_div(factorial(q * k), factorial(k))
-
-
-def w_phi_dim(k: int) -> int:
-    """(k-1)!: bracket-span dimension contributed by each block decomposition."""
-    if k < 1:
-        raise ValueError("w_phi_dim() needs k >= 1")
-    return factorial(k - 1)
 
 
 def lower_bound_c(p: int, m: int, k: int) -> Fraction:
@@ -137,7 +122,7 @@ class LieModuleContext(_ChainTable):
         """c_r * (r-1)!, which must come out an integer."""
         return _integral_dim(r, self.ratio_c(r), dim_lie(r))
 
-    def check_c_recurrence_identity(self, m: int, k: int) -> IdentityCheck:
+    def check_c_recurrence_identity(self, m: int, k: int) -> Check:
         """Recompute the factorial-form recurrence from scratch against the stored ratios.
 
         Needs k >= 2 (and p not dividing k); the degenerate chains are covered
@@ -152,7 +137,7 @@ class LieModuleContext(_ChainTable):
             coeff = Fraction(p ** (m - i) * big, (p ** (m - i) * k) ** (p**i))
             lhs += coeff * self.ratio_c(p ** (m - i) * k) ** (p**i)
         rhs = Fraction(big, k)
-        return IdentityCheck(lhs, rhs, lhs == rhs)
+        return Check(lhs, rhs, lhs == rhs)
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""

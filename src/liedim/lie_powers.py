@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import BoundCheck, IdentityCheck, RatioReport, _ChainTable, _check_chain, checked_sub, exact_div
+from .arith import Check, RatioReport, _ChainTable, _check_chain, checked_sub, exact_div
 from .render import DEFAULT_FLOAT_BITS, render_fraction, sqrt_dyadic
 from .witt import witt_dim
 
@@ -65,26 +65,12 @@ class RatioBoundB:
     tower: Fraction
     tail: Fraction
 
-    @property
-    def value_exact(self) -> Fraction | None:
-        """The bound as a single rational, available when p**m * k is even."""
-        if self.half_exact is None:
-            return None
-        return 1 - self.half_exact - self.tower - self.tail
-
     def holds_for(self, ratio: Fraction) -> bool:
         """Decide bound <= ratio exactly."""
         shortfall = 1 - self.tower - self.tail - ratio
         if shortfall <= 0:
             return True
         return shortfall * shortfall <= self.half_sq
-
-    def gap_below(self, eps: Fraction) -> bool:
-        """Decide 1 - bound < eps exactly."""
-        room = eps - self.tower - self.tail
-        if room <= 0:
-            return False
-        return self.half_sq < room * room
 
     def float_str(self, bits: int = DEFAULT_FLOAT_BITS) -> str:
         """Decimal rendering; the only place the square root is approximated."""
@@ -137,7 +123,7 @@ class LiePowerContext(_ChainTable):
         num = self._witt(p ** (m - i) * k) ** (p**i)
         return Fraction(num, p**i * self._witt(p**m * k))
 
-    def check_a_ratio_bound(self, m: int, k: int, i: int, s: int) -> BoundCheck:
+    def check_a_ratio_bound(self, m: int, k: int, i: int, s: int) -> Check:
         """Certify a_i / a_(i-s) <= p**-s * (2 p**s / (p**(m-i) k)**(p**s - 1))**(p**(i-s)).
 
         Requires 0 < s <= i <= m, k >= 2 and p**(m-i+s) * k >= 6 (the region
@@ -151,7 +137,7 @@ class LiePowerContext(_ChainTable):
             raise ValueError("the coefficient bound needs p**(m-i+s) * k >= 6")
         lhs = self.coeff_a(m, k, i) / self.coeff_a(m, k, i - s)
         rhs = Fraction(1, p**s) * Fraction(2 * p**s, (p ** (m - i) * k) ** (p**s - 1)) ** (p ** (i - s))
-        return BoundCheck(lhs, rhs, lhs <= rhs)
+        return Check(lhs, rhs, lhs <= rhs)
 
     def lower_bound_b(self, m: int, k: int) -> RatioBoundB:
         """Explicit lower bound object for b at degree p**m * k (m >= 1, k >= 2)."""
@@ -166,13 +152,13 @@ class LiePowerContext(_ChainTable):
         half_exact = Fraction(k, 2 * n ** (r // 2)) if r % 2 == 0 else None
         return RatioBoundB(p=p, n=n, m=m, k=k, half_sq=half_sq, half_exact=half_exact, tower=tower, tail=tail)
 
-    def check_dimension_identity(self, m: int, k: int) -> IdentityCheck:
+    def check_dimension_identity(self, m: int, k: int) -> Check:
         """Recompute both sides of the defining identity in plain integers."""
         _check_chain(self.p, m, k, k_min=1)
         p = self.p
         lhs = sum(p ** (m - i) * self.dim_b(p ** (m - i) * k) ** (p**i) for i in range(m + 1))
         rhs = self._witt(k, p**m)
-        return IdentityCheck(lhs, rhs, lhs == rhs)
+        return Check(lhs, rhs, lhs == rhs)
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""

@@ -96,17 +96,25 @@ def _points(cfg: RunConfig, m_max: int) -> list[tuple[int, int, int]]:
     return sorted((cfg.p**m * k, m, k) for k in cfg.k_list for m in range(m_max + 1))
 
 
+# A b row also reduces Fraction(dim, w(n, r)), a gcd quadratic in the row's
+# bits that a c row, whose ratio has a small denominator, does not run.  In
+# fresh processes (2 shared vCPUs, Python 3.11) `b-table --p 2 --n 2 --k 3
+# --m-max 18` took 8-9 times the time per unit of `c-table --p 2 --k 3
+# --m-max 15`, which prints as many bytes.
+B_ROW_PRICE = 8
+
+
 def _build_rows(
-    cfg: RunConfig, task: str, bits_lower: Callable, report: Callable, render_bound: Callable
+    cfg: RunConfig, task: str, price: int, bits_lower: Callable, report: Callable, render_bound: Callable
 ) -> list[ConvergenceRow]:
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
-    The output is charged first, from bits_lower(r), a sound floor on the bits
-    of row r's largest integer; that sum stops at m = 64, which can only lower it.
-    report(r) is the context's per-degree RatioReport and render_bound(bound,
-    bits) the decimal bound column.
+    The output is charged first, at price times the c-table rate, from
+    bits_lower(r), a sound floor on the bits of row r's largest integer; that
+    sum stops at m = 64, which can only lower it.  report(r) is the context's
+    per-degree RatioReport and render_bound(bound, bits) the decimal bound column.
     """
-    charge_output(task, (bits_lower(r) for r, _, _ in _points(cfg, min(cfg.m_max, 64))))
+    charge_output(task, (bits_lower(r) for r, _, _ in _points(cfg, min(cfg.m_max, 64))), price)
     bits = cfg.float_bits
     rows = []
     for r, m, k in _points(cfg, cfg.m_max):
@@ -140,13 +148,14 @@ def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     if cfg.n is None:
         raise ValueError("the b table needs n")
     report = LiePowerContext(cfg.p, cfg.n).report
-    return _build_rows(cfg, "b table output", partial(witt_dim_bits_lower, cfg.n), report, RatioBoundB.float_str)
+    bits_lower = partial(witt_dim_bits_lower, cfg.n)
+    return _build_rows(cfg, "b table output", B_ROW_PRICE, bits_lower, report, RatioBoundB.float_str)
 
 
 def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     """Rows of the c-ratio table for one p, ordered by degree."""
     report = LieModuleContext(cfg.p).report
-    return _build_rows(cfg, "c table output", dim_lie_bits_lower, report, render_fraction)
+    return _build_rows(cfg, "c table output", 1, dim_lie_bits_lower, report, render_fraction)
 
 
 def _record(row: ConvergenceRow) -> dict:

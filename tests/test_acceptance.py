@@ -10,19 +10,19 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from liedim import oracle, verify
-from liedim.arith import exact_div, factorial
+from liedim.arith import exact_div
 from liedim.lie_modules import (
     LieModuleContext,
     check_a_prime_ratio_identity,
     dim_lie,
     lower_bound_c,
     phi_count,
-    w_phi_dim,
     weight_space_dim_formula,
 )
 from liedim.lie_powers import LiePowerContext
@@ -87,7 +87,7 @@ def test_criterion_05_weight_space_dimensions():
         assert oracle.weight_space_rank(q, k) == expected, (q, k)
     for q in range(1, 9):
         for k in range(1, 9):
-            assert weight_space_dim_formula(q, k) == phi_count(q, k) * w_phi_dim(k), (q, k)
+            assert weight_space_dim_formula(q, k) == phi_count(q, k) * dim_lie(k), (q, k)
     print("ACCEPTANCE 5: PASS (weight space ranks and factorization)")
 
 

@@ -10,7 +10,6 @@ from liedim.arith import (
     checked_sub,
     divisors,
     exact_div,
-    factorial,
     is_prime,
     mobius,
     p_adic_split,
@@ -100,13 +99,6 @@ def test_p_adic_split_examples():
         p_adic_split(0, 2)
     with pytest.raises(ValueError, match="needs a prime p, got 4"):
         p_adic_split(6, 4)
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 def test_power_bits_lower():

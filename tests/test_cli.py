@@ -47,8 +47,10 @@ BIG_TABLE_DIGESTS = {
 
 # over the default work budget, most by far: each must be refused before its
 # integers are built, at any digit limit; the first three ran unbounded under a
-# lifted limit while the limit was the only size gate, and the last two are the
-# smallest of their chains over the budget
+# lifted limit while the limit was the only size gate, c-table --m-max 16 is the
+# smallest of its chain over the budget, and b-table --m-max 18 (about 4 s) and
+# 19 (about 13 s) are the smallest of theirs since a b row is priced eight times
+# a c row of the same size
 BASELINE_UNBOUNDED = (
     "witt --n 2 --r 100000000",
     "b-table --p 2 --n 2 --k 3 --m-max 40",
@@ -60,6 +62,8 @@ OVERSIZED = (
     "c-table --p 2 --k 3 --m-max 40",
     "b-table --p 2 --n 2 --k 3 --m-max 20",
     "c-table --p 2 --k 3 --m-max 16",
+    "b-table --p 2 --n 2 --k 3 --m-max 18",
+    "b-table --p 2 --n 2 --k 3 --m-max 19",
 )
 
 # (command, its rank function in the oracle, the expected rank, the exact stdout)
@@ -484,6 +488,25 @@ def test_oracle_env_budget(runner, monkeypatch):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert len(_error_lines(result)) == 1
+
+
+def test_b_rows_priced_eight_c_units(runner, monkeypatch):
+    # a b row's Fraction(dim, w) reduction is a quadratic gcd that a c row does
+    # not run, so its output is charged 8 times the shared quadratic size; the
+    # exact work is printed under a budget just below it
+    for args, task, work in (
+        ("b-table --p 2 --n 2 --k 3 --m-max 17", "b table output", 3145272),
+        ("b-table --p 2 --n 2 --k 3 --m-max 18", "b table output", 12581952),
+        ("c-table --p 2 --k 3 --m-max 15", "c table output", 5387828),
+    ):
+        budget = str(work - 1)
+        monkeypatch.setenv("LIEDIM_BUDGET", budget)
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 2, args
+        assert _error_lines(result) == [
+            f"Error: {task} needs about {work} units of work, budget is {budget} "
+            "(raise it via the budget argument or LIEDIM_BUDGET)"
+        ]
 
 
 def test_verify_refuses_over_budget_up_front(runner, monkeypatch):

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from liedim.arith import ExactnessError, RatioReport, factorial
+from liedim.arith import ExactnessError, RatioReport
 from liedim.lie_modules import (
     LieModuleContext,
     _integral_dim,
@@ -12,7 +13,6 @@ from liedim.lie_modules import (
     dim_lie_bits_lower,
     lower_bound_c,
     phi_count,
-    w_phi_dim,
     weight_space_dim_formula,
 )
 
@@ -78,9 +78,9 @@ def test_weight_space_formula():
     assert weight_space_dim_formula(2, 3) == 240
     for q in range(1, 9):
         for k in range(1, 9):
-            assert weight_space_dim_formula(q, k) == phi_count(q, k) * w_phi_dim(k)
-    assert phi_count(2, 2) == 12 and w_phi_dim(2) == 1
-    assert phi_count(1, 4) == 1 and w_phi_dim(4) == 6
+            assert weight_space_dim_formula(q, k) == phi_count(q, k) * dim_lie(k)
+    assert phi_count(2, 2) == 12 and dim_lie(2) == 1
+    assert phi_count(1, 4) == 1 and dim_lie(4) == 6
 
 
 def test_lower_bound_c_values():

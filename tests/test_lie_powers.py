@@ -80,7 +80,8 @@ def test_lower_bound_even_degree(ctx22):
     assert lb.half_exact == Fraction(3, 16)
     assert lb.tower == 0
     assert lb.tail == Fraction(2, 3)
-    assert lb.value_exact == Fraction(7, 48)
+    # the bound is exactly 7/48: holds_for decides it at the boundary
+    assert lb.holds_for(Fraction(7, 48)) and not lb.holds_for(Fraction(7, 48) - Fraction(1, 10**9))
     assert lb.holds_for(Fraction(8, 9))
 
     lb = ctx22.lower_bound_b(2, 3)
@@ -88,7 +89,7 @@ def test_lower_bound_even_degree(ctx22):
     assert lb.half_sq == Fraction(9, 4 * 2**12)
     assert lb.tower == Fraction(1, 3)
     assert lb.tail == Fraction(2, 27)
-    assert lb.value_exact == Fraction(1967, 3456)
+    assert lb.holds_for(Fraction(1967, 3456)) and not lb.holds_for(Fraction(1967, 3456) - Fraction(1, 10**9))
     assert lb.holds_for(Fraction(304, 335))
     assert not lb.holds_for(Fraction(1, 2))
 
@@ -99,17 +100,10 @@ def test_lower_bound_odd_degree_squared_form():
     ctx = LiePowerContext(3, 2)
     lb = ctx.lower_bound_b(1, 5)
     assert lb.half_exact is None
-    assert lb.value_exact is None
     assert lb.half_sq == Fraction(25, 4 * 2**15)
     assert lb.holds_for(ctx.ratio_b(15))
     rendered = lb.float_str(64)
     assert rendered.startswith("0.")
-
-
-def test_lower_bound_gap_below(ctx22):
-    lb = ctx22.lower_bound_b(2, 3)
-    assert lb.gap_below(Fraction(1, 2))
-    assert not lb.gap_below(Fraction(1, 100))
 
 
 def test_lower_bound_domain(ctx22):
