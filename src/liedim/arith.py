@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .render import int_to_str
@@ -39,11 +40,12 @@ def checked_sub(a: int, b: int) -> int:
     return a - b
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test.
+    """Deterministic trial-division primality test, memoised for the 64 most recent n.
 
-    The primes handled here are tiny (they index recurrences), so trial
-    division is both sufficient and free of probabilistic caveats.
+    Trial division is sufficient here and free of probabilistic caveats; a
+    table run charges its isqrt(p) steps first, and the memo proves p once.
     """
     if n < 2:
         return False
@@ -118,10 +120,6 @@ class PAdicSplit(NamedTuple):
     m: int
     k: int
 
-    @property
-    def r(self) -> int:
-        return self.p**self.m * self.k
-
 
 def p_adic_split(r: int, p: int) -> PAdicSplit:
     """Split r as p**m * k with m maximal, so p does not divide k.
@@ -186,8 +184,6 @@ class RatioReport:
     """Exact per-degree summary: dim, the reference dimension it is measured against
     (w(n, r) or (r-1)!), their ratio and its explicit lower bound (None if undefined)."""
 
-    r: int
-    split: PAdicSplit
     dim: int
     reference: int
     ratio: Fraction

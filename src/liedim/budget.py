@@ -53,15 +53,15 @@ def _charge(budget: int | None, task: str, floor_bits: int, symbolic: str, work)
     )
 
 
-def charge_output(task: str, row_bits, price: int = 1) -> None:
-    """Refuse, before any work, a run whose rows print integers of at least 2**b
-    for the b in row_bits; a row's gcd and division are quadratic in b, and
-    price weighs a row against a c-table row of the same b."""
-    units = price * sum(b * b for b in row_bits) >> 19
+def charge_output(task: str, row_squares) -> None:
+    """Refuse, before any work, a run whose rows cost at least row_squares, each
+    a weighted sum of squared bit counts: a row's gcd, divisions and decimal
+    text are quadratic in the bits of its integers and its decimals."""
+    units = sum(row_squares) >> 19
     _charge(None, task, units.bit_length() - 1, f"2^{units.bit_length() - 1}", lambda: units)
 
 
 def charge_divisor_walk(task: str, r: int) -> None:
-    """Refuse, before any work, a walk over the divisors of r >= 1 by trial
-    division, which takes about isqrt(r) steps."""
+    """Refuse, before any work, a trial-division walk over the divisors of r >= 1,
+    as in witt or a primality proof, which takes about isqrt(r) steps."""
     _charge(None, task, (r.bit_length() - 1) // 2, f"isqrt({r})", lambda: isqrt(r))

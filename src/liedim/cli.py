@@ -76,7 +76,7 @@ def witt_cmd(n: int, r: int) -> None:
     if n < 1:
         raise click.UsageError("n must be >= 1")
     # n^r and r^2 n^r are printed; charge their size before building them
-    charge_output("witt output", [power_bits_lower(n, r)])
+    charge_output("witt output", [power_bits_lower(n, r) ** 2])
     # w(n, r) walks the divisors of r whatever n is; at n = 1 the output charge is 0
     charge_divisor_walk("witt divisor walk", r)
     chk = check_witt_bounds(n, r)

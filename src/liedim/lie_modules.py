@@ -141,18 +141,11 @@ class LieModuleContext(_ChainTable):
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
-        split = self.split(r)
+        _, m, k = self.split(r)
         ratio = self.ratio_c(r)
         lie_dim = dim_lie(r)
-        bound = lower_bound_c(self.p, split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        return RatioReport(
-            r=r,
-            split=split,
-            dim=_integral_dim(r, ratio, lie_dim),
-            reference=lie_dim,
-            ratio=ratio,
-            bound=bound,
-        )
+        bound = lower_bound_c(self.p, m, k) if m >= 1 and k >= 2 else None
+        return RatioReport(dim=_integral_dim(r, ratio, lie_dim), reference=lie_dim, ratio=ratio, bound=bound)
 
 
 def _integral_dim(r: int, ratio: Fraction, lie_dim: int) -> int:

@@ -56,10 +56,6 @@ class RatioBoundB:
     Comparisons against rationals are decided exactly via the squared form.
     """
 
-    p: int
-    n: int
-    m: int
-    k: int
     half_sq: Fraction
     half_exact: Fraction | None
     tower: Fraction
@@ -150,7 +146,7 @@ class LiePowerContext(_ChainTable):
         tail = Fraction(2, k ** (p**m - 1))
         half_sq = Fraction(k * k, 4 * n**r)
         half_exact = Fraction(k, 2 * n ** (r // 2)) if r % 2 == 0 else None
-        return RatioBoundB(p=p, n=n, m=m, k=k, half_sq=half_sq, half_exact=half_exact, tower=tower, tail=tail)
+        return RatioBoundB(half_sq=half_sq, half_exact=half_exact, tower=tower, tail=tail)
 
     def check_dimension_identity(self, m: int, k: int) -> Check:
         """Recompute both sides of the defining identity in plain integers."""
@@ -162,8 +158,8 @@ class LiePowerContext(_ChainTable):
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
-        split = self.split(r)
+        _, m, k = self.split(r)
         dim = self.dim_b(r)
         w = self._witt(r)
-        bound = self.lower_bound_b(split.m, split.k) if split.m >= 1 and split.k >= 2 else None
-        return RatioReport(r=r, split=split, dim=dim, reference=w, ratio=Fraction(dim, w), bound=bound)
+        bound = self.lower_bound_b(m, k) if m >= 1 and k >= 2 else None
+        return RatioReport(dim=dim, reference=w, ratio=Fraction(dim, w), bound=bound)

@@ -18,7 +18,7 @@ the work budget of budget.py.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import permutations, product
 from math import factorial, gcd
 from operator import itemgetter
@@ -186,40 +186,29 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
 def left_normed_expand(word) -> SparseTensorVector:
     """Tensor-coordinate expansion of the left-normed bracket of the word's letters.
 
-    [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left.
+    [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left, for
+    letters 0..255 (any other letter raises ValueError).  This is the fold
+    that lie_power_rank ranks, _left_normed_columns over 256 letters, with
+    each column read back as its index tuple, the column's r base-256 digits.
     The result has at most 2**(r-1) terms; repeated letters can cancel or
     combine, so coefficients other than +-1 do occur.
     """
-    letters = tuple(word)
+    letters = bytes(word)
     if not letters:
         raise ValueError("left_normed_expand() needs a nonempty word")
-    # Fold [[..[s1, s2], s3] ..., st] in coordinates; each step is
-    # v  ->  v (x) s  -  s (x) v  on concatenated index tuples.
-    # The v (x) s keys are distinct with v's nonzero coefficients, so that half
-    # is copied whole; a key of the s (x) v half can only meet one of them, and
-    # is deleted when the two cancel, so no zero coefficient is ever stored.
-    vec: SparseTensorVector = {letters[:1]: 1}
-    for letter in letters[1:]:
-        sym = (letter,)
-        nxt = {idx + sym: coeff for idx, coeff in vec.items()}
-        get = nxt.get
-        for idx, coeff in vec.items():
-            key = sym + idx
-            nv = get(key, 0) - coeff
-            if nv:
-                nxt[key] = nv
-            else:
-                del nxt[key]
-        vec = nxt
-    return vec
+    r = len(letters)
+    return {tuple(c.to_bytes(r, "big")): v for c, v in _left_normed_columns(letters, 256).items()}
 
 
-def _left_normed_columns(word: Word, n: int) -> dict[int, int]:
-    # left_normed_expand(word) with each index tuple read as a base-n numeral,
-    # which is its position among the n**r words of length r in product()
-    # order, the lexicographic order.  The same fold: appending letter s to a
-    # word numbered c gives c*n + s, and prepending it to a word of length L
-    # gives s*n**L + c.
+def _left_normed_columns(word: Sequence[int], n: int) -> dict[int, int]:
+    # The left-normed bracket [[..[s1, s2], s3] ..., st] over letters 0..n-1,
+    # each index tuple read as a base-n numeral, which is its position among
+    # the n**r words of length r in product() order, the lexicographic order.
+    # Each step is v  ->  v (x) s  -  s (x) v: appending letter s to a word
+    # numbered c gives c*n + s, and prepending it to a word of length L gives
+    # s*n**L + c.  The v (x) s keys are distinct with v's nonzero coefficients,
+    # so that half is copied whole; a key of the s (x) v half can only meet one
+    # of them, and is deleted when the two cancel, so no zero is ever stored.
     vec = {word[0]: 1}
     size = n
     for s in word[1:]:
@@ -276,12 +265,12 @@ def expand_standard_bracketing(word) -> SparseTensorVector:
     return _bracket(expand_standard_bracketing(u), expand_standard_bracketing(v))
 
 
-def weight_of(vec: SparseTensorVector, n: int | None = None):
-    """Common letter content of the vector's indices, as a tuple of letter counts.
+def weight_of(vec: SparseTensorVector):
+    """Common letter content of the vector's indices, as a tuple of letter counts
+    for the letters 0..max letter.
 
     Returns ZERO_WEIGHT for the zero vector and INHOMOGENEOUS when two indices
-    disagree on their letter multiset.  When n is omitted it is inferred as
-    max letter + 1.
+    disagree on their letter multiset.
     """
     if not vec:
         return ZERO_WEIGHT
@@ -290,9 +279,7 @@ def weight_of(vec: SparseTensorVector, n: int | None = None):
     for idx in indices:
         if sorted(idx) != content:
             return INHOMOGENEOUS
-    if n is None:
-        n = content[-1] + 1
-    counts = [0] * n
+    counts = [0] * (content[-1] + 1)
     for letter in content:
         counts[letter] += 1
     return tuple(counts)
@@ -483,22 +470,19 @@ def _rank_rows(rows: _Rows, field: int | None) -> int:
 def rank_over_field(vectors, field: int | None = None) -> int:
     """Exact rank of the span of the given list of sparse vectors.
 
-    A vector's keys are either index tuples, all of one tensor degree, or
-    column numbers (ints); one input does not mix the two.  field None means
-    the rationals; a prime p means F_p.  The keys of the nonzero entries,
-    sorted (lexicographically for tuples), number the columns, and the
-    vectors go to _rank_rows in the given order, one at a time, so each
-    pivot is a row's first nonzero key in sorted order.  The vectors are not
-    modified.  lie_power_rank, lie_module_rank and weight_space_rank make
-    no such list: they stream their rows to _rank_rows.
+    A vector's keys are index tuples, all of one tensor degree.  field None
+    means the rationals; a prime p means F_p.  The keys of the nonzero
+    entries, sorted lexicographically, number the columns, and the vectors go
+    to _rank_rows in the given order, one at a time, so each pivot is a row's
+    first nonzero key in sorted order.  The vectors are not modified.
+    lie_power_rank, lie_module_rank and weight_space_rank make no such list:
+    they stream their rows to _rank_rows.
     """
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
     keys = {idx for vec in vectors for idx, c in vec.items() if c}
-    kinds = {len(idx) if isinstance(idx, tuple) else 0 for idx in keys}
-    if len(kinds) > 1:
-        if 0 in kinds:
-            raise ValueError("rank input mixes column numbers and index tuples")
-        raise ValueError(f"mixed tensor degrees in rank input: {sorted(kinds)}")
+    degrees = {len(idx) for idx in keys}
+    if len(degrees) > 1:
+        raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     column = {idx: j for j, idx in enumerate(sorted(keys))}.get
     rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(keys))
     return _rank_rows(rows, field)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 
 from .arith import _check_chain, is_prime
-from .budget import charge_output
+from .budget import charge_divisor_walk, charge_output
 from .lie_modules import LieModuleContext, dim_lie_bits_lower
 from .lie_powers import LiePowerContext, RatioBoundB
 from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction, str_to_int
@@ -42,6 +42,8 @@ class RunConfig:
     float_bits: int = DEFAULT_FLOAT_BITS
 
     def __post_init__(self):
+        if self.p > 1:
+            charge_divisor_walk("primality check of p", self.p)
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if not self.k_list:
@@ -81,11 +83,6 @@ class ConvergenceRow:
         """The exact ratio dim_num / dim_den_context, in lowest terms."""
         return Fraction(self.ratio_num, self.ratio_den)
 
-    @property
-    def gap(self) -> Fraction:
-        """The exact gap 1 - ratio."""
-        return 1 - self.ratio
-
 
 CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRow))
 # the columns printed as decimal text; JSON carries them as strings
@@ -102,6 +99,11 @@ def _points(cfg: RunConfig, m_max: int) -> list[tuple[int, int, int]]:
 # --m-max 18` took 8-9 times the time per unit of `c-table --p 2 --k 3
 # --m-max 15`, which prints as many bytes.
 B_ROW_PRICE = 8
+# A decimal at float_bits = f costs about DECIMAL_PRICE * f * (f + 4096): its
+# rounding divides f-bit integers, and its power of ten and text are nearly
+# linear in f.  A row whose ratio is 0 or 1 (m = 0 or k = 1) renders only 0s
+# and 1s, about one decimal's work in all; any other row renders three.
+DECIMAL_PRICE = 8
 
 
 def _build_rows(
@@ -109,13 +111,16 @@ def _build_rows(
 ) -> list[ConvergenceRow]:
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
-    The output is charged first, at price times the c-table rate, from
-    bits_lower(r), a sound floor on the bits of row r's largest integer; that
-    sum stops at m = 64, which can only lower it.  report(r) is the context's
-    per-degree RatioReport and render_bound(bound, bits) the decimal bound column.
+    The output is charged first: price times the square of bits_lower(r), a
+    sound floor on the bits of row r's largest integer, plus the decimal
+    columns; that sum stops at m = 64, which can only lower it.  report(r) is
+    the context's per-degree RatioReport and render_bound(bound, bits) the
+    decimal bound column.
     """
-    charge_output(task, (bits_lower(r) for r, _, _ in _points(cfg, min(cfg.m_max, 64))), price)
     bits = cfg.float_bits
+    decimal = DECIMAL_PRICE * bits * (bits + 4096)
+    points = _points(cfg, min(cfg.m_max, 64))
+    charge_output(task, (price * bits_lower(r) ** 2 + (3 if m and k > 1 else 1) * decimal for r, m, k in points))
     rows = []
     for r, m, k in _points(cfg, cfg.m_max):
         rep = report(r)

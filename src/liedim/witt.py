@@ -64,8 +64,6 @@ class WittBoundsWitness:
             excess**2 <= r*r * n**r, so odd r (irrational n**(r/2)) stays exact.
     """
 
-    n: int
-    r: int
     w: int
     upper_lhs: int
     upper_rhs: int
@@ -88,8 +86,6 @@ def check_witt_bounds(n: int, r: int) -> WittBoundsWitness:
     lower_ok = excess <= 0 or lower_lhs_sq <= lower_rhs_sq
 
     return WittBoundsWitness(
-        n=n,
-        r=r,
         w=w,
         upper_lhs=upper_lhs,
         upper_rhs=power,

@@ -18,6 +18,7 @@ from liedim import arith, cli, lie_powers
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
 from liedim.cli import main
+from liedim.lie_modules import dim_lie_bits_lower
 from liedim.render import FAST_STR_MIN_BITS, str_to_int
 from liedim.report import ConvergenceRow, RunConfig, build_b_rows, build_c_rows, rows_from_json, to_csv, to_json
 
@@ -276,6 +277,68 @@ def test_one_letter_witt_divisor_walk_charged_in_fresh_processes():
     assert proc.stdout.endswith("bounds OK\n")
 
 
+def _ks(first, last):
+    return " ".join(f"--k {k}" for k in range(first, last + 1, 2))
+
+
+# charged before any work and refused at once: proving a 20-digit p prime takes
+# about 5 * 10^9 trial divisions and finding the semiprime 1000000007 *
+# 1000000009 composite 5 * 10^8; 1,500 rows of 65,536-bit decimals run 15 s
+CHARGED_UP_FRONT = (
+    ("b-table --p 99999999999999999989 --n 2 --k 3 --m-max 0", "primality check of p", "isqrt(99999999999999999989)"),
+    ("c-table --p 99999999999999999989 --k 3 --m-max 0", "primality check of p", "isqrt(99999999999999999989)"),
+    ("c-table --p 1000000016000000063 --k 3 --m-max 0", "primality check of p", "isqrt(1000000016000000063)"),
+    (f"b-table --p 2 --n 2 {_ks(3, 3001)} --m-max 0 --float-bits 65536", "b table output", "2^26"),
+)
+
+
+def test_primality_and_decimal_columns_charged_in_fresh_processes():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("LIEDIM_BUDGET", None)
+    for command, task, work in CHARGED_UP_FRONT:
+        start = time.perf_counter()
+        argv = [sys.executable, "-m", "liedim.cli", *command.split()]
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+        assert time.perf_counter() - start < 1.0, command
+        assert proc.returncode == 2 and proc.stdout == "", command
+        assert [line for line in proc.stderr.splitlines() if line.strip()] == [
+            f"Error: {task} needs about {work} units of work, budget is 10000000 "
+            "(raise it via the budget argument or LIEDIM_BUDGET)"
+        ], command
+    # isqrt(p) = 10^7 is the default budget: p is proved once, in about 1 s,
+    # not 2 + 3 * 10 times
+    start = time.perf_counter()
+    argv = [sys.executable, "-m", "liedim.cli", *f"c-table --p 100000000000031 {_ks(3, 21)} --m-max 0".split()]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 2.0
+    assert proc.returncode == 0 and len(proc.stdout.splitlines()) == 11
+
+
+def test_table_proves_p_once(runner):
+    arith.is_prime.cache_clear()
+    result = runner.invoke(main, ["b-table", "--p", "101", "--n", "2", *_ks(3, 21).split(), "--m-max", "1"])
+    assert result.exit_code == 0
+    assert arith.is_prime.cache_info().misses == 1
+
+
+def test_decimal_columns_priced_by_float_bits(runner, monkeypatch):
+    # a row with ratio 0 < c < 1 renders three decimals of f bits, priced
+    # 8 * f * (f + 4096) squares each; the m = 0 row renders 1, 1 and 0,
+    # priced as one decimal
+    f = 65536
+    work = ((3 + 1) * 8 * f * (f + 4096) + dim_lie_bits_lower(6) ** 2) >> 19
+    assert work == 278528
+    monkeypatch.setenv("LIEDIM_BUDGET", str(work - 1))
+    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", str(f)])
+    assert _error_lines(result) == [
+        f"Error: c table output needs about {work} units of work, budget is {work - 1} "
+        "(raise it via the budget argument or LIEDIM_BUDGET)"
+    ]
+    monkeypatch.setenv("LIEDIM_BUDGET", str(work))
+    result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", str(f)])
+    assert result.exit_code == 0
+
+
 @pytest.mark.slow
 def test_c_table_converges_to_r_98304(runner, set_digit_limit):
     # 16 rows along r = 3 * 2^m, the longest table of this chain that the
@@ -289,7 +352,7 @@ def test_c_table_converges_to_r_98304(runner, set_digit_limit):
     rows = _rows_from_csv(result.stdout)
     assert [row.m for row in rows] == list(range(16))
     assert rows[-1].r == 98304
-    gaps = [row.gap for row in rows]
+    gaps = [1 - row.ratio for row in rows]
     assert gaps[0] == 0
     assert all(gap > nxt for gap, nxt in zip(gaps[1:], gaps[2:]))
     assert Fraction(2, 10**5) < gaps[-1] < Fraction(21, 10**6)
@@ -495,9 +558,9 @@ def test_b_rows_priced_eight_c_units(runner, monkeypatch):
     # not run, so its output is charged 8 times the shared quadratic size; the
     # exact work is printed under a budget just below it
     for args, task, work in (
-        ("b-table --p 2 --n 2 --k 3 --m-max 17", "b table output", 3145272),
-        ("b-table --p 2 --n 2 --k 3 --m-max 18", "b table output", 12581952),
-        ("c-table --p 2 --k 3 --m-max 15", "c table output", 5387828),
+        ("b-table --p 2 --n 2 --k 3 --m-max 17", "b table output", 3145701),
+        ("b-table --p 2 --n 2 --k 3 --m-max 18", "b table output", 12582405),
+        ("c-table --p 2 --k 3 --m-max 15", "c table output", 5388208),
     ):
         budget = str(work - 1)
         monkeypatch.setenv("LIEDIM_BUDGET", budget)

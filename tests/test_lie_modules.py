@@ -160,7 +160,6 @@ def test_report_structure():
     ctx = LieModuleContext(2)
     rep = ctx.report(12)
     assert type(rep) is RatioReport  # the report type LiePowerContext returns too
-    assert rep.r == 12
     assert rep.dim == 35481600
     assert rep.reference == factorial(11)
     assert rep.ratio == Fraction(8, 9)

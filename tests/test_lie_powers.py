@@ -140,8 +140,6 @@ def test_dimension_identity_grid():
 def test_report_structure(ctx22):
     rep = ctx22.report(12)
     assert type(rep) is RatioReport  # the report type LieModuleContext returns too
-    assert rep.r == 12
-    assert rep.split.m == 2 and rep.split.k == 3
     assert rep.dim == 304 and rep.reference == 335
     assert rep.ratio == Fraction(304, 335)
     assert rep.bound is not None

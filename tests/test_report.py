@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liedim.render import FAST_STR_MIN_BITS
+from liedim.render import FAST_STR_MIN_BITS, render_fraction
 from liedim.report import (
     CSV_COLUMNS,
     ConvergenceRow,
@@ -83,15 +83,15 @@ def test_k1_chain_conventions():
     for row in rows[1:]:
         assert row.ratio == 0
         assert row.bound_float == ""
-        assert row.gap == 1
+        assert 1 - row.ratio == 1
 
 
 def test_gap_is_one_minus_ratio():
     cfg = RunConfig(p=3, k_list=(2,), m_max=3, n=3, float_bits=16)
     for row in build_b_rows(cfg):
-        assert row.gap == 1 - row.ratio
+        assert row.gap_float == render_fraction(1 - row.ratio, 16)
     for row in build_c_rows(cfg):
-        assert row.gap == 1 - row.ratio
+        assert row.gap_float == render_fraction(1 - row.ratio, 16)
 
 
 def test_csv_structure():

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from liedim import budget, oracle, verify
@@ -82,3 +84,18 @@ def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
     up_front, run = _charged_jobs(monkeypatch, suite, slow)
     assert up_front == run
     assert (("multilinear bracket span", "(7!)^2") in run) == (slow and suite != "c")
+
+
+def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
+    # flip the sign of the prepended half in _left_normed_columns, the fold
+    # that lie_power_rank ranks: [a, b] becomes ab + ba, and the smoke family,
+    # which reads the same fold, fails all nine antisymmetry checks
+    source = inspect.getsource(oracle._left_normed_columns)
+    flipped = source.replace("get(key, 0) - v", "get(key, 0) + v")
+    assert flipped != source
+    namespace = dict(vars(oracle))
+    exec(flipped, namespace)
+    monkeypatch.setattr(oracle, "_left_normed_columns", namespace["_left_normed_columns"])
+    smoke = verify.oracle_suite()[-1]
+    assert smoke.name == "oracle/bracket-smoke"
+    assert smoke.failures == [f"(antisymmetry a={a}, b={b})" for a in range(3) for b in range(3)]

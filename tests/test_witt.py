@@ -47,7 +47,6 @@ def test_aperiodic_word_count():
 
 def test_bounds_witness_fields():
     chk = check_witt_bounds(2, 6)
-    assert chk.n == 2 and chk.r == 6
     assert chk.w == 9
     assert chk.upper_lhs == 54 and chk.upper_rhs == 64
     assert chk.lower_excess == 2 * 64 - 2 * 54 == 20
