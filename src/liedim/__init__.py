@@ -13,7 +13,7 @@ Public surface:
 - ``verify`` self-check suites, also reachable via the ``liedim`` CLI.
 """
 
-from .arith import ExactnessError, PAdicSplit, p_adic_split
+from .arith import ExactnessError, p_adic_split
 from .lie_modules import (
     LieModuleContext,
     dim_lie,
@@ -25,7 +25,6 @@ from .witt import aperiodic_word_count, check_witt_bounds, witt_dim
 
 __all__ = [
     "ExactnessError",
-    "PAdicSplit",
     "p_adic_split",
     "witt_dim",
     "aperiodic_word_count",

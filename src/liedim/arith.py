@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 from .render import int_to_str
@@ -69,17 +70,8 @@ def divisors(r: int) -> list[int]:
     """
     if r < 1:
         raise ValueError("divisors() needs r >= 1")
-    small: list[int] = []
-    large: list[int] = []
-    f = 1
-    while f * f <= r:
-        if r % f == 0:
-            small.append(f)
-            if f != r // f:
-                large.append(r // f)
-        f += 1
-    large.reverse()
-    return small + large
+    small = [f for f in range(1, isqrt(r) + 1) if not r % f]
+    return small + [r // f for f in reversed(small) if f * f != r]
 
 
 def mobius(d: int) -> int:
@@ -113,19 +105,11 @@ def power_bits_lower(x: int, e: int) -> int:
     return e * ((x**16).bit_length() - 1) // 16
 
 
-class PAdicSplit(NamedTuple):
-    """A degree r written as p**m * k with p not dividing k."""
-
-    p: int
-    m: int
-    k: int
-
-
-def p_adic_split(r: int, p: int) -> PAdicSplit:
-    """Split r as p**m * k with m maximal, so p does not divide k.
+def p_adic_split(r: int, p: int) -> tuple[int, int]:
+    """Split r as p**m * k with m maximal, so p does not divide k; returns (m, k).
 
     >>> p_adic_split(12, 2)
-    PAdicSplit(p=2, m=2, k=3)
+    (2, 3)
     """
     if r < 1:
         raise ValueError("p_adic_split() needs r >= 1")
@@ -136,9 +120,7 @@ def p_adic_split(r: int, p: int) -> PAdicSplit:
     while k % p == 0:
         k //= p
         m += 1
-    # tuple.__new__ skips the namedtuple's Python-level __new__; the result
-    # is the same PAdicSplit
-    return tuple.__new__(PAdicSplit, (p, m, k))
+    return m, k
 
 
 def _check_chain(p: int, m: int, k: int, k_min: int = 2) -> None:
@@ -166,12 +148,12 @@ class _ChainTable:
         self.p = p
         self._memo: dict = {}
 
-    def split(self, r: int) -> PAdicSplit:
+    def split(self, r: int) -> tuple[int, int]:
         return p_adic_split(r, self.p)
 
     def _walk(self, r: int):
         if r not in self._memo:
-            _, m, k = self.split(r)
+            m, k = self.split(r)
             for j in range(m + 1):
                 rj = self.p**j * k
                 if rj not in self._memo:

@@ -141,7 +141,7 @@ class LieModuleContext(_ChainTable):
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
-        _, m, k = self.split(r)
+        m, k = self.split(r)
         ratio = self.ratio_c(r)
         lie_dim = dim_lie(r)
         bound = lower_bound_c(self.p, m, k) if m >= 1 and k >= 2 else None

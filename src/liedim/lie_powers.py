@@ -158,7 +158,7 @@ class LiePowerContext(_ChainTable):
 
     def report(self, r: int) -> RatioReport:
         """Bundle the exact quantities for one degree."""
-        _, m, k = self.split(r)
+        m, k = self.split(r)
         dim = self.dim_b(r)
         w = self._witt(r)
         bound = self.lower_bound_b(m, k) if m >= 1 and k >= 2 else None

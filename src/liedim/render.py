@@ -102,7 +102,12 @@ def decimal_digits_for_bits(bits: int) -> int:
 
 def _round_half_even(num: int, den: int) -> int:
     """Nearest integer to num/den (den > 0), ties to even."""
-    q, rem = divmod(num, den)
+    if den & (den - 1):
+        q, rem = divmod(num, den)
+    else:
+        # den is a power of two, as behind render_fraction: a shift and a mask,
+        # where divmod's long division is quadratic on CPython 3.11
+        q, rem = num >> (den.bit_length() - 1), num & (den - 1)
     twice = 2 * rem
     if twice > den or (twice == den and q & 1):
         q += 1

@@ -99,6 +99,15 @@ def _points(cfg: RunConfig, m_max: int) -> list[tuple[int, int, int]]:
 # --m-max 18` took 8-9 times the time per unit of `c-table --p 2 --k 3
 # --m-max 15`, which prints as many bytes.
 B_ROW_PRICE = 8
+# Every row also prints its integers as decimal text, and above 2^15 bits
+# int_to_str's divide and conquer is far from quadratic: per b^2 an integer of
+# 2^15 bits converts 9 times slower than one of 2^20 bits.  So a row is charged
+# TEXT_PRICE * b on top of its b^2 terms, twice b^2 at 2^17 bits and a
+# quarter at 2^20.  `c-table --p 2 --k 3 --k 5 ... --k 1001 --m-max 3` (2,000
+# rows of up to 92,000 bits) has b^2 terms of only 3.2 * 10^6 units but takes
+# 4.5-5.5 s in a fresh process (2 shared vCPUs, Python 3.11); with the text
+# price it is refused, and the largest such table admitted runs in under 2 s.
+TEXT_PRICE = 1 << 18
 # A decimal at float_bits = f costs about DECIMAL_PRICE * f * (f + 4096): its
 # rounding divides f-bit integers, and its power of ten and text are nearly
 # linear in f.  A row whose ratio is 0 or 1 (m = 0 or k = 1) renders only 0s
@@ -112,15 +121,16 @@ def _build_rows(
     """Rows for every point of cfg, ordered by degree; shared by the b and c tables.
 
     The output is charged first: price times the square of bits_lower(r), a
-    sound floor on the bits of row r's largest integer, plus the decimal
-    columns; that sum stops at m = 64, which can only lower it.  report(r) is
-    the context's per-degree RatioReport and render_bound(bound, bits) the
-    decimal bound column.
+    sound floor on the bits of row r's largest integer, plus TEXT_PRICE times
+    it, plus the decimal columns; that sum stops at m = 64, which can only
+    lower it.  report(r) is the context's per-degree RatioReport and
+    render_bound(bound, bits) the decimal bound column.
     """
     bits = cfg.float_bits
     decimal = DECIMAL_PRICE * bits * (bits + 4096)
     points = _points(cfg, min(cfg.m_max, 64))
-    charge_output(task, (price * bits_lower(r) ** 2 + (3 if m and k > 1 else 1) * decimal for r, m, k in points))
+    row_bits = ((bits_lower(r), m, k) for r, m, k in points)
+    charge_output(task, ((price * b + TEXT_PRICE) * b + (3 if m and k > 1 else 1) * decimal for b, m, k in row_bits))
     rows = []
     for r, m, k in _points(cfg, cfg.m_max):
         rep = report(r)

@@ -96,7 +96,7 @@ def test_criterion_06_dimension_identity_grid():
         for n in (2, 3, 5):
             ctx = LiePowerContext(p, n)
             for r in range(1, 201):
-                _, m, k = ctx.split(r)
+                m, k = ctx.split(r)
                 # dim_b raising ExactnessError (failed divisibility) fails here
                 assert ctx.dim_b(r) >= 0, (p, n, r)
                 assert ctx.check_dimension_identity(m, k).holds, (p, n, r)

@@ -20,7 +20,16 @@ from liedim.arith import ExactnessError
 from liedim.cli import main
 from liedim.lie_modules import dim_lie_bits_lower
 from liedim.render import FAST_STR_MIN_BITS, str_to_int
-from liedim.report import ConvergenceRow, RunConfig, build_b_rows, build_c_rows, rows_from_json, to_csv, to_json
+from liedim.report import (
+    TEXT_PRICE,
+    ConvergenceRow,
+    RunConfig,
+    build_b_rows,
+    build_c_rows,
+    rows_from_json,
+    to_csv,
+    to_json,
+)
 
 
 # stdout digests at the default --float-bits: an odd prime, the m = 0 bound of
@@ -283,12 +292,15 @@ def _ks(first, last):
 
 # charged before any work and refused at once: proving a 20-digit p prime takes
 # about 5 * 10^9 trial divisions and finding the semiprime 1000000007 *
-# 1000000009 composite 5 * 10^8; 1,500 rows of 65,536-bit decimals run 15 s
+# 1000000009 composite 5 * 10^8; 1,500 rows of 65,536-bit decimals run 15 s,
+# and 2,000 rows of up to 92,000 bits, whose decimal text the b^2 price
+# under-charged (3.2 * 10^6 units), 4.5-5.5 s
 CHARGED_UP_FRONT = (
     ("b-table --p 99999999999999999989 --n 2 --k 3 --m-max 0", "primality check of p", "isqrt(99999999999999999989)"),
     ("c-table --p 99999999999999999989 --k 3 --m-max 0", "primality check of p", "isqrt(99999999999999999989)"),
     ("c-table --p 1000000016000000063 --k 3 --m-max 0", "primality check of p", "isqrt(1000000016000000063)"),
     (f"b-table --p 2 --n 2 {_ks(3, 3001)} --m-max 0 --float-bits 65536", "b table output", "2^26"),
+    (f"c-table --p 2 {_ks(3, 1001)} --m-max 3", "c table output", "22051316"),
 )
 
 
@@ -324,9 +336,10 @@ def test_table_proves_p_once(runner):
 def test_decimal_columns_priced_by_float_bits(runner, monkeypatch):
     # a row with ratio 0 < c < 1 renders three decimals of f bits, priced
     # 8 * f * (f + 4096) squares each; the m = 0 row renders 1, 1 and 0,
-    # priced as one decimal
+    # priced as one decimal; the rows' integers add their squared bits and
+    # their text, TEXT_PRICE per bit
     f = 65536
-    work = ((3 + 1) * 8 * f * (f + 4096) + dim_lie_bits_lower(6) ** 2) >> 19
+    work = ((3 + 1) * 8 * f * (f + 4096) + sum((b + TEXT_PRICE) * b for b in map(dim_lie_bits_lower, (3, 6)))) >> 19
     assert work == 278528
     monkeypatch.setenv("LIEDIM_BUDGET", str(work - 1))
     result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "1", "--float-bits", str(f)])
@@ -555,12 +568,13 @@ def test_oracle_env_budget(runner, monkeypatch):
 
 def test_b_rows_priced_eight_c_units(runner, monkeypatch):
     # a b row's Fraction(dim, w) reduction is a quadratic gcd that a c row does
-    # not run, so its output is charged 8 times the shared quadratic size; the
-    # exact work is printed under a budget just below it
+    # not run, so its output is charged 8 times the shared quadratic size, and
+    # every row TEXT_PRICE per bit for its decimal text; the exact work is
+    # printed under a budget just below it
     for args, task, work in (
-        ("b-table --p 2 --n 2 --k 3 --m-max 17", "b table output", 3145701),
-        ("b-table --p 2 --n 2 --k 3 --m-max 18", "b table output", 12582405),
-        ("c-table --p 2 --k 3 --m-max 15", "c table output", 5388208),
+        ("b-table --p 2 --n 2 --k 3 --m-max 17", "b table output", 3538812),
+        ("b-table --p 2 --n 2 --k 3 --m-max 18", "b table output", 13368722),
+        ("c-table --p 2 --k 3 --m-max 15", "c table output", 6776679),
     ):
         budget = str(work - 1)
         monkeypatch.setenv("LIEDIM_BUDGET", budget)

@@ -106,7 +106,7 @@ def test_lower_bound_c_sound():
     for p in (2, 3, 5):
         ctx = LieModuleContext(p)
         for r in range(1, 201):
-            _, m, k = ctx.split(r)
+            m, k = ctx.split(r)
             if m >= 1 and k >= 2:
                 assert lower_bound_c(p, m, k) <= ctx.ratio_c(r), (p, r)
 
@@ -130,7 +130,7 @@ def test_recurrence_identity_grid():
     for p in (2, 3, 5):
         ctx = LieModuleContext(p)
         for r in range(1, 101):
-            _, m, k = ctx.split(r)
+            m, k = ctx.split(r)
             if k >= 2:
                 assert ctx.check_c_recurrence_identity(m, k).holds, (p, r)
 

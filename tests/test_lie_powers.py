@@ -133,7 +133,7 @@ def test_dimension_identity_grid():
         for n in (2, 3):
             ctx = LiePowerContext(p, n)
             for r in range(1, 101):
-                _, m, k = ctx.split(r)
+                m, k = ctx.split(r)
                 assert ctx.check_dimension_identity(m, k).holds, (p, n, r)
 
 
@@ -172,7 +172,7 @@ def test_witt_dim_is_computed_once_per_argument(monkeypatch):
     ctx = LiePowerContext(2, 3)
     first = [ctx.report(r) for r in range(1, 49)]
     for r in range(1, 49):
-        _, m, k = ctx.split(r)
+        m, k = ctx.split(r)
         ctx.check_dimension_identity(m, k)
         ctx.coeff_a(m, k, m)
     assert [ctx.report(r) for r in range(1, 49)] == first

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from liedim.render import (
     FAST_STR_MIN_BITS,
+    MAX_FLOAT_BITS,
+    _round_half_even,
     decimal_digits_for_bits,
     dyadic_round,
     format_decimal,
@@ -148,6 +150,36 @@ def test_format_decimal():
     assert format_decimal(Fraction(35, 10000), 3) == "0.004"
     # tiny negatives must not render as a signed zero
     assert format_decimal(Fraction(-1, 10**9), 4) == "0.0000"
+
+
+def _round_by_divmod(num, den):
+    """The long-division rounding that _round_half_even replaces by a shift at den = 2**j."""
+    q, rem = divmod(num, den)
+    twice = 2 * rem
+    if twice > den or (twice == den and q & 1):
+        q += 1
+    return q
+
+
+@given(
+    st.integers(min_value=1, max_value=MAX_FLOAT_BITS),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+@example(1, random.Random(0), True)
+@example(MAX_FLOAT_BITS, random.Random(0), False)
+@settings(deadline=None)
+def test_rounding_by_shift_matches_divmod(bits, rng, negative):
+    den = 1 << bits
+    num = _with_bits(rng.randint(1, bits + 8), rng, negative)
+    # exact halves, with an even and an odd quotient
+    ties = [(2 * t + 1) << (bits - 1) for t in (2 * rng.getrandbits(bits), 2 * rng.getrandbits(bits) + 1)]
+    for n in [num, *ties, *(-t for t in ties)]:
+        assert _round_half_even(n, den) == _round_by_divmod(n, den)
+    # format_decimal's own division, num * 10**digits over the dyadic denominator
+    x = Fraction(num, den)
+    scaled = x.numerator * 10 ** decimal_digits_for_bits(bits)
+    assert _round_half_even(scaled, x.denominator) == _round_by_divmod(scaled, x.denominator)
 
 
 def test_render_fraction():

@@ -40,6 +40,20 @@ def test_witt_suite_green():
     assert verify.failure_count(fams) == 0
 
 
+def test_p_adic_round_trip_checks_every_r(monkeypatch):
+    # the family counts its checks per prime, so a wrong split at one r must still show
+    real = verify.p_adic_split
+
+    def wrong_at_96(r, p):
+        m, k = real(r, p)
+        return (m, k * p) if (r, p) == (96, 2) else (m, k)
+
+    monkeypatch.setattr(verify, "p_adic_split", wrong_at_96)
+    padic = {fam.name: fam for fam in verify.arith_suite()}["arith/p-adic-round-trip"]
+    assert padic.checks == 400_000
+    assert padic.failures == ["(p=2, r=96)"]
+
+
 def test_suite_dispatch_rejects_unknown():
     with pytest.raises(ValueError):
         verify.run_suites("everything")
