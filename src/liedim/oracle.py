@@ -8,7 +8,10 @@ word lists and measured with deterministic sparse Gaussian elimination,
 exactly over the rationals or over a prime field.  The span oracles make
 each expansion straight in column numbers, the positions of the index
 tuples in lexicographic order, and stream the rows to the elimination one
-at a time.
+at a time.  They make one row of each +- pair: since [a, b] = -[b, a], the
+bracket of a word with its first two letters (or blocks) swapped is minus
+the bracket of the word, and 0 when the two are equal, so the rows whose
+first letter (block) is below the second span everything.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -374,12 +377,16 @@ class _BlockBracketRows(_Rows):
     permutations() order and B_j is the permutation's j-th run of q letters.
     A row's columns are the positions of its terms' index tuples among the
     permutations, which permutations() yields in lexicographic order.
+    When k >= 2 only the permutations with B_1 < B_2 are rows, half of them:
+    swapping B_1 and B_2 negates the bracket, so the other half adds nothing
+    to the span.  At r = 7 that is 2,520 rows over 5,040 columns.
 
     Each pass makes the column tables of the terms of one bracket, those of
     the blocks 0..q-1, q..2q-1, ... in order, and reads the rows off them.  A
-    term's table holds its column in the bracket of every permutation pi, in
-    order; the bracket of pi renames each letter i as pi[i], so its term with
-    index tuple P (itself a permutation) has index tuple pi o P.  The fold
+    term's table holds its column in the bracket of every kept permutation
+    pi, in order, so the first table lists the kept rows' own columns; the
+    bracket of pi renames each letter i as pi[i], so its term with index
+    tuple P (itself a permutation) has index tuple pi o P.  The fold
     v -> v (x) B - B (x) v builds each term from a shorter one by appending
     or prepending a block.  Write a word as a permutation P by padding it
     with the letters still to come, in order.  Appending the next block then
@@ -403,7 +410,8 @@ class _BlockBracketRows(_Rows):
         q, r = self.q, self.q * self.k
         perms = list(permutations(range(r)))
         column = {perm: i for i, perm in enumerate(perms)}
-        terms = [(list(range(len(perms))), 1)]
+        kept = [i for i, perm in enumerate(perms) if self.k == 1 or perm[:q] < perm[q : 2 * q]]
+        terms = [(kept, 1)]
         for s in range(q, r, q):
             cycle = (*range(s, s + q), *range(s), *range(s + q, r))
             at = [column[perm] for perm in map(itemgetter(*cycle), perms)].__getitem__
@@ -638,12 +646,13 @@ def _rank_rational(rows) -> int:
 
 
 def _lie_power_rows(n: int, r: int) -> _Rows:
-    # The left-normed expansions of the n**r words in product() order.  Their
-    # columns are the n**r words of length r in that order, which is
-    # lexicographic, so a word's column is the word read as a base-n numeral
-    # and no column map is made.
+    # The left-normed expansions of the words with w[0] < w[1] (all words
+    # when r = 1) in product() order.  Their columns are the n**r words of
+    # length r in that order, which is lexicographic, so a word's column is
+    # the word read as a base-n numeral and no column map is made.
     def expansions():
-        return (_left_normed_columns(word, n).items() for word in product(range(n), repeat=r))
+        words = product(range(n), repeat=r)
+        return (_left_normed_columns(w, n).items() for w in words if r == 1 or w[0] < w[1])
 
     return _Rows(expansions, n**r)
 
@@ -652,10 +661,14 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     """Rank of the span of the left-normed expansions of all n**r words.
 
     This measures the dimension of the degree-r Lie power of an n-dimensional
-    space directly in coordinates; the answer is field-independent.  Each
-    word's expansion is made straight in column numbers, the positions of its
-    index tuples among all n**r in lexicographic order, and streamed to the
-    kernel one row at a time.
+    space directly in coordinates; the answer is field-independent.  Only the
+    words with w[0] < w[1] (all words when r = 1) are expanded: the bracket of
+    a word with w[0] > w[1] is minus that of the word with the two swapped,
+    and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2 rows,
+    256 of the 1,024 words at n = 2, r = 10.  Each word's expansion is made
+    straight in column numbers, the positions of its index tuples among all
+    n**r in lexicographic order, and streamed to the kernel one row at a
+    time.
     """
     if n < 1 or r < 1:
         raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
@@ -681,13 +694,14 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
     multilinear component; the rank equals (r-1)! over every field.  Their
-    rows are those of _BlockBracketRows with blocks of one letter: each pass
-    composes the 2**(r-1) terms' column tables from r - 1 cycle tables and
-    streams the rows, made straight from the tables, to the kernel one at a
-    time.  Row i is the bracket of the i-th permutation in permutations()
-    order, and its columns are the positions of its index tuples in that
-    order, which is lexicographic, so the columns and pivots are those of the
-    index tuples themselves.
+    rows are those of _BlockBracketRows with blocks of one letter, the r!/2
+    permutations with pi(1) < pi(2) when r >= 2 (swapping the two negates
+    the bracket): each pass composes the 2**(r-1) terms' column tables from
+    r - 1 cycle tables and streams the rows, made straight from the tables,
+    to the kernel one at a time.  The rows come in permutations() order, and
+    a row's columns are the positions of its index tuples in that order,
+    which is lexicographic, so the columns and pivots are those of the index
+    tuples themselves.
     The work charge is (r!)**2 (vectors times columns), which the default
     budget admits up to r = 6; r = 7 needs a raised budget.
     """
@@ -703,8 +717,9 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     Spanning vectors: for every permutation of the q*k symbols, cut it into k
     consecutive blocks of length q, treat each block as one composite letter,
     and expand the left-normed bracket of the k blocks; _BlockBracketRows
-    streams them.  The rank equals (q*k)! / k.  Work charge ((q*k)!)**2, so
-    q*k <= 6 fits the default budget.
+    streams those whose first block is below the second when k >= 2, since
+    swapping the two negates the bracket.  The rank equals (q*k)! / k.  Work
+    charge ((q*k)!)**2, so q*k <= 6 fits the default budget.
     """
     if q < 1 or k < 1:
         raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from liedim import budget, oracle
 from liedim.lie_modules import dim_lie, weight_space_dim_formula
+from liedim.verify import WEIGHT_SPACE_POINTS
 from liedim.witt import witt_dim
 
 GOLDEN = Path(__file__).parent / "golden" / "bracketings_n2_r4.txt"
@@ -443,14 +444,20 @@ def _streamed_kernel_rows(rows, p):
     }
 
 
+def _kept(word, q=1):
+    # the span oracles' rows: those whose first run of q letters is below the
+    # second, and every row of a bracket of one run
+    return len(word) == q or word[:q] < word[q : 2 * q]
+
+
 def test_lie_module_rows_match_expansions():
-    # row for row, every kernel gets the rows of left_normed_expand under the
-    # sorted tuple column map, so the pivots are those of the index tuples
+    # row for row, every kernel gets the kept rows of left_normed_expand under
+    # the sorted tuple column map, so the pivots are those of the index tuples
     for r in range(1, 7):
         perms = list(permutations(range(r)))
         assert perms == sorted(perms), r
         columns = {perm: i for i, perm in enumerate(perms)}
-        vectors = [oracle.left_normed_expand(perm) for perm in perms]
+        vectors = [oracle.left_normed_expand(perm) for perm in perms if _kept(perm)]
         for p in (5, 7):
             expected = _reference_kernel_rows(vectors, columns, p)
             assert _streamed_kernel_rows(oracle._BlockBracketRows(1, r), p) == expected, (r, p)
@@ -462,7 +469,7 @@ def test_weight_space_rows_match_block_expansions():
     for q, k in ((1, 1), (2, 1), (1, 4), (2, 2), (3, 2), (2, 3)):
         perms = list(permutations(range(q * k)))
         columns = {perm: i for i, perm in enumerate(perms)}
-        vectors = [_reference_left_normed(perm, q) for perm in perms]
+        vectors = [_reference_left_normed(perm, q) for perm in perms if _kept(perm, q)]
         assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k), 5) == _reference_kernel_rows(vectors, columns, 5)
 
 
@@ -473,9 +480,40 @@ def test_lie_power_rows_match_expansions():
             words = list(product(range(n), repeat=r))
             assert words == sorted(words), (n, r)
             columns = {word: i for i, word in enumerate(words)}
-            vectors = [_reference_left_normed(word) for word in words]
+            vectors = [_reference_left_normed(word) for word in words if _kept(word)]
             expected = _reference_kernel_rows(vectors, columns, 5)
             assert _streamed_kernel_rows(oracle._lie_power_rows(n, r), 5) == expected, (n, r)
+
+
+def test_dropped_rows_negate_kept_rows():
+    # [a, b] = -[b, a]: a dropped row is the negation of the kept row with its
+    # first two runs swapped, or 0 when they are equal, so the full expansion
+    # lists have the rank the span oracles give from the kept rows alone
+    def check(words, q, expand, oracle_rank):
+        full = {word: expand(word) for word in words}
+        for word, vec in full.items():
+            if _kept(word, q):
+                continue
+            first, second = word[:q], word[q : 2 * q]
+            if first == second:
+                assert vec == {}, word
+            else:
+                partner = full[second + first + word[2 * q :]]
+                assert vec == {idx: -c for idx, c in partner.items()}, word
+        for field in (None, 2, 3, 5):
+            with _time_limit(10):
+                assert oracle.rank_over_field(list(full.values()), field) == oracle_rank(field), (words[0], field)
+
+    for n in (1, 2, 3):
+        for r in range(1, 7):
+            words = list(product(range(n), repeat=r))
+            check(words, 1, oracle.left_normed_expand, lambda f: oracle.lie_power_rank(n, r, f))
+    for r in range(1, 7):
+        perms = list(permutations(range(r)))
+        check(perms, 1, oracle.left_normed_expand, lambda f: oracle.lie_module_rank(r, f))
+    for q, k in WEIGHT_SPACE_POINTS:
+        perms = list(permutations(range(q * k)))
+        check(perms, q, lambda perm: _reference_left_normed(perm, q), lambda f: oracle.weight_space_rank(q, k, f))
 
 
 def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
@@ -537,9 +575,10 @@ def test_rational_stream_restarts_after_pivots_are_stored():
 # tracemalloc peaks of the span oracles, in MiB.  With every row built first,
 # as lists of dict rows, a column map and converted rows, they were 1.05 to
 # 1.2 at r = 6, 1.7 for lie_power_rank(3, 6, 5) and 15 at r = 7; streamed,
-# about 0.3, 0.15 and 3.5 to 4.3.
+# about 0.3, 0.15 and 3.5 to 4.3; streaming only one row of each +- pair,
+# about 0.17 to 0.23, 0.13 and 2.1 to 2.9.
 PEAK_CEILING_MIB = 0.6
-PEAK_CEILING_R7_MIB = 6.0
+PEAK_CEILING_R7_MIB = 4.0
 
 
 def _traced_peak_mib(call):
