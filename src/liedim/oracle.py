@@ -59,26 +59,22 @@ def charge_aperiodic_count(n: int, r: int, budget: int | None = None) -> None:
     charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
 
 
-def charge_lie_power(n: int, r: int, budget: int | None = None) -> None:
-    """The budget charge of lie_power_rank(n, r): n**r words of 2**(r-1) terms each."""
-    _charge(budget, "Lie power span expansion", r - 1, f"{n}^{r}*2^{r - 1}", lambda: n**r * (1 << (r - 1)))
-
-
-def charge_lie_module(r: int, budget: int | None = None) -> None:
-    """The budget charge of lie_module_rank(r): (r!)**2, vectors times columns."""
-    _charge(budget, "multilinear bracket span", 2 * (r - 1), f"({r}!)^2", lambda: factorial(r) ** 2)
-
-
-def charge_weight_space(q: int, k: int, budget: int | None = None) -> None:
-    """The budget charge of weight_space_rank(q, k): ((q*k)!)**2."""
-    qk = q * k
-    _charge(budget, "weight space span", 2 * (qk - 1), f"({qk}!)^2", lambda: factorial(qk) ** 2)
-
-
 def charge_expansion(r: int, budget: int | None = None) -> None:
     """The budget charge of expanding one bracket of r letters: r*2**(r-1),
     its at most 2**(r-1) terms times their r letters."""
     _charge(budget, "bracket expansion", r - 1, f"{r}*2^{r - 1}", lambda: r << (r - 1))
+
+
+def charge_span(task: str, rows: _Rows, field: int | None = None, budget: int | None = None) -> _Rows:
+    """Refuse a rank over field of a source's rows (see _Rows) when one pass is
+    over the budget, else return the source.  The charge is planes * count *
+    width, the bits of the dense rows a pass streams: one plane over F_2, two
+    over any other field, so a kernel's count pivots take a small multiple of
+    charge/8 bytes."""
+    planes = 1 if field == 2 else 2
+    shape = rows.shape if planes == 1 else f"2*{rows.shape}"
+    _charge(budget, task, rows.floor_bits, shape, lambda: planes * rows.count * rows.width)
+    return rows
 
 
 def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
@@ -277,15 +273,11 @@ def weight_of(vec: SparseTensorVector):
     """
     if not vec:
         return ZERO_WEIGHT
-    indices = iter(vec)
-    content = sorted(next(indices))
-    for idx in indices:
-        if sorted(idx) != content:
-            return INHOMOGENEOUS
-    counts = [0] * (content[-1] + 1)
-    for letter in content:
-        counts[letter] += 1
-    return tuple(counts)
+    contents = {tuple(sorted(idx)) for idx in vec}
+    if len(contents) > 1:
+        return INHOMOGENEOUS
+    (content,) = contents
+    return tuple(content.count(letter) for letter in range(content[-1] + 1))
 
 
 def format_expansion(vec: SparseTensorVector) -> str:
@@ -296,11 +288,8 @@ def format_expansion(vec: SparseTensorVector) -> str:
     """
     lines = []
     for idx in sorted(vec):
-        if idx and max(idx) > 9:
-            key = ".".join(map(str, idx))
-        else:
-            key = "".join(map(str, idx))
-        lines.append(f"{key}:{vec[idx]}")
+        sep = "." if idx and max(idx) > 9 else ""
+        lines.append(f"{sep.join(map(str, idx))}:{vec[idx]}")
     return "\n".join(lines)
 
 
@@ -308,10 +297,10 @@ def format_expansion(vec: SparseTensorVector) -> str:
 # exact rank computation
 
 
-def _bitmask(columns, nbytes: int) -> int:
-    # The int with bit c set for each column c.  The bits are set in a
-    # bytearray and read once, so no entry costs a big-int operation.
-    bits = bytearray(nbytes)
+def _bitmask(columns, width: int) -> int:
+    # The int with bit c set for each column c < width.  The bits are set in
+    # a bytearray and read once, so no entry costs a big-int operation.
+    bits = bytearray((width + 7) >> 3)
     for c in columns:
         bits[c >> 3] |= 1 << (c & 7)
     return int.from_bytes(bits, "little")
@@ -327,24 +316,32 @@ class _Rows:
     method below starts a pass and yields one kernel's rows one at a time, so
     no pass makes a list of rows, and a kernel holds only its pivots and the
     row at hand.
+
+    A source states its size, count rows of width columns a pass, for
+    charge_span, with floor_bits <= log2(count * width) and shape, the product
+    as text, so that a huge source is refused before either number is built.
     """
 
-    def __init__(self, entries, width: int):
+    floor_bits = 0
+
+    def __init__(self, entries, count: int, width: int):
         self.entries = entries
-        self.nbytes = (width + 7) >> 3
+        self.count = count
+        self.width = width
+        self.shape = f"{count}*{width}"
 
     def masks(self):
         """F_2 rows: the bitmask of the odd entries' columns."""
-        nbytes = self.nbytes
+        width = self.width
         for row in self.entries():
-            yield _bitmask([c for c, v in row if v & 1], nbytes)
+            yield _bitmask([c for c, v in row if v & 1], width)
 
     def planes(self, wrap: bool):
         """Signed rows (plus, minus): the bitmasks of the columns holding +1 and
         holding -1.  With wrap (F_3) an entry is taken mod 3, where 2 stands for
         -1; without it (the rationals) the entry itself, and a row with an entry
         outside {-1, 0, 1} comes as None and ends the pass."""
-        nbytes = self.nbytes
+        width = self.width
         minus_one = 2 if wrap else -1
         for row in self.entries():
             plus, minus = [], []
@@ -358,7 +355,7 @@ class _Rows:
                 elif v:
                     yield None
                     return
-            yield _bitmask(plus, nbytes), _bitmask(minus, nbytes)
+            yield _bitmask(plus, width), _bitmask(minus, width)
 
     def integers(self):
         """Rows as fresh dicts of nonzero integers, which the kernel may modify."""
@@ -396,13 +393,18 @@ class _BlockBracketRows(_Rows):
     the parent's table entry, so the new table is c's own table read at the
     parent's entries, one list composition.  The letters are distinct, so no
     two terms meet, and every coefficient is +-1: + for the terms made with
-    an even number of prepends.
+    an even number of prepends.  The width (q*k)! is made only when read.
     """
 
     def __init__(self, q: int, k: int):
-        super().__init__(self._entries, factorial(q * k))
         self.q = q
         self.k = k
+        r = q * k
+        self.floor_bits = 2 * r - 3  # r! >= 2**(r-1), and count >= r!/2
+        self.shape = f"{r}!*{r}!" if k == 1 else f"({r}!/2)*{r}!"
+
+    width = property(lambda self: factorial(self.q * self.k))
+    count = property(lambda self: self.width // (2 if self.k > 1 else 1))
 
     def _tables(self):
         # the terms' signs, + first, and an iterator over the rows' columns in
@@ -419,22 +421,22 @@ class _BlockBracketRows(_Rows):
         terms.sort(key=lambda term: -term[1])
         return tuple(sign for _, sign in terms), zip(*(table for table, _ in terms))
 
-    def _entries(self):
+    def entries(self):
         signs, rows = self._tables()
         return (zip(cols, signs) for cols in rows)
 
     def masks(self):
-        nbytes = self.nbytes
+        width = self.width
         _, rows = self._tables()
         for cols in rows:
-            yield _bitmask(cols, nbytes)
+            yield _bitmask(cols, width)
 
     def planes(self, wrap: bool):
-        nbytes = self.nbytes
+        width = self.width
         signs, rows = self._tables()
         split = signs.count(1)
         for cols in rows:
-            yield _bitmask(cols[:split], nbytes), _bitmask(cols[split:], nbytes)
+            yield _bitmask(cols[:split], width), _bitmask(cols[split:], width)
 
 
 def _rank_rows(rows: _Rows, field: int | None) -> int:
@@ -446,19 +448,12 @@ def _rank_rows(rows: _Rows, field: int | None) -> int:
 
     The kernels:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
-    - F_3 and the rationals share one signed two-plane kernel (bitslicing,
-      after Boothby and Bradshaw): a row is two bitmasks, the columns holding
-      +1 and those holding -1, and a step is a handful of big-int bit
-      operations.  Over F_3 each entry is taken as its residue in {-1, 0, 1}
-      and a step wraps mod 3.  Over the rationals the entries are the
-      integers themselves, and an entry or a step that would make a +-2 gives
-      up;
+    - F_3 and the rationals: one signed two-plane kernel (bitslicing, after
+      Boothby and Bradshaw), _rank_planes, which over the rationals gives up
+      at the first +-2;
     - the rationals, when the planes give up: the source is streamed again,
-      from its first row, as integer dict rows.  Each row takes one update in
-      place: a row whose lead the pivot's lead does not divide is first
-      scaled so that it does, and then it loses an exact integer multiple of
-      the pivot.  The worst case of trying the planes first is one wasted
-      planes pass;
+      from its first row, as integer dict rows (_rank_rational), so the worst
+      case of trying the planes first is one wasted planes pass;
     - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
       1 and a row loses a multiple of the pivot.
     """
@@ -492,7 +487,7 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     if len(degrees) > 1:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     column = {idx: j for j, idx in enumerate(sorted(keys))}.get
-    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(keys))
+    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(vectors), len(keys))
     return _rank_rows(rows, field)
 
 
@@ -645,16 +640,19 @@ def _rank_rational(rows) -> int:
 # span oracles
 
 
-def _lie_power_rows(n: int, r: int) -> _Rows:
-    # The left-normed expansions of the words with w[0] < w[1] (all words
-    # when r = 1) in product() order.  Their columns are the n**r words of
-    # length r in that order, which is lexicographic, so a word's column is
-    # the word read as a base-n numeral and no column map is made.
+def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
+    """The rows lie_power_rank ranks, charged after the walk over the n**r
+    words that makes them."""
+    if n < 1 or r < 1:
+        raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
+    charge_word_enumeration(n, r, budget, "Lie power word enumeration")
+
     def expansions():
         words = product(range(n), repeat=r)
         return (_left_normed_columns(w, n).items() for w in words if r == 1 or w[0] < w[1])
 
-    return _Rows(expansions, n**r)
+    rows = _Rows(expansions, n if r == 1 else n ** (r - 2) * (n * (n - 1) // 2), n**r)
+    return charge_span("Lie power span expansion", rows, field, budget)
 
 
 def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
@@ -665,28 +663,39 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     words with w[0] < w[1] (all words when r = 1) are expanded: the bracket of
     a word with w[0] > w[1] is minus that of the word with the two swapped,
     and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2 rows,
-    256 of the 1,024 words at n = 2, r = 10.  Each word's expansion is made
-    straight in column numbers, the positions of its index tuples among all
-    n**r in lexicographic order, and streamed to the kernel one row at a
-    time.
+    256 of the 1,024 words at n = 2, r = 10, each streamed to the kernel as
+    it is made.  The columns are the n**r words in product() order, which is
+    lexicographic, so a word's column is the word read as a base-n numeral
+    and no column map is made.
     """
+    return _rank_rows(lie_power_span(n, r, field, budget), field)
+
+
+def charge_lyndon_bracketing(n: int, r: int, field: int | None = None, budget: int | None = None) -> None:
+    """The charges of lyndon_bracketing_rank: the walk over the n**r words, then
+    the span of count_lyndon_words(n, r) rows over n**r columns."""
     if n < 1 or r < 1:
-        raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
-    charge_lie_power(n, r, budget)
-    return _rank_rows(_lie_power_rows(n, r), field)
+        raise ValueError("lyndon_bracketing_rank() needs n >= 1 and r >= 1")
+    charge_word_enumeration(n, r, budget)
+    charge_span("Lyndon bracketing span", _Rows(None, count_lyndon_words(n, r), n**r), field, budget)
 
 
 def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
     """Rank of the span of the standard bracketings of the length-r Lyndon words.
 
     A strictly smaller spanning set than lie_power_rank uses; its rank must
-    come out the same.
+    come out the same.  It is charged before any bracket is expanded.
     """
-    if n < 1 or r < 1:
-        raise ValueError("lyndon_bracketing_rank() needs n >= 1 and r >= 1")
-    charge_word_enumeration(n, r, budget)
+    charge_lyndon_bracketing(n, r, field, budget)
     vectors = [expand_standard_bracketing(word) for word in lyndon_words(n, r)]
     return rank_over_field(vectors, field)
+
+
+def lie_module_span(r: int, field: int | None = None, budget: int | None = None) -> _Rows:
+    """The rows lie_module_rank ranks, charged."""
+    if r < 1:
+        raise ValueError("lie_module_rank() needs r >= 1")
+    return charge_span("multilinear bracket span", _BlockBracketRows(1, r), field, budget)
 
 
 def lie_module_rank(r: int, field: int | None = None, budget: int | None = None) -> int:
@@ -694,21 +703,20 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
     multilinear component; the rank equals (r-1)! over every field.  Their
-    rows are those of _BlockBracketRows with blocks of one letter, the r!/2
-    permutations with pi(1) < pi(2) when r >= 2 (swapping the two negates
-    the bracket): each pass composes the 2**(r-1) terms' column tables from
-    r - 1 cycle tables and streams the rows, made straight from the tables,
-    to the kernel one at a time.  The rows come in permutations() order, and
-    a row's columns are the positions of its index tuples in that order,
-    which is lexicographic, so the columns and pivots are those of the index
-    tuples themselves.
-    The work charge is (r!)**2 (vectors times columns), which the default
-    budget admits up to r = 6; r = 7 needs a raised budget.
+    rows are those of _BlockBracketRows with blocks of one letter: the r!/2
+    permutations with pi(1) < pi(2) when r >= 2, streamed one at a time.  The
+    charge, planes * (r!/2) * r!, is (r!)**2 over every field but F_2 and half
+    that over F_2: the default budget admits r <= 6, and the --slow budget
+    r = 7 and, over F_2 only, r = 8.
     """
-    if r < 1:
-        raise ValueError("lie_module_rank() needs r >= 1")
-    charge_lie_module(r, budget)
-    return _rank_rows(_BlockBracketRows(1, r), field)
+    return _rank_rows(lie_module_span(r, field, budget), field)
+
+
+def weight_space_span(q: int, k: int, field: int | None = None, budget: int | None = None) -> _Rows:
+    """The rows weight_space_rank ranks, charged."""
+    if q < 1 or k < 1:
+        raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
+    return charge_span("weight space span", _BlockBracketRows(q, k), field, budget)
 
 
 def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | None = None) -> int:
@@ -718,10 +726,8 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     consecutive blocks of length q, treat each block as one composite letter,
     and expand the left-normed bracket of the k blocks; _BlockBracketRows
     streams those whose first block is below the second when k >= 2, since
-    swapping the two negates the bracket.  The rank equals (q*k)! / k.  Work
-    charge ((q*k)!)**2, so q*k <= 6 fits the default budget.
+    swapping the two negates the bracket.  The rank equals (q*k)! / k.  The
+    charge for k >= 2 is planes * ((q*k)!/2) * (q*k)!, ((q*k)!)**2 over every
+    field but F_2, so q*k <= 6 fits the default budget.
     """
-    if q < 1 or k < 1:
-        raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
-    charge_weight_space(q, k, budget)
-    return _rank_rows(_BlockBracketRows(q, k), field)
+    return _rank_rows(weight_space_span(q, k, field, budget), field)

@@ -42,7 +42,7 @@ CONV_DIMS = (2, 3)
 CONV_KS = (2, 3, 5)
 CONV_MAX_R = 5000
 
-# oracle grids, each read by its suite and by _oracle_jobs
+# oracle grids, each read by its suite and by _charge_oracle_jobs
 WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))  # (q, k)
 APERIODIC_POINTS = tuple(product(range(1, 4), range(1, 11)))  # (n, r)
 ORACLE_POWER_POINTS = tuple(product(range(1, 4), range(1, 7)))  # (n, r)
@@ -289,9 +289,7 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
             module.record(oracle.lie_module_rank(r, f) == dim_lie(r), f"(r={r}, field={f})")
     if slow:
         r = ORACLE_MODULE_SLOW_R
-        module.record(
-            oracle.lie_module_rank(r, 2, work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)"
-        )
+        module.record(oracle.lie_module_rank(r, 2, work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)")
 
     wspace = CheckFamily("oracle/weight-space-rank")
     for q, k in WEIGHT_SPACE_POINTS:
@@ -312,32 +310,27 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     return [lyndon, aper, power, basis, module, wspace, smoke]
 
 
-def _charge_slow_lie_module(r: int) -> None:
-    oracle.charge_lie_module(r, work_budget(slow=True))
-
-
-def _oracle_jobs(slow: bool) -> tuple:
-    """Every budget-charged oracle job as (the suites that run it, its charge,
-    its points), in the order the suites first charge them.  The --slow job's
-    raised budget is resolved only when the job is charged."""
-    return (
-        (("all", "c"), oracle.charge_weight_space, WEIGHT_SPACE_POINTS),
-        (("all", "oracle"), oracle.charge_aperiodic_count, APERIODIC_POINTS),
-        (("all", "oracle"), oracle.charge_lie_power, ORACLE_POWER_POINTS),
-        (("all", "oracle"), oracle.charge_word_enumeration, ORACLE_POWER_POINTS),
-        (("all", "oracle"), oracle.charge_lie_module, ORACLE_MODULE_POINTS),
-        (("all", "oracle"), _charge_slow_lie_module, ((ORACLE_MODULE_SLOW_R,),) if slow else ()),
-        (("all", "oracle"), oracle.charge_weight_space, WEIGHT_SPACE_POINTS),
-    )
-
-
 def _charge_oracle_jobs(suite: str, slow: bool) -> None:
-    """Charge every budget-charged oracle job of the selected suites, in the order
-    the suites run them, so the first refusal is the one a run would meet."""
-    for suites, charge, points in _oracle_jobs(slow):
-        if suite in suites:
-            for point in points:
-                charge(*point)
+    """Charge every budget-charged oracle job of the selected suites through
+    the oracle's own charges, in the order the suites first charge them, so
+    the first refusal is the one a run would meet."""
+
+    def charge(span, points, fields=ORACLE_FIELDS):
+        for point in points:
+            for f in fields:
+                span(*point, f)
+
+    if suite in ("all", "c"):
+        charge(oracle.weight_space_span, WEIGHT_SPACE_POINTS, (None,))
+    if suite in ("all", "oracle"):
+        for n, r in APERIODIC_POINTS:
+            oracle.charge_aperiodic_count(n, r)
+        charge(oracle.lie_power_span, ORACLE_POWER_POINTS)
+        charge(oracle.charge_lyndon_bracketing, ORACLE_POWER_POINTS)
+        charge(oracle.lie_module_span, ORACLE_MODULE_POINTS)
+        if slow:
+            oracle.lie_module_span(ORACLE_MODULE_SLOW_R, 2, work_budget(slow=True))
+        charge(oracle.weight_space_span, WEIGHT_SPACE_POINTS, (None, 2))
 
 
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:

@@ -602,7 +602,7 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(cli.verify_mod, name, must_not_run)
     for budget, args, task, work in (
-        ("20000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 25401600),
+        ("10000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 12700800),
         ("1000", ["verify", "--suite", "c"], "weight space span", 518400),
     ):
         monkeypatch.setenv("LIEDIM_BUDGET", budget)
@@ -661,6 +661,32 @@ def test_one_letter_walks_charged_their_length(runner):
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "312500"]).output == "0\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "1"]).output == "1\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "5"]).output == "0\n"
+
+
+# refused at once by the span charge, planes * count * width: the first two
+# were admitted while it priced terms without the row width (n = 600 at
+# 720,000 units, for 179,700 rows of 360,000 bits); n = 1 has no rows, so only
+# its walk charge refuses it; the factorials are refused by their floor,
+# unbuilt; and Lie(8) over F3 and Q, (8!)^2 units, stays over the --slow budget
+SPAN_REFUSALS = (
+    "lie-power --n 600 --r 2 --field f2",
+    "lie-power --n 2000 --r 2",
+    "lie-power --n 1 --r 100000000",
+    "lie-module --r 10000000",
+    "weight-space --q 3000 --k 3000",
+    "lie-module --r 8 --slow --field f3",
+    "lie-module --r 8 --slow --field q",
+)
+
+
+def test_span_charges_refuse_at_once(runner, monkeypatch):
+    monkeypatch.delenv("LIEDIM_BUDGET", raising=False)
+    for command in SPAN_REFUSALS:
+        args = ["oracle", *command.split()]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0, args
+        _assert_one_line_refusal(result, args)
 
 
 def test_oracle_lyndon_slow_flag(runner):

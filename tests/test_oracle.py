@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from liedim import budget, oracle
 from liedim.lie_modules import dim_lie, weight_space_dim_formula
-from liedim.verify import WEIGHT_SPACE_POINTS
+from liedim.verify import ORACLE_POWER_POINTS, WEIGHT_SPACE_POINTS
 from liedim.witt import witt_dim
 
 GOLDEN = Path(__file__).parent / "golden" / "bracketings_n2_r4.txt"
@@ -482,7 +482,7 @@ def test_lie_power_rows_match_expansions():
             columns = {word: i for i, word in enumerate(words)}
             vectors = [_reference_left_normed(word) for word in words if _kept(word)]
             expected = _reference_kernel_rows(vectors, columns, 5)
-            assert _streamed_kernel_rows(oracle._lie_power_rows(n, r), 5) == expected, (n, r)
+            assert _streamed_kernel_rows(oracle.lie_power_span(n, r), 5) == expected, (n, r)
 
 
 def test_dropped_rows_negate_kept_rows():
@@ -536,13 +536,59 @@ class _CountedRows(oracle._Rows):
     """A row source that counts its passes."""
 
     def __init__(self, vectors):
-        super().__init__(self._entries, 1 + max((c for vec in vectors for c in vec), default=-1))
+        super().__init__(self._entries, len(vectors), 1 + max((c for vec in vectors for c in vec), default=-1))
         self.vectors = vectors
         self.passes = 0
 
     def _entries(self):
         self.passes += 1
         return (vec.items() for vec in self.vectors)
+
+
+# every span source of the verify grids and of lie-module up to r = 7, with
+# the number of index tuples its columns stand for, enumerated here
+SPAN_SOURCES = (
+    *((oracle.lie_power_span, (n, r), len(list(product(range(n), repeat=r)))) for n, r in ORACLE_POWER_POINTS),
+    *((oracle.weight_space_span, (q, k), len(list(permutations(range(q * k))))) for q, k in WEIGHT_SPACE_POINTS),
+    *((oracle.lie_module_span, (r,), len(list(permutations(range(r))))) for r in range(1, 8)),
+)
+
+
+def test_each_source_states_the_rows_the_kernels_get(monkeypatch):
+    # count is the number of rows one masks() pass yields, width the number of
+    # index tuples the columns stand for, and the charge planes * count * width
+    charged = []
+    monkeypatch.setattr(oracle, "_charge", lambda budget, task, floor, shown, work: charged.append(work()))
+    for span, args, width in SPAN_SOURCES:
+        masks = list(span(*args, 2).masks())
+        for field, planes in ((2, 1), (3, 2), (None, 2), (5, 2)):
+            rows = span(*args, field)
+            assert (rows.count, rows.width) == (len(masks), width), (span.__name__, args)
+            assert charged[-1] == planes * len(masks) * width, (span.__name__, args, field)
+        assert all(mask >> width == 0 for mask in masks), (span.__name__, args)
+
+
+def test_charge_bounds_the_kernels_memory():
+    # a kernel keeps at most count pivots of width columns: the traced peak of a
+    # whole run stays under 4 * charge/8 bytes (measured 0.6 to 1.8 times)
+    for n, r in ((3, 7), (4, 5)):
+        for field in (2, 3, None, 5):
+            rows = oracle.lie_power_span(n, r, field)
+            charge = (1 if field == 2 else 2) * rows.count * rows.width
+            peak = _traced_peak_mib(lambda: oracle.lie_power_rank(n, r, field)) * 2**20
+            assert peak < 4 * charge / 8, (n, r, field, peak, charge)
+
+
+def test_lyndon_bracketing_span_charged_before_expansion(monkeypatch):
+    # count_lyndon_words(n, r) rows, found by the scan, over the n**r words:
+    # (2, 16) is 2 * 4,080 * 65,536, refused before any bracket is expanded
+    # (it was charged only its 65,536-word walk)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "expand_standard_bracketing", None)
+        with pytest.raises(budget.WorkBudgetExceeded, match="Lyndon bracketing span needs about 534773760 units"):
+            oracle.lyndon_bracketing_rank(2, 16)
+    # 2 * 335 * 4,096 = 2,744,320 units, inside the default budget
+    assert oracle.lyndon_bracketing_rank(2, 12, 2) == witt_dim(2, 12)
 
 
 def test_rational_stream_restarts_after_pivots_are_stored():
@@ -708,6 +754,13 @@ def test_word_enumeration_charge():
 def test_lie_module_rank_r7_slow(field):
     with _time_limit(60):
         assert oracle.lie_module_rank(7, field, budget=10**9) == dim_lie(7) == 720
+
+
+@pytest.mark.slow
+def test_lie_module_rank_r8_over_f2_under_slow_budget():
+    # charged 8!/2 * 8! = 812,851,200 units over F_2, inside the --slow budget
+    with _time_limit(60):
+        assert oracle.lie_module_rank(8, 2, budget.work_budget(slow=True)) == dim_lie(8) == 5040
 
 
 def test_weight_space_rank_23():
