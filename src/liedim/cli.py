@@ -190,7 +190,7 @@ def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
 )
 def oracle_expand(word: str, bracketing: str) -> None:
     """Expand a bracketed word into the tensor algebra (letters are digits)."""
-    if not word.isdigit():
+    if not (word.isascii() and word.isdigit()):
         raise click.UsageError("word must be a nonempty string of digits")
     letters = tuple(int(ch) for ch in word)
     oracle_mod.charge_expansion(len(letters))

@@ -1,17 +1,17 @@
 """Brute-force ground truth for Lie power and Lie module dimensions.
 
-Everything here works in explicit tensor coordinates.  A vector is a dict
-mapping index tuples (one letter per tensor factor) to nonzero integer
-coefficients; a commutator [x, y] of basis tensors is the difference of the
-two concatenations.  Spans are built from bracket expansions of explicit
-word lists and measured with deterministic sparse Gaussian elimination,
-exactly over the rationals or over a prime field.  The span oracles make
-each expansion straight in column numbers, the positions of the index
-tuples in lexicographic order, and stream the rows to the elimination one
-at a time.  They make one row of each +- pair: since [a, b] = -[b, a], the
-bracket of a word with its first two letters (or blocks) swapped is minus
-the bracket of the word, and 0 when the two are equal, so the rows whose
-first letter (block) is below the second span everything.
+Everything here works in explicit tensor coordinates.  A vector maps index
+tuples (one letter per tensor factor) to nonzero integer coefficients.  One
+bracket product, _bracket_columns, makes [u, v] = u (x) v - v (x) u with
+each index tuple read as its column number, its position in lexicographic
+order.  The four span oracles (left-normed words, standard bracketings of
+Lyndon words, multilinear and block brackets) stream their rows one at a
+time to a deterministic sparse Gaussian elimination, exact over the
+rationals or over a prime field, whose kernels return their pivots: by the
+triangularity of the standard bracketing, the lead columns are the Lyndon
+words.  The bracket oracles make one row of each +- pair: since
+[a, b] = -[b, a], the rows whose first letter (block) is below the second
+span everything.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -182,61 +182,57 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     return count
 
 
+def _expand_base256(columns_of, word) -> SparseTensorVector:
+    # columns_of(letters, 256) over the letters 0..255 (bytes() refuses any
+    # other), each column read back as its index tuple, its r base-256 digits
+    letters = bytes(word)
+    r = len(letters)
+    return {tuple(c.to_bytes(r, "big")): v for c, v in columns_of(letters, 256).items()}
+
+
 def left_normed_expand(word) -> SparseTensorVector:
     """Tensor-coordinate expansion of the left-normed bracket of the word's letters.
 
     [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left, for
     letters 0..255 (any other letter raises ValueError).  This is the fold
-    that lie_power_rank ranks, _left_normed_columns over 256 letters, with
-    each column read back as its index tuple, the column's r base-256 digits.
-    The result has at most 2**(r-1) terms; repeated letters can cancel or
+    that lie_power_rank ranks, _left_normed_columns over 256 letters.  The
+    result has at most 2**(r-1) terms; repeated letters can cancel or
     combine, so coefficients other than +-1 do occur.
     """
     letters = bytes(word)
     if not letters:
         raise ValueError("left_normed_expand() needs a nonempty word")
-    r = len(letters)
-    return {tuple(c.to_bytes(r, "big")): v for c, v in _left_normed_columns(letters, 256).items()}
+    return _expand_base256(_left_normed_columns, letters)
+
+
+def _bracket_columns(u: dict[int, int], v: dict[int, int], size_u: int, size_v: int) -> dict[int, int]:
+    # [u, v] = u (x) v - v (x) u in column numbers: an index tuple read as a
+    # numeral in one base, so u's column a (of size_u) followed by v's column b
+    # (of size_v) is a*size_v + b.  The u (x) v keys are distinct, so that half
+    # is made whole; a v (x) u key meets at most one of them and is deleted when
+    # the two cancel, so no zero is ever stored.
+    out = {a * size_v + b: x * y for b, y in v.items() for a, x in u.items()}
+    get = out.get
+    for b, y in v.items():
+        high = b * size_u
+        for a, x in u.items():
+            key = high + a
+            nv = get(key, 0) - x * y
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
+    return out
 
 
 def _left_normed_columns(word: Sequence[int], n: int) -> dict[int, int]:
-    # The left-normed bracket [[..[s1, s2], s3] ..., st] over letters 0..n-1,
-    # each index tuple read as a base-n numeral, which is its position among
-    # the n**r words of length r in product() order, the lexicographic order.
-    # Each step is v  ->  v (x) s  -  s (x) v: appending letter s to a word
-    # numbered c gives c*n + s, and prepending it to a word of length L gives
-    # s*n**L + c.  The v (x) s keys are distinct with v's nonzero coefficients,
-    # so that half is copied whole; a key of the s (x) v half can only meet one
-    # of them, and is deleted when the two cancel, so no zero is ever stored.
+    # the left-normed bracket [[..[s1, s2], s3] ..., st] over letters 0..n-1, in base n
     vec = {word[0]: 1}
     size = n
     for s in word[1:]:
-        nxt = {c * n + s: v for c, v in vec.items()}
-        get = nxt.get
-        high = s * size
-        for c, v in vec.items():
-            key = high + c
-            nv = get(key, 0) - v
-            if nv:
-                nxt[key] = nv
-            else:
-                del nxt[key]
-        vec = nxt
+        vec = _bracket_columns(vec, {s: 1}, size, n)
         size *= n
     return vec
-
-
-def _bracket(a: SparseTensorVector, b: SparseTensorVector) -> SparseTensorVector:
-    out: SparseTensorVector = {}
-    get = out.get
-    for ia, ca in a.items():
-        for ib, cb in b.items():
-            c = ca * cb
-            key = ia + ib
-            out[key] = get(key, 0) + c
-            key = ib + ia
-            out[key] = get(key, 0) - c
-    return {idx: c for idx, c in out.items() if c}
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
@@ -247,21 +243,27 @@ def standard_factorization(word: Word) -> tuple[Word, Word]:
     raise ValueError(f"{word!r} has no Lyndon proper suffix; is it a Lyndon word?")
 
 
+def _standard_columns(word: Sequence[int], n: int) -> dict[int, int]:
+    # the standard bracketing of a Lyndon word over letters 0..n-1, in base n
+    if len(word) == 1:
+        return {word[0]: 1}
+    u, v = standard_factorization(word)
+    return _bracket_columns(_standard_columns(u, n), _standard_columns(v, n), n ** len(u), n ** len(v))
+
+
 def expand_standard_bracketing(word) -> SparseTensorVector:
     """Coordinate expansion of the standard bracketing of a Lyndon word.
 
     Convention (frozen by the golden files): a word of length >= 2 splits as
     u * v with v its longest proper Lyndon suffix, and expands recursively as
     [sigma(u), sigma(v)].  For example 001 splits as 0 * 01 and expands to
-    {001: +1, 010: -2, 100: +1}.
+    {001: +1, 010: -2, 100: +1}.  This is _standard_columns over 256 letters,
+    so letters are 0..255 (any other raises ValueError), as for left_normed_expand.
     """
     letters = tuple(word)
     if not is_lyndon(letters):
         raise ValueError(f"{letters!r} is not a Lyndon word")
-    if len(letters) == 1:
-        return {letters: 1}
-    u, v = standard_factorization(letters)
-    return _bracket(expand_standard_bracketing(u), expand_standard_bracketing(v))
+    return _expand_base256(_standard_columns, letters)
 
 
 def weight_of(vec: SparseTensorVector):
@@ -445,29 +447,30 @@ def _rank_rows(rows: _Rows, field: int | None) -> int:
     field None means the rationals; a prime p means F_p.  Deterministic by
     construction: the rows are reduced one at a time, in the source's order,
     each against pivots chosen as the first nonzero position in column order.
-
-    The kernels:
+    Each kernel returns its pivots keyed by their lead columns; the rank is
+    their number.  The kernels:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
     - F_3 and the rationals: one signed two-plane kernel (bitslicing, after
       Boothby and Bradshaw), _rank_planes, which over the rationals gives up
       at the first +-2;
-    - the rationals, when the planes give up: the source is streamed again,
-      from its first row, as integer dict rows (_rank_rational), so the worst
-      case of trying the planes first is one wasted planes pass;
+    - the rationals, when the planes give up: the source is streamed again as
+      integer dict rows (_rank_rational), so the worst case of trying the
+      planes first is one wasted planes pass;
     - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
       1 and a row loses a multiple of the pivot.
     """
     if field is not None and not is_prime(field):
         raise ValueError(f"field must be None (rationals) or a prime, got {field}")
     if field == 2:
-        return _rank_gf2(rows.masks())
-    if field is None or field == 3:
+        pivots = _rank_gf2(rows.masks())
+    elif field is None or field == 3:
         wrap = field == 3
-        rank = _rank_planes(rows.planes(wrap), wrap)
-        if rank is not None:
-            return rank
-        return _rank_rational(rows.integers())
-    return _rank_prime(rows.residues(field), field)
+        pivots = _rank_planes(rows.planes(wrap), wrap)
+        if pivots is None:
+            pivots = _rank_rational(rows.integers())
+    else:
+        pivots = _rank_prime(rows.residues(field), field)
+    return len(pivots)
 
 
 def rank_over_field(vectors, field: int | None = None) -> int:
@@ -477,9 +480,8 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     means the rationals; a prime p means F_p.  The keys of the nonzero
     entries, sorted lexicographically, number the columns, and the vectors go
     to _rank_rows in the given order, one at a time, so each pivot is a row's
-    first nonzero key in sorted order.  The vectors are not modified.
-    lie_power_rank, lie_module_rank and weight_space_rank make no such list:
-    they stream their rows to _rank_rows.
+    first nonzero key in sorted order.  The vectors are not modified.  The
+    four rank oracles make no such list: they stream their rows.
     """
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
     keys = {idx for vec in vectors for idx, c in vec.items() if c}
@@ -491,24 +493,22 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     return _rank_rows(rows, field)
 
 
-def _rank_gf2(rows) -> int:
+def _rank_gf2(rows) -> dict[int, int]:
     # Rows are bitmasks; bit i is the i-th column in lexicographic order, so
     # the lowest set bit is the leading entry.
     pivots: dict[int, int] = {}
-    rank = 0
     for x in rows:
         while x:
             lead = (x & -x).bit_length() - 1
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = x
-                rank += 1
                 break
             x ^= piv
-    return rank
+    return pivots
 
 
-def _rank_planes(rows, wrap: bool) -> int | None:
+def _rank_planes(rows, wrap: bool) -> dict[int, tuple[int, int, int]] | None:
     # A row is (plus, minus) from _Rows.planes, so the lowest bit of its
     # support x = plus | minus leads; a row None is an entry outside
     # {-1, 0, 1}, and the kernel gives up.  Negation swaps the planes, and
@@ -524,7 +524,6 @@ def _rank_planes(rows, wrap: bool) -> int | None:
     # the kernel gives up and returns None.  Until then every lead is +-1, so
     # this is _rank_rational's elimination exactly.
     pivots: dict[int, tuple[int, int, int]] = {}
-    rank = 0
     for row in rows:
         if row is None:
             return None
@@ -536,7 +535,6 @@ def _rank_planes(rows, wrap: bool) -> int | None:
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = (a1, a2, x) if a1 & low else (a2, a1, x)
-                rank += 1
                 break
             if a1 & low:
                 b2, b1, y = piv
@@ -552,12 +550,11 @@ def _rank_planes(rows, wrap: bool) -> int | None:
                 if a1 & a2:
                     return None
                 x ^= y
-    return rank
+    return pivots
 
 
-def _rank_prime(rows, p: int) -> int:
+def _rank_prime(rows, p: int) -> dict[int, dict[int, int]]:
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for row in rows:
         while row:
             lead = min(row)
@@ -565,7 +562,6 @@ def _rank_prime(rows, p: int) -> int:
             if piv is None:
                 inv = pow(row[lead], -1, p)
                 pivots[lead] = {c: (v * inv) % p for c, v in row.items()}
-                rank += 1
                 break
             f = p - row[lead]  # pivot rows are normalized to leading coefficient 1
             get = row.get
@@ -576,7 +572,7 @@ def _rank_prime(rows, p: int) -> int:
                 else:
                     row.pop(c, None)
         # an emptied row is dependent; move on
-    return rank
+    return pivots
 
 
 def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
@@ -589,7 +585,7 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()}
 
 
-def _rank_rational(rows) -> int:
+def _rank_rational(rows) -> dict[int, dict[int, int]]:
     """Rank over the rationals of integer rows, without ever making a Fraction.
 
     Pivot rows are gcd-compressed with a positive lead a.  A row with lead b
@@ -601,7 +597,6 @@ def _rank_rational(rows) -> int:
     modified, so callers pass rows they own.
     """
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for row in rows:
         scalings = 0
         while row:
@@ -612,7 +607,6 @@ def _rank_rational(rows) -> int:
                 if row[lead] < 0:
                     row = {c: -v for c, v in row.items()}
                 pivots[lead] = row
-                rank += 1
                 break
             a = piv[lead]
             b = row[lead]
@@ -633,7 +627,7 @@ def _rank_rational(rows) -> int:
                     row[c] = nv
                 else:
                     del row[c]  # f * v != 0, so a zero means c was stored
-    return rank
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -663,32 +657,31 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     words with w[0] < w[1] (all words when r = 1) are expanded: the bracket of
     a word with w[0] > w[1] is minus that of the word with the two swapped,
     and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2 rows,
-    256 of the 1,024 words at n = 2, r = 10, each streamed to the kernel as
-    it is made.  The columns are the n**r words in product() order, which is
-    lexicographic, so a word's column is the word read as a base-n numeral
-    and no column map is made.
+    each streamed to the kernel as it is made.  The columns are the n**r
+    words in product() order, so a word's column is the word read as a
+    base-n numeral.
     """
     return _rank_rows(lie_power_span(n, r, field, budget), field)
 
 
-def charge_lyndon_bracketing(n: int, r: int, field: int | None = None, budget: int | None = None) -> None:
-    """The charges of lyndon_bracketing_rank: the walk over the n**r words, then
-    the span of count_lyndon_words(n, r) rows over n**r columns."""
+def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
+    """The rows lyndon_bracketing_rank ranks, charged after the walk over the
+    n**r words that makes them: count_lyndon_words(n, r) rows of n**r columns."""
     if n < 1 or r < 1:
         raise ValueError("lyndon_bracketing_rank() needs n >= 1 and r >= 1")
     charge_word_enumeration(n, r, budget)
-    charge_span("Lyndon bracketing span", _Rows(None, count_lyndon_words(n, r), n**r), field, budget)
+    count = count_lyndon_words(n, r)
+    rows = _Rows(lambda: (_standard_columns(w, n).items() for w in iter_lyndon_words(n, r)), count, n**r)
+    return charge_span("Lyndon bracketing span", rows, field, budget)
 
 
 def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
     """Rank of the span of the standard bracketings of the length-r Lyndon words.
 
-    A strictly smaller spanning set than lie_power_rank uses; its rank must
-    come out the same.  It is charged before any bracket is expanded.
+    A strictly smaller spanning set than lie_power_rank uses, over the same
+    columns; its rank must come out the same.
     """
-    charge_lyndon_bracketing(n, r, field, budget)
-    vectors = [expand_standard_bracketing(word) for word in lyndon_words(n, r)]
-    return rank_over_field(vectors, field)
+    return _rank_rows(lyndon_bracketing_span(n, r, field, budget), field)
 
 
 def lie_module_span(r: int, field: int | None = None, budget: int | None = None) -> _Rows:
@@ -705,9 +698,8 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
     multilinear component; the rank equals (r-1)! over every field.  Their
     rows are those of _BlockBracketRows with blocks of one letter: the r!/2
     permutations with pi(1) < pi(2) when r >= 2, streamed one at a time.  The
-    charge, planes * (r!/2) * r!, is (r!)**2 over every field but F_2 and half
-    that over F_2: the default budget admits r <= 6, and the --slow budget
-    r = 7 and, over F_2 only, r = 8.
+    charge, planes * (r!/2) * r!, admits r <= 6 at the default budget, and
+    r = 7 and, over F_2 only, r = 8 at the --slow budget.
     """
     return _rank_rows(lie_module_span(r, field, budget), field)
 

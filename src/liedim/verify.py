@@ -326,7 +326,7 @@ def _charge_oracle_jobs(suite: str, slow: bool) -> None:
         for n, r in APERIODIC_POINTS:
             oracle.charge_aperiodic_count(n, r)
         charge(oracle.lie_power_span, ORACLE_POWER_POINTS)
-        charge(oracle.charge_lyndon_bracketing, ORACLE_POWER_POINTS)
+        charge(oracle.lyndon_bracketing_span, ORACLE_POWER_POINTS)
         charge(oracle.lie_module_span, ORACLE_MODULE_POINTS)
         if slow:
             oracle.lie_module_span(ORACLE_MODULE_SLOW_R, 2, work_budget(slow=True))

@@ -509,6 +509,11 @@ def test_oracle_expand(runner):
     assert "not a Lyndon word" in result.output
     result = runner.invoke(main, ["oracle", "expand", "0a1"])
     assert result.exit_code == 2
+    # letters are ASCII digits: Arabic-Indic 12 and a superscript 2 are refused
+    for word in ("١٢", "²"):
+        result = runner.invoke(main, ["oracle", "expand", word])
+        assert result.exit_code == 2, word
+        assert "word must be a nonempty string of digits" in result.output, word
 
 
 def test_oracle_rank_commands(runner):
@@ -763,7 +768,7 @@ BAD_INVOCATIONS = (
     (None, ["oracle", "lyndon", "--n", "0", "--r", "3", "--words"]),
     (None, ["oracle", "lie-module", "--r", "0"]),
     (None, ["oracle", "lie-module", "--r", "-1"]),
-    *((None, ["oracle", "expand", word]) for word in ("0a1", "-1", "", " 01", "010", "10", "0010")),
+    *((None, ["oracle", "expand", word]) for word in ("0a1", "-1", "", " 01", "010", "10", "0010", "١٢", "²")),
     (None, ["oracle", "expand", "10", "--bracketing", "standard"]),
     # a malformed budget, on every command that reads it
     *(

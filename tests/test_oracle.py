@@ -189,15 +189,16 @@ def test_antisymmetry():
 
 
 def test_jacobi_identity():
-    x = oracle.left_normed_expand((0,))
-    y = oracle.left_normed_expand((1,))
-    z = oracle.left_normed_expand((2,))
-    total: dict = {}
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        part = oracle._bracket(a, oracle._bracket(b, c))
-        for idx, coeff in part.items():
-            total[idx] = total.get(idx, 0) + coeff
-    assert all(v == 0 for v in total.values())
+    # [x, [y, z]] + [y, [z, x]] + [z, [x, y]] = 0 for the one bracket product,
+    # on vectors of degree 1 over three letters, in column numbers of base 3
+    x, y, z = {0: 1}, {1: 1}, {2: 1}
+    for vectors in ((x, y, z), ({0: 2, 1: -1}, {1: 1, 2: 3}, {0: 1, 2: -2})):
+        total = Counter()
+        for a, b, c in (vectors, vectors[1:] + vectors[:1], vectors[2:] + vectors[:2]):
+            part = oracle._bracket_columns(a, oracle._bracket_columns(b, c, 3, 3), 3, 9)
+            assert part and all(part.values())
+            total.update(part)
+        assert all(v == 0 for v in total.values()), vectors
 
 
 def test_golden_standard_bracketings():
@@ -214,6 +215,39 @@ def test_golden_standard_bracketings():
 def test_expand_standard_bracketing_rejects_non_lyndon():
     with pytest.raises(ValueError):
         oracle.expand_standard_bracketing((0, 1, 0))
+    # letters are 0..255, the digits of the base-256 columns, as for left_normed_expand
+    assert oracle.expand_standard_bracketing((254, 255)) == {(254, 255): 1, (255, 254): -1}
+    for word in ((256,), (0, 256), (-1,), (-1, 0)):
+        with pytest.raises(ValueError):
+            oracle.expand_standard_bracketing(word)
+
+
+def _reference_standard(word):
+    # the standard bracketing on index tuples: split off v, the longest proper
+    # Lyndon suffix, and take [sigma(u), sigma(v)] term by term
+    if len(word) == 1:
+        return {word: 1}
+    i = next(i for i in range(1, len(word)) if oracle.is_lyndon(word[i:]))
+    total = Counter()
+    for a, x in _reference_standard(word[:i]).items():
+        for b, y in _reference_standard(word[i:]).items():
+            total[a + b] += x * y
+            total[b + a] -= x * y
+    return {idx: c for idx, c in total.items() if c}
+
+
+# the 1,318 Lyndon words of length <= 8 over three letters
+SHORT_LYNDON_WORDS = [word for r in range(1, 9) for word in oracle.iter_lyndon_words(3, r)]
+
+
+@given(st.sampled_from(SHORT_LYNDON_WORDS), st.integers(min_value=0, max_value=253))
+def test_expand_standard_bracketing_matches_tuple_recursion(word, shift):
+    # shifting every letter keeps the word Lyndon; the expansion's lowest key
+    # is the word itself, with coefficient 1 (the triangularity of P_w)
+    word = tuple(letter + shift for letter in word)
+    got = oracle.expand_standard_bracketing(word)
+    assert got == _reference_standard(word)
+    assert min(got) == word and got[word] == 1
 
 
 def test_weight_of():
@@ -517,19 +551,59 @@ def test_dropped_rows_negate_kept_rows():
 
 
 def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
+    # the kernels return their pivots keyed by lead column: the planes and the
+    # dict kernels must choose the same leads
     for r in range(1, 7):
         rows = oracle._BlockBracketRows(1, r)
         with _time_limit(5):
             got = oracle._rank_planes(rows.planes(True), wrap=True)
-        assert got == oracle._rank_prime(rows.residues(3), 3) == dim_lie(r), r
+        assert got.keys() == oracle._rank_prime(rows.residues(3), 3).keys(), r
+        assert len(got) == dim_lie(r), r
         # the entries are +-1, so these are also the rational planes, and they
-        # must finish with a rank, not give up to the dict rows; negated, every
+        # must finish with pivots, not give up to the dict rows; negated, every
         # row and so every pivot leads with -1
         planes = list(rows.planes(False))
         negated = [(twos, ones) for ones, twos in planes]
         with _time_limit(5):
-            got = [oracle._rank_planes(signed, wrap=False) for signed in (planes, negated)]
-        assert got == [oracle._rank_rational(rows.integers())] * 2, r
+            got = [oracle._rank_planes(signed, wrap=False).keys() for signed in (planes, negated)]
+        assert got == [oracle._rank_rational(rows.integers()).keys()] * 2, r
+
+
+def _lead_columns(rows, field):
+    # the sorted lead columns of the pivots that _rank_rows' kernel for the
+    # field returns; over the rationals, the dict kernel's when the planes give up
+    if field == 2:
+        pivots = oracle._rank_gf2(rows.masks())
+    elif field in (3, None):
+        pivots = oracle._rank_planes(rows.planes(field == 3), field == 3)
+        if pivots is None:
+            pivots = oracle._rank_rational(rows.integers())
+    else:
+        pivots = oracle._rank_prime(rows.residues(field), field)
+    return sorted(pivots)
+
+
+def test_pivots_are_the_lyndon_words():
+    # The standard bracketing of a Lyndon word w is w plus larger words, and
+    # these bracketings are a basis (Chen, Fox and Lyndon; Reutenauer, Free Lie
+    # Algebras, ch. 5).  Each kernel leads with a row's lowest column, so over
+    # every field the lead columns of a span are its Lyndon words, enumerated
+    # here with no count.
+    for n, r in ((2, 10), (3, 7), (4, 5)):
+        expected = [int("".join(map(str, word)), n) for word in oracle.iter_lyndon_words(n, r)]
+        # over the rationals the planes give up, and the leads are the dict kernel's
+        assert oracle._rank_planes(oracle.lie_power_span(n, r).planes(False), False) is None
+        for field in (2, 3, 5, None):
+            assert _lead_columns(oracle.lie_power_span(n, r, field), field) == expected, (n, r, field)
+    # multilinear words in 0..r-1: the Lyndon ones are those that start with 0
+    for r in range(1, 8):
+        expected = [i for i, perm in enumerate(permutations(range(r))) if perm[0] == 0]
+        assert _lead_columns(oracle.lie_module_span(r, 2, 10**9), 2) == expected, r
+    # blocks of q letters as composite letters: the block word is Lyndon
+    for q, k in WEIGHT_SPACE_POINTS:
+        perms = permutations(range(q * k))
+        expected = [i for i, perm in enumerate(perms) if oracle.is_lyndon(tuple(zip(*[iter(perm)] * q)))]
+        assert _lead_columns(oracle.weight_space_span(q, k, 2), 2) == expected, (q, k)
 
 
 class _CountedRows(oracle._Rows):
@@ -549,6 +623,10 @@ class _CountedRows(oracle._Rows):
 # the number of index tuples its columns stand for, enumerated here
 SPAN_SOURCES = (
     *((oracle.lie_power_span, (n, r), len(list(product(range(n), repeat=r)))) for n, r in ORACLE_POWER_POINTS),
+    *(
+        (oracle.lyndon_bracketing_span, (n, r), len(list(product(range(n), repeat=r))))
+        for n, r in ORACLE_POWER_POINTS
+    ),
     *((oracle.weight_space_span, (q, k), len(list(permutations(range(q * k))))) for q, k in WEIGHT_SPACE_POINTS),
     *((oracle.lie_module_span, (r,), len(list(permutations(range(r))))) for r in range(1, 8)),
 )
@@ -582,9 +660,10 @@ def test_charge_bounds_the_kernels_memory():
 def test_lyndon_bracketing_span_charged_before_expansion(monkeypatch):
     # count_lyndon_words(n, r) rows, found by the scan, over the n**r words:
     # (2, 16) is 2 * 4,080 * 65,536, refused before any bracket is expanded
-    # (it was charged only its 65,536-word walk)
+    # (it was charged only its 65,536-word walk); the rows are the column
+    # standard bracketings, so that is what must not run
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "expand_standard_bracketing", None)
+        patch.setattr(oracle, "_standard_columns", None)
         with pytest.raises(budget.WorkBudgetExceeded, match="Lyndon bracketing span needs about 534773760 units"):
             oracle.lyndon_bracketing_rank(2, 16)
     # 2 * 335 * 4,096 = 2,744,320 units, inside the default budget

@@ -101,15 +101,16 @@ def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
 
 
 def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
-    # flip the sign of the prepended half in _left_normed_columns, the fold
-    # that lie_power_rank ranks: [a, b] becomes ab + ba, and the smoke family,
-    # which reads the same fold, fails all nine antisymmetry checks
-    source = inspect.getsource(oracle._left_normed_columns)
-    flipped = source.replace("get(key, 0) - v", "get(key, 0) + v")
+    # flip the sign of the v (x) u half in _bracket_columns, the one bracket
+    # product, which the fold that lie_power_rank ranks calls: [a, b] becomes
+    # ab + ba, and the smoke family, which reads the same fold, fails all nine
+    # antisymmetry checks
+    source = inspect.getsource(oracle._bracket_columns)
+    flipped = source.replace("get(key, 0) - x * y", "get(key, 0) + x * y")
     assert flipped != source
     namespace = dict(vars(oracle))
     exec(flipped, namespace)
-    monkeypatch.setattr(oracle, "_left_normed_columns", namespace["_left_normed_columns"])
+    monkeypatch.setattr(oracle, "_bracket_columns", namespace["_bracket_columns"])
     smoke = verify.oracle_suite()[-1]
     assert smoke.name == "oracle/bracket-smoke"
     assert smoke.failures == [f"(antisymmetry a={a}, b={b})" for a in range(3) for b in range(3)]
