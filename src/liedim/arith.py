@@ -105,15 +105,22 @@ def power_bits_lower(x: int, e: int) -> int:
     return e * ((x**16).bit_length() - 1) // 16
 
 
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13))
+
+
 def p_adic_split(r: int, p: int) -> tuple[int, int]:
     """Split r as p**m * k with m maximal, so p does not divide k; returns (m, k).
+
+    A p in the fixed set of primes below 16 is taken without a call to
+    is_prime; every other p is proved by is_prime, so each non-prime p is
+    still refused.
 
     >>> p_adic_split(12, 2)
     (2, 3)
     """
     if r < 1:
         raise ValueError("p_adic_split() needs r >= 1")
-    if not is_prime(p):
+    if p not in _SMALL_PRIMES and not is_prime(p):
         raise ValueError(f"p_adic_split() needs a prime p, got {p}")
     m = 0
     k = r

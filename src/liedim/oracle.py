@@ -43,9 +43,12 @@ def charge_word_enumeration(
 ) -> None:
     """Refuse a walk over all n**r words of length r when it is over the budget.
 
-    One letter gives one word, but the walk still holds its r letters, in up
-    to four r-slot arrays of 8-byte pointers at once (product's pools and
-    indices, the word, a period's copy), so it is charged those 32*r bytes."""
+    One letter gives one word, but a walk may still hold its r letters in
+    r-slot arrays of 8-byte pointers: the Lyndon scans one list of the word's
+    letters, the Lie power walk three (product's pools and indices, the
+    word).  The aperiodic walk holds none: its one word is the numeral 0 and
+    its periods' numerals of ones are the primes q dividing r.  Each is
+    charged 32*r bytes, four such arrays, which bounds them all."""
     if n < 1 or r < 1:
         raise ValueError(f"{task} needs n >= 1 and r >= 1")
     if n == 1:
@@ -105,13 +108,15 @@ def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
 def count_lyndon_words(n: int, r: int) -> int:
     """The number of words iter_lyndon_words(n, r) yields, found by the same scan.
 
-    Whenever the scan's word has length r it is next raised in its last
-    letter, one step at a time, up to n - 1, and each step is a Lyndon word
-    of length r; after the last step the trailing maximal letters are popped.
-    So each such run of words is counted in one step: n - a words when an
-    increment lands on length r with last letter a, and n - 1 - a when an
-    extension reaches length r with last letter a (the extended word itself
-    is not counted).
+    The scan runs on one list of r slots and an explicit length m: the word
+    is w[:m], an extension writes w[i] = w[i - m] for i = m..r-1, and a pop
+    lowers m.  Whenever the scan's word has length r it is next raised in its
+    last letter, one step at a time, up to n - 1, and each step is a Lyndon
+    word of length r; after the last step the trailing maximal letters are
+    popped.  So each such run of words is counted in one step: n - a words
+    when an increment lands on length r with last letter a, and n - 1 - a
+    when an extension reaches length r with last letter a (the extended word
+    itself is not counted).
 
     Runs at length r - 1 are taken in one step too.  An increment that lands
     on length r - 1 >= 2 gives a Lyndon word w with last letter a, which is
@@ -119,30 +124,49 @@ def count_lyndon_words(n: int, r: int) -> int:
     letter w[0], which the raise leaves alone, to a word whose run counts
     n - 1 - w[0] words, so the whole run counts (n - a) * (n - 1 - w[0]).  At
     length 1 the raised letter is w[0] itself, so r = 2 keeps the step-wise
-    walk.  This is still Duval's scan over the same words in the same order;
-    it only takes some runs in one step, and it uses no closed-form count.
-    No word tuple is made.
+    walk.
+
+    So are runs at length r - 2.  An increment that lands on length
+    r - 2 >= 3 gives a Lyndon word w with last letter a, raised in turn
+    through a, ..., n - 1.  Each raise extends by the two letters w[0] w[1]
+    to a word of length r whose run counts n - 1 - w[1]; the pop after it
+    stops at length r - 1, on the letter w[0] < n - 1 (the first letter of a
+    Lyndon word of length >= 2 is below its last).  The next increment lands
+    there, on length r - 1 with last letter w[0] + 1, and is the run above:
+    (n - 1 - w[0]) * (n - 1 - w[0]) words.  So the whole run counts
+    (n - a) * ((n - 1 - w[1]) + (n - 1 - w[0])**2).  The raise must leave
+    w[1] alone, so r - 2 = 2 keeps the run at r - 1 only.  Runs at r - 3 and
+    below would be nested sums of these, which start to rebuild a count
+    recurrence, so the scan takes none.  This is still Duval's scan over the
+    same words in the same order; it only takes some runs in one step, and
+    it uses no closed-form count.  No word tuple is made.
     """
     if n < 1 or r < 1:
         raise ValueError("count_lyndon_words() needs n >= 1 and r >= 1")
     top = n - 1
-    short = r - 1 if r >= 3 else 0
+    mid = r - 1 if r >= 3 else 0
+    low = r - 2 if r >= 5 else 0
+    w = [0] * r
+    w[0] = -1
+    m = 1
     count = 0
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if m == r:
-            count += n - w[-1]
-        elif m == short:
-            count += (n - w[-1]) * (top - w[0])
+    while m:
+        a = w[m - 1] + 1
+        if m == low:
+            count += (n - a) * (top - w[1] + (top - w[0]) ** 2)
+        elif m == mid:
+            count += (n - a) * (top - w[0])
+        elif m == r:
+            count += n - a
         else:
-            while len(w) < r:
-                w.append(w[len(w) - m])
+            w[m - 1] = a
+            for i in range(m, r):
+                w[i] = w[i - m]
             count += top - w[-1]
-        w.pop()
-        while w and w[-1] == top:
-            w.pop()
+            m = r
+        m -= 1
+        while m and w[m - 1] == top:
+            m -= 1
     return count
 
 
@@ -169,13 +193,25 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     Testing the maximal proper periods r // q, for the primes q dividing r,
     therefore finds every power; at r = 12 that is periods 6 and 4 instead of
     1, 2, 3, 4 and 6.
+
+    Each word is its base-n numeral x in range(n**r), first letter most
+    significant.  With d = r // q, the word is u**q exactly when x is its
+    last d letters, x % n**d, written q times, d letters apart: when
+    x % n**d * ones == x for the numeral ones = 1 + n**d + ... + n**(d(q-1))
+    of q ones.  That is (n**r - 1) // (n**d - 1) for n >= 2, and q for
+    n = 1, where the one word is x = 0; neither takes q steps to build.
     """
     charge_aperiodic_count(n, r, budget)
-    periods = [(r // q, q) for q in divisors(r) if is_prime(q)]
+    size = n**r
+    periods = []
+    for q in divisors(r):
+        if is_prime(q):
+            base = n ** (r // q)
+            periods.append((base, (size - 1) // (base - 1) if n > 1 else q))
     count = 0
-    for word in product(range(n), repeat=r):
-        for d, q in periods:
-            if word == word[:d] * q:
+    for x in range(size):
+        for base, ones in periods:
+            if x % base * ones == x:
                 break
         else:
             count += 1

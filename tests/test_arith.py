@@ -95,10 +95,16 @@ def test_p_adic_split_examples():
     assert p_adic_split(12, 3) == (1, 4)
     assert p_adic_split(7, 5) == (0, 7)
     assert p_adic_split(8, 2) == (3, 1)
+    # primes outside the set below 16 that skips is_prime
+    assert p_adic_split(17**3 * 5, 17) == (3, 5)
+    assert p_adic_split(10007**2 * 12, 10007) == (2, 12)
+    assert p_adic_split(10006, 10007) == (0, 10006)
     with pytest.raises(ValueError, match="needs r >= 1"):
         p_adic_split(0, 2)
-    with pytest.raises(ValueError, match="needs a prime p, got 4"):
-        p_adic_split(6, 4)
+    # every non-prime p still reaches is_prime and is refused
+    for p in (-2, 0, 1, 4, 6, 9, 15, 25, 49):
+        with pytest.raises(ValueError, match=rf"^p_adic_split\(\) needs a prime p, got {p}$"):
+            p_adic_split(12, p)
 
 
 def test_power_bits_lower():

@@ -653,8 +653,8 @@ def test_oracle_lyndon_budget(runner):
 
 
 def test_one_letter_walks_charged_their_length(runner):
-    # one word, but r letters held several times over: charged 32*r, so a long
-    # walk is refused at once, and r = 10**7 (some 360 MiB) at the default budget
+    # one word, but a walk may hold its r letters in r-slot arrays: charged
+    # 32*r, so a long walk is refused at once, and r = 10**7 at the default budget
     for command in ("lyndon", "aperiodic"):
         for r in ("100000000", "10000000"):
             args = ["oracle", command, "--n", "1", "--r", r]
@@ -666,6 +666,17 @@ def test_one_letter_walks_charged_their_length(runner):
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "312500"]).output == "0\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "1"]).output == "1\n"
         assert runner.invoke(main, ["oracle", command, "--n", "1", "--r", "5"]).output == "0\n"
+
+
+def test_one_letter_aperiodic_walk_at_a_prime_fresh_process():
+    # the prime r = 312,469 is admitted at 32*r units; its one period's
+    # numeral of ones is q = r itself, so the walk is over at once
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-m", "liedim.cli", "oracle", "aperiodic", "--n", "1", "--r", "312469"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env)
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 # refused at once by the span charge, planes * count * width: the first two

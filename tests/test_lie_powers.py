@@ -152,7 +152,7 @@ def test_report_structure(ctx22):
 
 
 def test_context_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p must be prime, got 4$"):
         LiePowerContext(4, 2)
     with pytest.raises(ValueError):
         LiePowerContext(2, 1)

@@ -8,7 +8,7 @@ from itertools import permutations, product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liedim import budget, oracle
@@ -68,17 +68,17 @@ def test_iter_lyndon_words_increasing_lyndon_and_counted(n, r):
 
 
 def test_count_lyndon_words_matches_generator():
-    # n <= 4 through r = 10; wider alphabets through r = 6, so the runs at
-    # length r - 1 start from more first and last letters; and the r = 2 and
-    # r = 3 edges of those runs
-    points = [(n, r) for n in range(1, 5) for r in range(1, 11)]
-    points += [(n, r) for n in range(5, 8) for r in range(1, 7)]
-    points += [(n, r) for n in range(1, 8) for r in (2, 3)]
+    # the runs at length r - 1 start at r = 3 and those at r - 2 at r = 5, so
+    # r = 3..7 for eight letters covers both edges from every first, second
+    # and last letter; n <= 4 goes on to r = 11, where the runs nest deepest
+    points = [(n, r) for n in range(1, 5) for r in range(1, 12)]
+    points += [(n, r) for n in range(5, 9) for r in range(1, 8)]
     for n, r in points:
-        assert oracle.count_lyndon_words(n, r) == len(list(oracle.iter_lyndon_words(n, r))), (n, r)
+        assert oracle.count_lyndon_words(n, r) == sum(1 for _ in oracle.iter_lyndon_words(n, r)), (n, r)
 
 
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=7))
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=9))
 def test_count_lyndon_words_matches_generator_hypothesis(n, r):
     assert oracle.count_lyndon_words(n, r) == sum(1 for _ in oracle.iter_lyndon_words(n, r))
 
@@ -120,11 +120,29 @@ def _aperiodic_count_every_divisor(n, r):
 
 def test_aperiodic_count_matches_every_divisor_reference():
     points = [(2, r) for r in range(1, 17)] + [(3, r) for r in range(1, 11)]
+    # four and five letters, so the numerals are in bases past 2 and 3
+    points += [(n, r) for n in (4, 5) for r in range(1, 9)]
     for n, r in points:
         assert oracle.aperiodic_count_bruteforce(n, r) == _aperiodic_count_every_divisor(n, r), (n, r)
     # 010101 has period 2 but not 3, the largest proper divisor of 6
     assert _aperiodic_count_every_divisor(2, 6) == 54
     assert oracle.aperiodic_count_bruteforce(2, 6) == 54
+
+
+def test_aperiodic_count_one_letter():
+    # the one word is the numeral 0, a q-th power for each prime q dividing r
+    assert oracle.aperiodic_count_bruteforce(1, 1) == 1
+    assert oracle.aperiodic_count_bruteforce(1, 2) == 0
+    # a prime r just under the default budget's 32*r limit: its numeral of
+    # ones is q itself, built in no q steps, and the walk holds no r-slot array
+    r = 312_469
+    tracemalloc.start()
+    try:
+        assert oracle.aperiodic_count_bruteforce(1, r) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * r
 
 
 def test_standard_factorization():
@@ -815,7 +833,7 @@ def test_word_enumeration_charge():
     with pytest.raises(budget.WorkBudgetExceeded, match="Lyndon word enumeration"):
         oracle.charge_word_enumeration(4, 12)  # 16,777,216 units
     oracle.charge_word_enumeration(4, 12, budget=10**8)
-    # one word, but the walk holds its r letters several times over: charged 32*r
+    # one word, but a walk may hold its r letters in r-slot arrays: charged 32*r
     oracle.charge_word_enumeration(1, 312_500)
     with pytest.raises(budget.WorkBudgetExceeded, match="needs about 10000032 units"):
         oracle.charge_word_enumeration(1, 312_501)
