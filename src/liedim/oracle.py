@@ -6,12 +6,13 @@ bracket product, _bracket_columns, makes [u, v] = u (x) v - v (x) u with
 each index tuple read as its column number, its position in lexicographic
 order.  The four span oracles (left-normed words, standard bracketings of
 Lyndon words, multilinear and block brackets) stream their rows one at a
-time to a deterministic sparse Gaussian elimination, exact over the
-rationals or over a prime field, whose kernels return their pivots: by the
-triangularity of the standard bracketing, the lead columns are the Lyndon
-words.  The bracket oracles make one row of each +- pair: since
-[a, b] = -[b, a], the rows whose first letter (block) is below the second
-span everything.
+time, each as (column, value) entries.  One set of adapters, _Rows, turns
+a row into the form its kernel takes, and one dispatch, _rank_rows, runs a
+deterministic sparse Gaussian elimination, exact over the rationals or over
+a prime field, and returns the kernel's pivots: by the triangularity of the
+standard bracketing, the lead columns are the Lyndon words.  The bracket
+oracles make one row of each +- pair: since [a, b] = -[b, a], the rows
+whose first letter (block) is below the second span everything.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -55,11 +56,6 @@ def charge_word_enumeration(
         _charge(budget, task, r.bit_length() + 4, f"32*{r}", lambda: 32 * r)
     else:
         _charge(budget, task, r, f"{n}^{r}", lambda: n**r)
-
-
-def charge_aperiodic_count(n: int, r: int, budget: int | None = None) -> None:
-    """The budget charge of aperiodic_count_bruteforce(n, r): n**r words."""
-    charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
 
 
 def charge_expansion(r: int, budget: int | None = None) -> None:
@@ -201,7 +197,7 @@ def aperiodic_count_bruteforce(n: int, r: int, budget: int | None = None) -> int
     of q ones.  That is (n**r - 1) // (n**d - 1) for n >= 2, and q for
     n = 1, where the one word is x = 0; neither takes q steps to build.
     """
-    charge_aperiodic_count(n, r, budget)
+    charge_word_enumeration(n, r, budget, "aperiodic word enumeration")
     size = n**r
     periods = []
     for q in divisors(r):
@@ -272,11 +268,17 @@ def _left_normed_columns(word: Sequence[int], n: int) -> dict[int, int]:
 
 
 def standard_factorization(word: Word) -> tuple[Word, Word]:
-    """Split a Lyndon word of length >= 2 as u, v with v the longest proper Lyndon suffix."""
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            return word[:i], word[i:]
-    raise ValueError(f"{word!r} has no Lyndon proper suffix; is it a Lyndon word?")
+    """Split a Lyndon word of length >= 2 as u, v with v the longest proper Lyndon suffix.
+
+    That suffix is the lexicographically least proper suffix v: each suffix
+    of v is a proper suffix of the word, so larger than v, and v is Lyndon;
+    a longer Lyndon suffix would be smaller than its suffix v.  So no suffix
+    is tested for being Lyndon.
+    """
+    if len(word) < 2:
+        raise ValueError(f"standard_factorization() needs a word of length >= 2, got {word!r}")
+    v = min(word[i:] for i in range(1, len(word)))
+    return word[: len(word) - len(v)], v
 
 
 def _standard_columns(word: Sequence[int], n: int) -> dict[int, int]:
@@ -353,7 +355,8 @@ class _Rows:
     they stand for.  A zero entry is skipped and may have no column.  Each
     method below starts a pass and yields one kernel's rows one at a time, so
     no pass makes a list of rows, and a kernel holds only its pivots and the
-    row at hand.
+    row at hand.  Every source, a subclass too, reaches the kernels through
+    these adapters and states only entries().
 
     A source states its size, count rows of width columns a pass, for
     charge_span, with floor_bits <= log2(count * width) and shape, the product
@@ -416,8 +419,10 @@ class _BlockBracketRows(_Rows):
     swapping B_1 and B_2 negates the bracket, so the other half adds nothing
     to the span.  At r = 7 that is 2,520 rows over 5,040 columns.
 
-    Each pass makes the column tables of the terms of one bracket, those of
-    the blocks 0..q-1, q..2q-1, ... in order, and reads the rows off them.  A
+    Each pass, each call of entries(), makes the column tables of the terms
+    of one bracket, those of the blocks 0..q-1, q..2q-1, ... in order, and
+    reads each row off them as (column, sign) entries; these reach every
+    kernel through _Rows' adapters, as the other sources' rows do.  A
     term's table holds its column in the bracket of every kept permutation
     pi, in order, so the first table lists the kept rows' own columns; the
     bracket of pi renames each letter i as pi[i], so its term with index
@@ -444,9 +449,8 @@ class _BlockBracketRows(_Rows):
     width = property(lambda self: factorial(self.q * self.k))
     count = property(lambda self: self.width // (2 if self.k > 1 else 1))
 
-    def _tables(self):
-        # the terms' signs, + first, and an iterator over the rows' columns in
-        # that order; the tables live as long as the iterator
+    def entries(self):
+        # the tables live as long as the returned iterator
         q, r = self.q, self.q * self.k
         perms = list(permutations(range(r)))
         column = {perm: i for i, perm in enumerate(perms)}
@@ -456,42 +460,25 @@ class _BlockBracketRows(_Rows):
             cycle = (*range(s, s + q), *range(s), *range(s + q, r))
             at = [column[perm] for perm in map(itemgetter(*cycle), perms)].__getitem__
             terms += [(list(map(at, table)), -sign) for table, sign in terms]
-        terms.sort(key=lambda term: -term[1])
-        return tuple(sign for _, sign in terms), zip(*(table for table, _ in terms))
-
-    def entries(self):
-        signs, rows = self._tables()
-        return (zip(cols, signs) for cols in rows)
-
-    def masks(self):
-        width = self.width
-        _, rows = self._tables()
-        for cols in rows:
-            yield _bitmask(cols, width)
-
-    def planes(self, wrap: bool):
-        width = self.width
-        signs, rows = self._tables()
-        split = signs.count(1)
-        for cols in rows:
-            yield _bitmask(cols[:split], width), _bitmask(cols[split:], width)
+        signs = [sign for _, sign in terms]
+        return (zip(cols, signs) for cols in zip(*(table for table, _ in terms)))
 
 
-def _rank_rows(rows: _Rows, field: int | None) -> int:
-    """Exact rank of the span of a row source's rows (see _Rows).
+def _rank_rows(rows: _Rows, field: int | None) -> dict[int, object]:
+    """The pivots of an exact elimination of a row source's rows (see _Rows),
+    keyed by their lead columns; the rank of their span is their number.
 
     field None means the rationals; a prime p means F_p.  Deterministic by
     construction: the rows are reduced one at a time, in the source's order,
     each against pivots chosen as the first nonzero position in column order.
-    Each kernel returns its pivots keyed by their lead columns; the rank is
-    their number.  The kernels:
+    This is the one place that picks a field's kernel.  The kernels:
     - F_2: a row is one bitmask, and a step XORs in the pivot;
     - F_3 and the rationals: one signed two-plane kernel (bitslicing, after
       Boothby and Bradshaw), _rank_planes, which over the rationals gives up
       at the first +-2;
     - the rationals, when the planes give up: the source is streamed again as
-      integer dict rows (_rank_rational), so the worst case of trying the
-      planes first is one wasted planes pass;
+      integer dict rows (_rank_rational), whose pivots are returned, so the
+      worst case of trying the planes first is one wasted planes pass;
     - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
       1 and a row loses a multiple of the pivot.
     """
@@ -506,7 +493,7 @@ def _rank_rows(rows: _Rows, field: int | None) -> int:
             pivots = _rank_rational(rows.integers())
     else:
         pivots = _rank_prime(rows.residues(field), field)
-    return len(pivots)
+    return pivots
 
 
 def rank_over_field(vectors, field: int | None = None) -> int:
@@ -526,7 +513,7 @@ def rank_over_field(vectors, field: int | None = None) -> int:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     column = {idx: j for j, idx in enumerate(sorted(keys))}.get
     rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(vectors), len(keys))
-    return _rank_rows(rows, field)
+    return len(_rank_rows(rows, field))
 
 
 def _rank_gf2(rows) -> dict[int, int]:
@@ -697,7 +684,7 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
     words in product() order, so a word's column is the word read as a
     base-n numeral.
     """
-    return _rank_rows(lie_power_span(n, r, field, budget), field)
+    return len(_rank_rows(lie_power_span(n, r, field, budget), field))
 
 
 def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
@@ -717,7 +704,7 @@ def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int
     A strictly smaller spanning set than lie_power_rank uses, over the same
     columns; its rank must come out the same.
     """
-    return _rank_rows(lyndon_bracketing_span(n, r, field, budget), field)
+    return len(_rank_rows(lyndon_bracketing_span(n, r, field, budget), field))
 
 
 def lie_module_span(r: int, field: int | None = None, budget: int | None = None) -> _Rows:
@@ -737,7 +724,7 @@ def lie_module_rank(r: int, field: int | None = None, budget: int | None = None)
     charge, planes * (r!/2) * r!, admits r <= 6 at the default budget, and
     r = 7 and, over F_2 only, r = 8 at the --slow budget.
     """
-    return _rank_rows(lie_module_span(r, field, budget), field)
+    return len(_rank_rows(lie_module_span(r, field, budget), field))
 
 
 def weight_space_span(q: int, k: int, field: int | None = None, budget: int | None = None) -> _Rows:
@@ -758,4 +745,4 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     charge for k >= 2 is planes * ((q*k)!/2) * (q*k)!, ((q*k)!)**2 over every
     field but F_2, so q*k <= 6 fits the default budget.
     """
-    return _rank_rows(weight_space_span(q, k, field, budget), field)
+    return len(_rank_rows(weight_space_span(q, k, field, budget), field))

@@ -152,8 +152,16 @@ def test_standard_factorization():
     assert oracle.standard_factorization((0, 0, 1, 1)) == ((0,), (0, 1, 1))
     # single letters cannot be split; Lyndonness of the input is the
     # caller's contract (expand_standard_bracketing checks it)
-    with pytest.raises(ValueError):
-        oracle.standard_factorization((0,))
+    for word in ((0,), ()):
+        with pytest.raises(ValueError, match="needs a word of length >= 2"):
+            oracle.standard_factorization(word)
+    # the least proper suffix is the longest proper Lyndon suffix, found here
+    # by testing each suffix, longest first
+    for n, r_max in ((2, 10), (3, 7), (4, 5)):
+        for r in range(2, r_max + 1):
+            for word in oracle.iter_lyndon_words(n, r):
+                i = next(i for i in range(1, r) if oracle.is_lyndon(word[i:]))
+                assert oracle.standard_factorization(word) == (word[:i], word[i:]), word
 
 
 def test_left_normed_expand():
@@ -587,20 +595,6 @@ def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
         assert got == [oracle._rank_rational(rows.integers()).keys()] * 2, r
 
 
-def _lead_columns(rows, field):
-    # the sorted lead columns of the pivots that _rank_rows' kernel for the
-    # field returns; over the rationals, the dict kernel's when the planes give up
-    if field == 2:
-        pivots = oracle._rank_gf2(rows.masks())
-    elif field in (3, None):
-        pivots = oracle._rank_planes(rows.planes(field == 3), field == 3)
-        if pivots is None:
-            pivots = oracle._rank_rational(rows.integers())
-    else:
-        pivots = oracle._rank_prime(rows.residues(field), field)
-    return sorted(pivots)
-
-
 def test_pivots_are_the_lyndon_words():
     # The standard bracketing of a Lyndon word w is w plus larger words, and
     # these bracketings are a basis (Chen, Fox and Lyndon; Reutenauer, Free Lie
@@ -612,16 +606,18 @@ def test_pivots_are_the_lyndon_words():
         # over the rationals the planes give up, and the leads are the dict kernel's
         assert oracle._rank_planes(oracle.lie_power_span(n, r).planes(False), False) is None
         for field in (2, 3, 5, None):
-            assert _lead_columns(oracle.lie_power_span(n, r, field), field) == expected, (n, r, field)
+            assert sorted(oracle._rank_rows(oracle.lie_power_span(n, r, field), field)) == expected, (n, r, field)
     # multilinear words in 0..r-1: the Lyndon ones are those that start with 0
     for r in range(1, 8):
         expected = [i for i, perm in enumerate(permutations(range(r))) if perm[0] == 0]
-        assert _lead_columns(oracle.lie_module_span(r, 2, 10**9), 2) == expected, r
-    # blocks of q letters as composite letters: the block word is Lyndon
+        assert sorted(oracle._rank_rows(oracle.lie_module_span(r, 2, 10**9), 2)) == expected, r
+    # blocks of q letters as composite letters: the block word is Lyndon; the
+    # block rows reach every kernel through the same adapters
     for q, k in WEIGHT_SPACE_POINTS:
         perms = permutations(range(q * k))
         expected = [i for i, perm in enumerate(perms) if oracle.is_lyndon(tuple(zip(*[iter(perm)] * q)))]
-        assert _lead_columns(oracle.weight_space_span(q, k, 2), 2) == expected, (q, k)
+        for field in (2, 3, 5, None):
+            assert sorted(oracle._rank_rows(oracle.weight_space_span(q, k, field), field)) == expected, (q, k, field)
 
 
 class _CountedRows(oracle._Rows):
@@ -696,7 +692,7 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     rows = [{(c,): v for c, v in vec.items()} for vec in vectors]
     assert oracle.rank_over_field(rows) == _reference_rank(rows, None) == 5
     counted = _CountedRows(vectors)
-    assert oracle._rank_rows(counted, None) == 5
+    assert len(oracle._rank_rows(counted, None)) == 5
     assert counted.passes == 2
     planes = list(_CountedRows(vectors).planes(False))
     assert planes[0] == (0b11, 0)
@@ -705,11 +701,11 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     vectors = [{0: 1}, {1: -1}, {2: 2, 3: 1}, {2: 1}]
     counted = _CountedRows(vectors)
     assert list(counted.planes(False)) == [(1, 0), (0, 2), None]
-    assert oracle._rank_rows(counted, None) == 4 == _reference_rank(vectors, None)
+    assert len(oracle._rank_rows(counted, None)) == 4 == _reference_rank(vectors, None)
     assert counted.passes == 3
     # over F3 the same rows never give up, so one pass
     counted = _CountedRows(vectors)
-    assert oracle._rank_rows(counted, 3) == _reference_rank(vectors, 3)
+    assert len(oracle._rank_rows(counted, 3)) == _reference_rank(vectors, 3)
     assert counted.passes == 1
     # lie_power_rank over the rationals restarts too: the words 0 1 ... make 2s
     assert oracle.lie_power_rank(2, 5, None) == witt_dim(2, 5)
