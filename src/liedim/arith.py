@@ -8,13 +8,14 @@ layer, and only as renderings of exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .render import int_to_str
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ExactnessError(ArithmeticError):
@@ -168,8 +169,7 @@ class _ChainTable:
         return self._memo[r]
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Exact per-degree summary: dim, the reference dimension it is measured against
     (w(n, r) or (r-1)!), their ratio and its explicit lower bound (None if undefined)."""
 

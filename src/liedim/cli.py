@@ -10,6 +10,11 @@ never as a traceback:
   or table output over the budget;
 - an ExactnessError, an exact identity that failed, exits 1 like any other
   failed check.
+
+Each command is a fresh process, so the top of this module imports only what
+the groups, options and failure boundary need (click, arith, budget, render,
+oracle); a command imports the rest when it runs.  So verify.run_suites, not
+click, refuses an unknown suite.
 """
 
 from __future__ import annotations
@@ -17,13 +22,9 @@ from __future__ import annotations
 import click
 
 from . import oracle as oracle_mod
-from . import verify as verify_mod
 from .arith import ExactnessError, power_bits_lower
 from .budget import WorkBudgetExceeded, charge_divisor_walk, charge_output, work_budget
-from .lie_modules import dim_lie, weight_space_dim_formula
-from .report import RunConfig, build_b_rows, build_c_rows, to_csv, to_json
 from .render import DEFAULT_FLOAT_BITS, int_to_str
-from .witt import check_witt_bounds, witt_dim
 
 FIELD_CHOICES = {"q": None, "f2": 2, "f3": 3, "f5": 5}
 
@@ -79,6 +80,7 @@ def witt_cmd(n: int, r: int) -> None:
     charge_output("witt output", [power_bits_lower(n, r) ** 2])
     # w(n, r) walks the divisors of r whatever n is; at n = 1 the output charge is 0
     charge_divisor_walk("witt divisor walk", r)
+    from .witt import check_witt_bounds
     chk = check_witt_bounds(n, r)
     s = int_to_str
     lines = [f"w({s(n)}, {s(r)}) = {s(chk.w)}", f"upper: r*w = {s(chk.upper_lhs)} <= n^r = {s(chk.upper_rhs)}"]
@@ -93,6 +95,7 @@ def witt_cmd(n: int, r: int) -> None:
 
 
 def _print_table(build, fmt, p, ks, m_max, n, float_bits) -> None:
+    from .report import RunConfig, to_csv, to_json
     rows = build(RunConfig(p=p, k_list=tuple(ks), m_max=m_max, n=n, float_bits=float_bits))
     click.echo(to_csv(rows) if fmt == "csv" else to_json(rows), nl=False)
 
@@ -106,6 +109,7 @@ def _print_table(build, fmt, p, ks, m_max, n, float_bits) -> None:
 @click.option("--float-bits", type=int, default=DEFAULT_FLOAT_BITS, show_default=True)
 def b_table_cmd(p, n, ks, m_max, fmt, float_bits) -> None:
     """Table of dim L^r, ratio_b and lower bounds along chains r = p^m k."""
+    from .report import build_b_rows
     _print_table(build_b_rows, fmt, p, ks, m_max, n, float_bits)
 
 
@@ -117,6 +121,7 @@ def b_table_cmd(p, n, ks, m_max, fmt, float_bits) -> None:
 @click.option("--float-bits", type=int, default=DEFAULT_FLOAT_BITS, show_default=True)
 def c_table_cmd(p, ks, m_max, fmt, float_bits) -> None:
     """Table of dim C(r), ratio_c and lower bounds along chains r = p^m k."""
+    from .report import build_c_rows
     _print_table(build_c_rows, fmt, p, ks, m_max, None, float_bits)
 
 
@@ -155,6 +160,7 @@ def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
+    from .witt import witt_dim
     rank = oracle_mod.lie_power_rank(n, r, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "witt", witt_dim(n, r))
 
@@ -165,6 +171,7 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
+    from .lie_modules import dim_lie
     rank = oracle_mod.lie_module_rank(r, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "(r-1)!", dim_lie(r))
 
@@ -176,6 +183,7 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
+    from .lie_modules import weight_space_dim_formula
     rank = oracle_mod.weight_space_rank(q, k, FIELD_CHOICES[field], work_budget(slow=slow))
     _report_rank(rank, "(qk)!/k", weight_space_dim_formula(q, k))
 
@@ -201,16 +209,12 @@ def oracle_expand(word: str, bracketing: str) -> None:
 
 
 @main.command("verify")
-@click.option(
-    "--suite",
-    type=click.Choice(verify_mod.SUITE_NAMES),
-    default="all",
-    show_default=True,
-)
+@click.option("--suite", default="all", show_default=True, help="suite to run; an unknown name exits 2 and lists them")
 @click.option("--slow", is_flag=True, help="include the long oracle checks")
 def verify_cmd(suite: str, slow: bool) -> None:
     """Run the named self-check suite; exit 1 if any check fails."""
-    families = verify_mod.run_suites(suite, slow)
+    from .verify import failure_count, run_suites
+    families = run_suites(suite, slow)
     for fam in families:
         click.echo(f"{fam.name}: {fam.checks} checks, {len(fam.failures)} failures")
         for detail in fam.failures[:MAX_FAILURES_SHOWN]:
@@ -218,7 +222,7 @@ def verify_cmd(suite: str, slow: bool) -> None:
         hidden = len(fam.failures) - MAX_FAILURES_SHOWN
         if hidden > 0:
             click.echo(f"  ... and {hidden} more")
-    total = verify_mod.failure_count(families)
+    total = failure_count(families)
     checks = sum(fam.checks for fam in families)
     if total:
         click.echo(f"FAIL: {total} of {checks} checks failed")

@@ -81,38 +81,40 @@ def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
 
     Duval's generation scheme: extend the current word periodically to length
     r, drop trailing maximal letters, then increment.  Each word produced on
-    the way is Lyndon; we yield the ones of length exactly r.  Words are made
-    one at a time and no list of all of them is kept; count_lyndon_words
-    counts them without making any.  The arguments are checked when
-    iteration starts.
+    the way is Lyndon; we yield the ones of length exactly r.  The scan runs on
+    one list of r slots and an explicit length m: the word is w[:m], an
+    extension writes w[i] = w[i - m] for i = m..r-1, and a pop lowers m.
+    Words are made one at a time and no list of all of them is kept.  The
+    arguments are checked when iteration starts.
     """
     if n < 1 or r < 1:
         raise ValueError("iter_lyndon_words() needs n >= 1 and r >= 1")
     top = n - 1
-    w = [-1]
-    while w:
-        w[-1] += 1
-        if len(w) == r:
+    w = [0] * r
+    w[0] = -1
+    m = 1
+    while m:
+        w[m - 1] += 1
+        if m == r:
             yield tuple(w)
-        m = len(w)
-        while len(w) < r:
-            w.append(w[len(w) - m])
-        while w and w[-1] == top:
-            w.pop()
+        else:
+            for i in range(m, r):
+                w[i] = w[i - m]
+            m = r
+        while m and w[m - 1] == top:
+            m -= 1
 
 
 def count_lyndon_words(n: int, r: int) -> int:
     """The number of words iter_lyndon_words(n, r) yields, found by the same scan.
 
-    The scan runs on one list of r slots and an explicit length m: the word
-    is w[:m], an extension writes w[i] = w[i - m] for i = m..r-1, and a pop
-    lowers m.  Whenever the scan's word has length r it is next raised in its
-    last letter, one step at a time, up to n - 1, and each step is a Lyndon
-    word of length r; after the last step the trailing maximal letters are
-    popped.  So each such run of words is counted in one step: n - a words
-    when an increment lands on length r with last letter a, and n - 1 - a
-    when an extension reaches length r with last letter a (the extended word
-    itself is not counted).
+    Whenever the scan's word has length r it is next raised in its last
+    letter, one step at a time, up to n - 1, and each step is a Lyndon word of
+    length r; after the last step the trailing maximal letters are popped.  So
+    each such run of words is counted in one step: n - a words when an
+    increment lands on length r with last letter a, and n - 1 - a when an
+    extension reaches length r with last letter a (the extended word itself is
+    not counted).
 
     Runs at length r - 1 are taken in one step too.  An increment that lands
     on length r - 1 >= 2 gives a Lyndon word w with last letter a, which is

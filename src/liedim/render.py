@@ -15,14 +15,19 @@ Decimal 2**w) and takes its str(), the algorithm of CPython 3.12's
 Lib/_pylong.py (int_to_decimal).  Past the interpreter's int-to-str digit
 limit it takes that path too, so it never refuses and its text does not depend
 on the limit; the work budget bounds what is printed (budget.charge_output).
+
+Every command loads this module at start-up (through arith), so decimal and
+fractions are imported only in the functions that use them.
 """
 
 from __future__ import annotations
 
-import decimal
 import sys
-from fractions import Fraction
 from math import isqrt
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_FLOAT_BITS = 128
 MAX_FLOAT_BITS = 65_536
@@ -55,6 +60,7 @@ def str_to_int(text: str) -> int:
 
 def _decimal_text(n: int, bits: int) -> str:
     """str(n) for n >= 0 of the given bit length, by divide and conquer over decimal.Decimal."""
+    import decimal
     dec = decimal.Decimal
     powers: dict[int, decimal.Decimal] = {}
 
@@ -116,6 +122,7 @@ def _round_half_even(num: int, den: int) -> int:
 
 def dyadic_round(x: Fraction, bits: int) -> Fraction:
     """Round x half-even to a multiple of 2**-bits."""
+    from fractions import Fraction
     if bits < 1:
         raise ValueError("bits must be >= 1")
     scale = 1 << bits
@@ -143,6 +150,7 @@ def sqrt_dyadic(x: Fraction, bits: int = DEFAULT_FLOAT_BITS) -> Fraction:
     Used only to render bounds whose exact form keeps an irrational term as a
     square; comparisons never go through this.
     """
+    from fractions import Fraction
     if x < 0:
         raise ValueError("sqrt_dyadic() needs x >= 0")
     scale = 1 << bits

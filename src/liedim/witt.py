@@ -18,7 +18,7 @@ with denominators cleared and the possibly-irrational n**(r/2) squared away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, exact_div, mobius, power_bits_lower
 
@@ -54,8 +54,7 @@ def aperiodic_word_count(n: int, r: int) -> int:
     return r * witt_dim(n, r)
 
 
-@dataclass(frozen=True)
-class WittBoundsWitness:
+class WittBoundsWitness(NamedTuple):
     """Integer comparisons certifying the two-sided bound on w(n, r).
 
     upper:  r*w <= n**r, compared directly.

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedim import arith, cli, lie_powers
+from liedim import verify as verify_mod
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
 from liedim.cli import main
@@ -486,9 +487,9 @@ def test_oracle_lyndon_counts_by_runs_and_streams_words(runner, monkeypatch):
 
 def test_verify_lyndon_count_family_bites(runner, monkeypatch):
     # a counter that is off by one at a single point fails that point and only it
-    real = cli.verify_mod.oracle.count_lyndon_words
+    real = verify_mod.oracle.count_lyndon_words
     monkeypatch.setattr(
-        cli.verify_mod.oracle, "count_lyndon_words", lambda n, r: real(n, r) + ((n, r) == (2, 5))
+        verify_mod.oracle, "count_lyndon_words", lambda n, r: real(n, r) + ((n, r) == (2, 5))
     )
     result = runner.invoke(main, ["verify", "--suite", "oracle"])
     assert result.exit_code == 1
@@ -603,9 +604,9 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
         "lie_module_rank",
         "weight_space_rank",
     ):
-        monkeypatch.setattr(cli.verify_mod.oracle, name, must_not_run)
+        monkeypatch.setattr(verify_mod.oracle, name, must_not_run)
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
-        monkeypatch.setattr(cli.verify_mod, name, must_not_run)
+        monkeypatch.setattr(verify_mod, name, must_not_run)
     for budget, args, task, work in (
         ("10000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 12700800),
         ("1000", ["verify", "--suite", "c"], "weight space span", 518400),
@@ -722,8 +723,8 @@ def test_verify_witt_suite(runner):
 
 
 def test_verify_shows_at_most_20_failures_per_family(runner, monkeypatch):
-    fam = cli.verify_mod.CheckFamily("demo/family", checks=26, failures=[f"(i={i})" for i in range(25)])
-    monkeypatch.setattr(cli.verify_mod, "run_suites", lambda suite, slow: [fam])
+    fam = verify_mod.CheckFamily("demo/family", checks=26, failures=[f"(i={i})" for i in range(25)])
+    monkeypatch.setattr(verify_mod, "run_suites", lambda suite, slow: [fam])
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
     assert result.output.splitlines() == [
@@ -737,6 +738,7 @@ def test_verify_shows_at_most_20_failures_per_family(runner, monkeypatch):
 def test_verify_rejects_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "--suite", "nope"])
     assert result.exit_code == 2
+    assert _error_lines(result) == [f"Error: unknown suite 'nope'; choose from {verify_mod.SUITE_NAMES}"]
 
 
 @pytest.mark.slow

@@ -40,6 +40,14 @@ def test_iter_lyndon_words_matches_list():
             assert list(oracle.iter_lyndon_words(n, r)) == oracle.lyndon_words(n, r), (n, r)
 
 
+def test_iter_lyndon_words_is_the_lyndon_filter_of_all_words():
+    # every word tested directly, in lexicographic order: n <= 4 to r = 8, five letters to r = 6
+    points = [(n, r) for n in range(1, 5) for r in range(1, 9)] + [(5, r) for r in range(1, 7)]
+    for n, r in points:
+        expected = [word for word in product(range(n), repeat=r) if oracle.is_lyndon(word)]
+        assert list(oracle.iter_lyndon_words(n, r)) == expected, (n, r)
+
+
 def test_iter_lyndon_words_is_lazy():
     # the first of the 1,397,740 words arrives without the rest being built
     tracemalloc.start()
