@@ -662,8 +662,6 @@ def _rank_rational(rows) -> dict[int, dict[int, int]]:
 def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
     """The rows lie_power_rank ranks, charged after the walk over the n**r
     words that makes them."""
-    if n < 1 or r < 1:
-        raise ValueError("lie_power_rank() needs n >= 1 and r >= 1")
     charge_word_enumeration(n, r, budget, "Lie power word enumeration")
 
     def expansions():
@@ -692,8 +690,6 @@ def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None 
 def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
     """The rows lyndon_bracketing_rank ranks, charged after the walk over the
     n**r words that makes them: count_lyndon_words(n, r) rows of n**r columns."""
-    if n < 1 or r < 1:
-        raise ValueError("lyndon_bracketing_rank() needs n >= 1 and r >= 1")
     charge_word_enumeration(n, r, budget)
     count = count_lyndon_words(n, r)
     rows = _Rows(lambda: (_standard_columns(w, n).items() for w in iter_lyndon_words(n, r)), count, n**r)

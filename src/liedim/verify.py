@@ -1,15 +1,17 @@
 """Self-check suites: every exact identity, bound and oracle agreement on fixed grids.
 
 Each suite walks a deterministic grid and records one check per point, so two
-runs produce identical reports.  A failure carries the offending
-(p, n, m, k) tuple.  The suites are intentionally redundant with the unit
-tests: they are the runtime-facing way to re-certify an installation.
+runs produce identical reports.  A failure carries the offending point in its
+family's coordinates, such as (p, n, m, k) or (q, k, field).  The suites are
+intentionally redundant with the unit tests: they are the runtime-facing way
+to re-certify an installation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 from . import oracle
@@ -42,12 +44,10 @@ CONV_DIMS = (2, 3)
 CONV_KS = (2, 3, 5)
 CONV_MAX_R = 5000
 
-# oracle grids, each read by its suite and by _charge_oracle_jobs
+# oracle grids
 WEIGHT_SPACE_POINTS = ((1, 2), (1, 3), (1, 4), (2, 2), (3, 2), (2, 3))  # (q, k)
 APERIODIC_POINTS = tuple(product(range(1, 4), range(1, 11)))  # (n, r)
 ORACLE_POWER_POINTS = tuple(product(range(1, 4), range(1, 7)))  # (n, r)
-ORACLE_MODULE_POINTS = tuple((r,) for r in range(1, 7))
-ORACLE_MODULE_SLOW_R = 7
 ORACLE_FIELDS = (None, 2, 3)
 
 
@@ -170,13 +170,12 @@ def b_suite() -> list[CheckFamily]:
     return [identity, ratio_range, coeff, bound, conv]
 
 
-def c_suite() -> list[CheckFamily]:
+def c_suite(spans: dict[str, list[tuple]]) -> list[CheckFamily]:
     integ = CheckFamily("c/integrality-and-range")
     recur = CheckFamily("c/recurrence-cross-check")
     ratio_ident = CheckFamily("c/coefficient-ratio-identity")
     bound = CheckFamily("c/lower-bound")
     weight = CheckFamily("c/weight-space-formula")
-    agree = CheckFamily("c/weight-space-oracle")
     conv = CheckFamily("c/convergence")
 
     for p in SMALL_PRIMES:
@@ -209,9 +208,7 @@ def c_suite() -> list[CheckFamily]:
                 f"(q={q}, k={k})",
             )
 
-    for q, k in WEIGHT_SPACE_POINTS:
-        rank = oracle.weight_space_rank(q, k)
-        agree.record(rank == weight_space_dim_formula(q, k), f"(q={q}, k={k})")
+    agree = _ranked("c/weight-space-oracle", spans)
 
     for p in CONV_PRIMES:
         ctx = LieModuleContext(p)
@@ -260,7 +257,7 @@ def _check_c_chain(
             bound.record(1 - lb < GAP_EPS, where + " bound gap")
 
 
-def oracle_suite(slow: bool = False) -> list[CheckFamily]:
+def oracle_suite(spans: dict[str, list[tuple]]) -> list[CheckFamily]:
     lyndon = CheckFamily("oracle/lyndon-count")
     for n in range(1, 5):
         for r in range(1, 13):
@@ -270,27 +267,7 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
     for n, r in APERIODIC_POINTS:
         aper.record(oracle.aperiodic_count_bruteforce(n, r) == aperiodic_word_count(n, r), f"(n={n}, r={r})")
 
-    power = CheckFamily("oracle/lie-power-rank")
-    basis = CheckFamily("oracle/lyndon-basis-rank")
-    witt_at = {(n, r): witt_dim(n, r) for n, r in ORACLE_POWER_POINTS}
-    for fam, rank in ((power, oracle.lie_power_rank), (basis, oracle.lyndon_bracketing_rank)):
-        for (n, r), w in witt_at.items():
-            for f in ORACLE_FIELDS:
-                fam.record(rank(n, r, f) == w, f"(n={n}, r={r}, field={f})")
-
-    module = CheckFamily("oracle/lie-module-rank")
-    for (r,) in ORACLE_MODULE_POINTS:
-        for f in ORACLE_FIELDS:
-            module.record(oracle.lie_module_rank(r, f) == dim_lie(r), f"(r={r}, field={f})")
-    if slow:
-        r = ORACLE_MODULE_SLOW_R
-        module.record(oracle.lie_module_rank(r, 2, work_budget(slow=True)) == dim_lie(r), f"(r={r}, field=2, slow)")
-
-    wspace = CheckFamily("oracle/weight-space-rank")
-    for q, k in WEIGHT_SPACE_POINTS:
-        expected = weight_space_dim_formula(q, k)
-        for f in (None, 2):
-            wspace.record(oracle.weight_space_rank(q, k, f) == expected, f"(q={q}, k={k}, field={f})")
+    ranks = [_ranked(name, spans) for name in spans if name.startswith("oracle/")]
 
     smoke = CheckFamily("oracle/bracket-smoke")
     for r in range(1, 6):
@@ -302,41 +279,59 @@ def oracle_suite(slow: bool = False) -> list[CheckFamily]:
             one = oracle.left_normed_expand((a, b))
             minus_two = {idx: -c for idx, c in oracle.left_normed_expand((b, a)).items()}
             smoke.record(one == minus_two, f"(antisymmetry a={a}, b={b})")
-    return [lyndon, aper, power, basis, module, wspace, smoke]
+    return [lyndon, aper, *ranks, smoke]
 
 
-def _charge_oracle_jobs(suite: str, slow: bool) -> None:
-    """Charge every budget-charged oracle job of the selected suites through
-    the oracle's own charges, in the order the suites first charge them, so
-    the first refusal is the one a run would meet."""
+def _ranked(name: str, spans: dict[str, list[tuple]]) -> CheckFamily:
+    """The rank family name: one check per job of spans[name], its span's rank against its closed form."""
+    fam = CheckFamily(name)
+    for where, rows, field, expected in spans[name]:
+        fam.record(len(oracle._rank_rows(rows, field)) == expected, where)
+    return fam
 
-    def charge(span, points, fields=ORACLE_FIELDS):
-        for point in points:
-            for f in fields:
-                span(*point, f)
 
+def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
+    """The rank jobs of the selected suites by family name, in family order,
+    each (where, span, field, the closed form its rank must equal).
+
+    Building a span charges it, so this pass charges every job, and each
+    aperiodic walk in its place, before any family runs: an over-budget job is
+    refused at once.  w(n, r) and (qk)!/k are computed once per point.
+    """
+    spans: dict[str, list[tuple]] = {}
+
+    def add(name, span, points, closed, where="(n={}, r={}, field={})", fields=ORACLE_FIELDS):
+        # where takes a point's coordinates, then the field (c's takes no field)
+        spans[name] = [(where.format(*pt, f), span(*pt, f), f, closed(*pt)) for pt in points for f in fields]
+
+    qk = cache(weight_space_dim_formula)
     if suite in ("all", "c"):
-        charge(oracle.weight_space_span, WEIGHT_SPACE_POINTS, (None,))
+        add("c/weight-space-oracle", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, "(q={}, k={})", [None])
     if suite in ("all", "oracle"):
         for n, r in APERIODIC_POINTS:
             oracle.charge_word_enumeration(n, r, None, "aperiodic word enumeration")
-        charge(oracle.lie_power_span, ORACLE_POWER_POINTS)
-        charge(oracle.lyndon_bracketing_span, ORACLE_POWER_POINTS)
-        charge(oracle.lie_module_span, ORACLE_MODULE_POINTS)
+        witt = cache(witt_dim)
+        add("oracle/lie-power-rank", oracle.lie_power_span, ORACLE_POWER_POINTS, witt)
+        add("oracle/lyndon-basis-rank", oracle.lyndon_bracketing_span, ORACLE_POWER_POINTS, witt)
+        add("oracle/lie-module-rank", oracle.lie_module_span, [(r,) for r in range(1, 7)], dim_lie, "(r={}, field={})")
         if slow:
-            oracle.lie_module_span(ORACLE_MODULE_SLOW_R, 2, work_budget(slow=True))
-        charge(oracle.weight_space_span, WEIGHT_SPACE_POINTS, (None, 2))
+            rows = oracle.lie_module_span(7, 2, work_budget(slow=True))
+            spans["oracle/lie-module-rank"].append(("(r=7, field=2, slow)", rows, 2, dim_lie(7)))
+        qk_where = "(q={}, k={}, field={})"
+        add("oracle/weight-space-rank", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, qk_where, [None, 2])
+    return spans
 
 
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
     """Run one named suite ('all' chains every family, including the arith grids).
 
-    Every oracle job of the selected suites is charged against the work budget
-    first, so an over-budget one is refused before any family runs.
+    One pass, _oracle_spans, first builds and charges every rank job, so an
+    over-budget one is refused before any family runs; the c and oracle suites
+    then rank its spans.  slow adds the r = 7 Lie module job.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    _charge_oracle_jobs(suite, slow)
+    spans = _oracle_spans(suite, slow)
     families: list[CheckFamily] = []
     if suite == "all":
         families += arith_suite()
@@ -345,9 +340,9 @@ def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
     if suite in ("all", "b"):
         families += b_suite()
     if suite in ("all", "c"):
-        families += c_suite()
+        families += c_suite(spans)
     if suite in ("all", "oracle"):
-        families += oracle_suite(slow)
+        families += oracle_suite(spans)
     return families
 
 

@@ -499,6 +499,65 @@ def test_verify_lyndon_count_family_bites(runner, monkeypatch):
     assert lines[-1].startswith("FAIL: 1 of ")
 
 
+def _phantom_key(rows, field):
+    # block-bracket rows by their (q, k), the other sources by their shape
+    if isinstance(rows, verify_mod.oracle._BlockBracketRows):
+        return rows.q, rows.k, field
+    return rows.shape, field
+
+
+# one point per rank family of the oracle suite, keyed by _phantom_key; c's
+# point (q=1, k=2) has the rows of the oracle suite's Lie module at r = 2, so
+# the c suite runs on its own
+ORACLE_PHANTOMS = {("27*81", 2), ("6*32", 3), (1, 5, None), (2, 3, 2)}
+ORACLE_FAIL_LINES = [
+    "oracle/lie-power-rank: 54 checks, 1 failures",
+    "  FAIL (n=3, r=4, field=2)",
+    "oracle/lyndon-basis-rank: 54 checks, 1 failures",
+    "  FAIL (n=2, r=5, field=3)",
+    "oracle/lie-module-rank: 18 checks, 1 failures",
+    "  FAIL (r=5, field=None)",
+    "oracle/weight-space-rank: 12 checks, 1 failures",
+    "  FAIL (q=2, k=3, field=2)",
+]
+
+
+@pytest.mark.parametrize(
+    "suite, slow, phantoms, expected",
+    [
+        (
+            "c", False, {(1, 2, None)},
+            ["c/weight-space-oracle: 6 checks, 1 failures", "  FAIL (q=1, k=2)", "FAIL: 1 of 4192 checks failed"],
+        ),
+        ("oracle", False, ORACLE_PHANTOMS, [*ORACLE_FAIL_LINES, "FAIL: 4 of 287 checks failed"]),
+        pytest.param(
+            "oracle", True, ORACLE_PHANTOMS | {(1, 7, 2)},
+            [
+                *ORACLE_FAIL_LINES[:4],
+                "oracle/lie-module-rank: 19 checks, 2 failures",
+                "  FAIL (r=5, field=None)",
+                "  FAIL (r=7, field=2, slow)",
+                *ORACLE_FAIL_LINES[6:],
+                "FAIL: 5 of 288 checks failed",
+            ],
+            marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, suite, slow, phantoms, expected):
+    # one phantom pivot at one point per rank family fails that point and only it
+    real = verify_mod.oracle._rank_rows
+
+    def with_phantom(rows, field):
+        pivots = real(rows, field)
+        return {**pivots, -1: None} if _phantom_key(rows, field) in phantoms else pivots
+
+    monkeypatch.setattr(verify_mod.oracle, "_rank_rows", with_phantom)
+    result = runner.invoke(main, ["verify", "--suite", suite, *(["--slow"] if slow else [])])
+    assert result.exit_code == 1
+    assert [line for line in result.output.splitlines() if not line.endswith(" 0 failures")] == expected
+
+
 def test_oracle_expand(runner):
     result = runner.invoke(main, ["oracle", "expand", "001"])
     assert result.exit_code == 0
@@ -597,13 +656,8 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the budget refusal")
 
-    for name in (
-        "aperiodic_count_bruteforce",
-        "lie_power_rank",
-        "lyndon_bracketing_rank",
-        "lie_module_rank",
-        "weight_space_rank",
-    ):
+    # _rank_rows is the one rank dispatch, which verify and every *_rank wrapper call
+    for name in ("aperiodic_count_bruteforce", "_rank_rows"):
         monkeypatch.setattr(verify_mod.oracle, name, must_not_run)
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(verify_mod, name, must_not_run)
@@ -823,6 +877,14 @@ def test_bad_invocations_fail_in_one_line(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--suite", "witt"])
     assert result.exit_code == 0
     assert result.stdout.startswith("witt/two-sided-bounds: 640 checks")
+
+
+def test_oracle_lie_power_refuses_an_empty_alphabet(runner):
+    # the word enumeration's charge is the one check of n and r
+    args = ["oracle", "lie-power", "--n", "0", "--r", "3"]
+    result = runner.invoke(main, args)
+    _assert_one_line_refusal(result, args)
+    assert _error_lines(result) == ["Error: Lie power word enumeration needs n >= 1 and r >= 1"]
 
 
 def test_failed_exact_identity_exits_1(runner, monkeypatch):

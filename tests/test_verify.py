@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from liedim import budget, oracle, verify
+from liedim import oracle, verify
 
 
 def test_check_family_record():
@@ -64,23 +64,23 @@ def test_all_suite_contains_every_family():
     assert set(verify.SUITE_NAMES) == {"all", "witt", "b", "c", "oracle"}
 
 
-def _charged_jobs(monkeypatch, suite, slow):
-    """The (task, symbolic work) of the jobs the up-front charge and then the
-    suites themselves charge, each in the order of its first charge."""
+def _run_logged(monkeypatch, suite, slow):
+    """Run the suites; log each span charge, rank and suite call, in order,
+    as (kind, the call's arguments)."""
     log = []
-    charge = budget._charge
 
-    def recording(limit, task, floor_bits, symbolic, work):
-        log.append((task, symbolic))
-        charge(limit, task, floor_bits, symbolic, work)
+    def logged(kind, fn):
+        def wrapper(*args, **kwargs):
+            log.append((kind, args))
+            return fn(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_charge", recording)
-    verify._charge_oracle_jobs(suite, slow)
-    up_front = list(dict.fromkeys(log))
-    log.clear()
-    monkeypatch.setattr(verify, "_charge_oracle_jobs", lambda suite, slow: None)
-    verify.run_suites(suite, slow)
-    return up_front, list(dict.fromkeys(log))
+        return wrapper
+
+    monkeypatch.setattr(oracle, "charge_span", logged("charge", oracle.charge_span))
+    monkeypatch.setattr(oracle, "_rank_rows", logged("rank", oracle._rank_rows))
+    for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
+        monkeypatch.setattr(verify, name, logged("suite", getattr(verify, name)))
+    return verify.run_suites(suite, slow), log
 
 
 @pytest.mark.parametrize(
@@ -95,9 +95,17 @@ def _charged_jobs(monkeypatch, suite, slow):
     ],
 )
 def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
-    up_front, run = _charged_jobs(monkeypatch, suite, slow)
-    assert up_front == run
-    assert (("multilinear bracket span", "(7!/2)*7!") in run) == (slow and suite != "c")
+    # every span is charged before the first suite runs, one charge per rank
+    # check, and each charged span is ranked once, in the order it was built
+    families, log = _run_logged(monkeypatch, suite, slow)
+    kinds = [kind for kind, _ in log]
+    assert "charge" not in kinds[kinds.index("suite") :]
+    charged = [args[1] for kind, args in log if kind == "charge"]  # charge_span(task, rows, ...)
+    ranked = [args[0] for kind, args in log if kind == "rank"]  # _rank_rows(rows, field)
+    rank_checks = sum(fam.checks for fam in families if fam.name.endswith(("-rank", "/weight-space-oracle")))
+    expected = {"c": 6, "oracle": 138, "all": 144}[suite] + (slow and suite != "c")
+    assert len(charged) == rank_checks == expected
+    assert ranked == charged
 
 
 def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
@@ -111,6 +119,6 @@ def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
     namespace = dict(vars(oracle))
     exec(flipped, namespace)
     monkeypatch.setattr(oracle, "_bracket_columns", namespace["_bracket_columns"])
-    smoke = verify.oracle_suite()[-1]
+    smoke = verify.oracle_suite(verify._oracle_spans("oracle", False))[-1]
     assert smoke.name == "oracle/bracket-smoke"
     assert smoke.failures == [f"(antisymmetry a={a}, b={b})" for a in range(3) for b in range(3)]
