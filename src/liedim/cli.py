@@ -161,8 +161,8 @@ def oracle_aperiodic(n: int, r: int, slow: bool) -> None:
 def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
     from .witt import witt_dim
-    rank = oracle_mod.lie_power_rank(n, r, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(rank, "witt", witt_dim(n, r))
+    span = oracle_mod.lie_power_span(n, r, FIELD_CHOICES[field], work_budget(slow=slow))
+    _report_rank(len(span.pivots()), "witt", witt_dim(n, r))
 
 
 @oracle_group.command("lie-module")
@@ -172,8 +172,8 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
 def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
     from .lie_modules import dim_lie
-    rank = oracle_mod.lie_module_rank(r, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(rank, "(r-1)!", dim_lie(r))
+    span = oracle_mod.lie_module_span(r, FIELD_CHOICES[field], work_budget(slow=slow))
+    _report_rank(len(span.pivots()), "(r-1)!", dim_lie(r))
 
 
 @oracle_group.command("weight-space")
@@ -184,8 +184,8 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
 def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
     from .lie_modules import weight_space_dim_formula
-    rank = oracle_mod.weight_space_rank(q, k, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(rank, "(qk)!/k", weight_space_dim_formula(q, k))
+    span = oracle_mod.weight_space_span(q, k, FIELD_CHOICES[field], work_budget(slow=slow))
+    _report_rank(len(span.pivots()), "(qk)!/k", weight_space_dim_formula(q, k))
 
 
 @oracle_group.command("expand")

@@ -6,13 +6,14 @@ bracket product, _bracket_columns, makes [u, v] = u (x) v - v (x) u with
 each index tuple read as its column number, its position in lexicographic
 order.  The four span oracles (left-normed words, standard bracketings of
 Lyndon words, multilinear and block brackets) stream their rows one at a
-time, each as (column, value) entries.  One set of adapters, _Rows, turns
-a row into the form its kernel takes, and one dispatch, _rank_rows, runs a
-deterministic sparse Gaussian elimination, exact over the rationals or over
-a prime field, and returns the kernel's pivots: by the triangularity of the
-standard bracketing, the lead columns are the Lyndon words.  The bracket
-oracles make one row of each +- pair: since [a, b] = -[b, a], the rows
-whose first letter (block) is below the second span everything.
+time, each as (column, value) entries, into a span, a _Rows source that
+carries its field.  Its one elimination, _Rows.pivots(), turns each row
+into the form its field's kernel takes, runs a deterministic sparse
+Gaussian elimination, exact over Q or F_p, and returns the kernel's pivots:
+by the triangularity of the standard bracketing, the lead columns are the
+Lyndon words.  The bracket oracles make one row of each +- pair: since
+[a, b] = -[b, a], the rows whose first letter (block) is below the second
+span everything.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -64,13 +65,13 @@ def charge_expansion(r: int, budget: int | None = None) -> None:
     _charge(budget, "bracket expansion", r - 1, f"{r}*2^{r - 1}", lambda: r << (r - 1))
 
 
-def charge_span(task: str, rows: _Rows, field: int | None = None, budget: int | None = None) -> _Rows:
-    """Refuse a rank over field of a source's rows (see _Rows) when one pass is
-    over the budget, else return the source.  The charge is planes * count *
-    width, the bits of the dense rows a pass streams: one plane over F_2, two
-    over any other field, so a kernel's count pivots take a small multiple of
-    charge/8 bytes."""
-    planes = 1 if field == 2 else 2
+def charge_span(task: str, rows: _Rows, budget: int | None = None) -> _Rows:
+    """Refuse the elimination of a span (see _Rows) when one pass is over the
+    budget, else return the span.  The charge is planes * count * width, the
+    bits of the dense rows a pass streams: one plane over F_2, two over any
+    other field, so a kernel's count pivots take a small multiple of charge/8
+    bytes."""
+    planes = 1 if rows.field == 2 else 2
     shape = rows.shape if planes == 1 else f"2*{rows.shape}"
     _charge(budget, task, rows.floor_bits, shape, lambda: planes * rows.count * rows.width)
     return rows
@@ -229,8 +230,8 @@ def left_normed_expand(word) -> SparseTensorVector:
 
     [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left, for
     letters 0..255 (any other letter raises ValueError).  This is the fold
-    that lie_power_rank ranks, _left_normed_columns over 256 letters.  The
-    result has at most 2**(r-1) terms; repeated letters can cancel or
+    lie_power_span's rows come from, _left_normed_columns over 256 letters.
+    The result has at most 2**(r-1) terms; repeated letters can cancel or
     combine, so coefficients other than +-1 do occur.
     """
     letters = bytes(word)
@@ -348,17 +349,24 @@ def _bitmask(columns, width: int) -> int:
     return int.from_bytes(bits, "little")
 
 
+def _checked_field(field: int | None) -> int | None:
+    if field is not None and not is_prime(field):
+        raise ValueError(f"field must be None (rationals) or a prime, got {field}")
+    return field
+
+
 class _Rows:
-    """A re-iterable source of rows for the rank kernels.
+    """A span: a re-iterable source of rows and the field they span over.
 
     Each call of entries() starts a pass over the rows, in a fixed order, and
     yields each row as (column, integer) pairs, no column twice.  The columns
     are numbered 0..width-1 in the lexicographic order of the tensor indices
     they stand for.  A zero entry is skipped and may have no column.  Each
-    method below starts a pass and yields one kernel's rows one at a time, so
+    adapter below starts a pass and yields one kernel's rows one at a time, so
     no pass makes a list of rows, and a kernel holds only its pivots and the
     row at hand.  Every source, a subclass too, reaches the kernels through
-    these adapters and states only entries().
+    these adapters and pivots(), and states only entries().  Its field,
+    None (the rationals) or a prime p (F_p), is checked when it is built.
 
     A source states its size, count rows of width columns a pass, for
     charge_span, with floor_bits <= log2(count * width) and shape, the product
@@ -367,11 +375,36 @@ class _Rows:
 
     floor_bits = 0
 
-    def __init__(self, entries, count: int, width: int):
+    def __init__(self, entries, count: int, width: int, field: int | None):
+        self.field = _checked_field(field)
         self.entries = entries
         self.count = count
         self.width = width
         self.shape = f"{count}*{width}"
+
+    def pivots(self) -> dict[int, object]:
+        """The pivots of an exact elimination of the rows over the span's field,
+        keyed by their lead columns; the rank of the span is their number.
+
+        Deterministic by construction: the rows are reduced one at a time, in
+        the source's order, each against pivots chosen as the first nonzero
+        position in column order.  This is the one place that picks a field's
+        kernel:
+        - F_2: a row is one bitmask, and a step XORs in the pivot;
+        - F_3 and the rationals: one signed two-plane kernel (bitslicing, after
+          Boothby and Bradshaw), _rank_planes, which over the rationals gives
+          up at the first +-2.  The source is then streamed again as integer
+          dict rows (_rank_rational), so the worst case is one wasted pass;
+        - F_p for p >= 5: a row is a dict of residues; pivots are scaled to
+          lead 1 and a row loses a multiple of the pivot.
+        """
+        field = self.field
+        if field == 2:
+            return _rank_gf2(self.masks())
+        if field not in (None, 3):
+            return _rank_prime(self.residues(field), field)
+        pivots = _rank_planes(self.planes(field == 3), field == 3)
+        return _rank_rational(self.integers()) if pivots is None else pivots
 
     def masks(self):
         """F_2 rows: the bitmask of the odd entries' columns."""
@@ -441,9 +474,9 @@ class _BlockBracketRows(_Rows):
     an even number of prepends.  The width (q*k)! is made only when read.
     """
 
-    def __init__(self, q: int, k: int):
-        self.q = q
-        self.k = k
+    def __init__(self, q: int, k: int, field: int | None):
+        self.field = _checked_field(field)
+        self.q, self.k = q, k
         r = q * k
         self.floor_bits = 2 * r - 3  # r! >= 2**(r-1), and count >= r!/2
         self.shape = f"{r}!*{r}!" if k == 1 else f"({r}!/2)*{r}!"
@@ -466,47 +499,16 @@ class _BlockBracketRows(_Rows):
         return (zip(cols, signs) for cols in zip(*(table for table, _ in terms)))
 
 
-def _rank_rows(rows: _Rows, field: int | None) -> dict[int, object]:
-    """The pivots of an exact elimination of a row source's rows (see _Rows),
-    keyed by their lead columns; the rank of their span is their number.
-
-    field None means the rationals; a prime p means F_p.  Deterministic by
-    construction: the rows are reduced one at a time, in the source's order,
-    each against pivots chosen as the first nonzero position in column order.
-    This is the one place that picks a field's kernel.  The kernels:
-    - F_2: a row is one bitmask, and a step XORs in the pivot;
-    - F_3 and the rationals: one signed two-plane kernel (bitslicing, after
-      Boothby and Bradshaw), _rank_planes, which over the rationals gives up
-      at the first +-2;
-    - the rationals, when the planes give up: the source is streamed again as
-      integer dict rows (_rank_rational), whose pivots are returned, so the
-      worst case of trying the planes first is one wasted planes pass;
-    - F_p for p >= 5: a row is a dict of residues; pivots are scaled to lead
-      1 and a row loses a multiple of the pivot.
-    """
-    if field is not None and not is_prime(field):
-        raise ValueError(f"field must be None (rationals) or a prime, got {field}")
-    if field == 2:
-        pivots = _rank_gf2(rows.masks())
-    elif field is None or field == 3:
-        wrap = field == 3
-        pivots = _rank_planes(rows.planes(wrap), wrap)
-        if pivots is None:
-            pivots = _rank_rational(rows.integers())
-    else:
-        pivots = _rank_prime(rows.residues(field), field)
-    return pivots
-
-
 def rank_over_field(vectors, field: int | None = None) -> int:
     """Exact rank of the span of the given list of sparse vectors.
 
     A vector's keys are index tuples, all of one tensor degree.  field None
     means the rationals; a prime p means F_p.  The keys of the nonzero
-    entries, sorted lexicographically, number the columns, and the vectors go
-    to _rank_rows in the given order, one at a time, so each pivot is a row's
-    first nonzero key in sorted order.  The vectors are not modified.  The
-    four rank oracles make no such list: they stream their rows.
+    entries, sorted lexicographically, number the columns, and the vectors
+    are the rows of a _Rows span, eliminated in the given order, one at a
+    time, so each pivot is a row's first nonzero key in sorted order.  The
+    vectors are not modified.  The four span oracles make no such list: they
+    stream their rows.
     """
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
     keys = {idx for vec in vectors for idx, c in vec.items() if c}
@@ -514,8 +516,8 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     if len(degrees) > 1:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     column = {idx: j for j, idx in enumerate(sorted(keys))}.get
-    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(vectors), len(keys))
-    return len(_rank_rows(rows, field))
+    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(vectors), len(keys), field)
+    return len(rows.pivots())
 
 
 def _rank_gf2(rows) -> dict[int, int]:
@@ -660,80 +662,59 @@ def _rank_rational(rows) -> dict[int, dict[int, int]]:
 
 
 def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The rows lie_power_rank ranks, charged after the walk over the n**r
-    words that makes them."""
+    """The span of the left-normed expansions of all n**r words over the field,
+    charged after the walk over the words that makes it.
+
+    Its rank is the dimension of the degree-r Lie power of an n-dimensional
+    space, measured directly in coordinates; the answer is field-independent.
+    Only the words with w[0] < w[1] (all words when r = 1) are expanded: the
+    bracket of a word with w[0] > w[1] is minus that of the word with the two
+    swapped, and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2
+    rows, each streamed to the kernel as it is made.  The columns are the
+    n**r words in product() order, so a word's column is the word read as a
+    base-n numeral.
+    """
+    _checked_field(field)  # before the walk is charged; the rows check it again
     charge_word_enumeration(n, r, budget, "Lie power word enumeration")
 
     def expansions():
         words = product(range(n), repeat=r)
         return (_left_normed_columns(w, n).items() for w in words if r == 1 or w[0] < w[1])
 
-    rows = _Rows(expansions, n if r == 1 else n ** (r - 2) * (n * (n - 1) // 2), n**r)
-    return charge_span("Lie power span expansion", rows, field, budget)
-
-
-def lie_power_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
-    """Rank of the span of the left-normed expansions of all n**r words.
-
-    This measures the dimension of the degree-r Lie power of an n-dimensional
-    space directly in coordinates; the answer is field-independent.  Only the
-    words with w[0] < w[1] (all words when r = 1) are expanded: the bracket of
-    a word with w[0] > w[1] is minus that of the word with the two swapped,
-    and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2 rows,
-    each streamed to the kernel as it is made.  The columns are the n**r
-    words in product() order, so a word's column is the word read as a
-    base-n numeral.
-    """
-    return len(_rank_rows(lie_power_span(n, r, field, budget), field))
+    rows = _Rows(expansions, n if r == 1 else n ** (r - 2) * (n * (n - 1) // 2), n**r, field)
+    return charge_span("Lie power span expansion", rows, budget)
 
 
 def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The rows lyndon_bracketing_rank ranks, charged after the walk over the
-    n**r words that makes them: count_lyndon_words(n, r) rows of n**r columns."""
+    """The span of the standard bracketings of the length-r Lyndon words over
+    the field, charged after the walk over the n**r words that makes it:
+    count_lyndon_words(n, r) rows over lie_power_span's n**r columns, a
+    strictly smaller spanning set whose rank must come out the same."""
+    _checked_field(field)  # before the walk is charged; the rows check it again
     charge_word_enumeration(n, r, budget)
     count = count_lyndon_words(n, r)
-    rows = _Rows(lambda: (_standard_columns(w, n).items() for w in iter_lyndon_words(n, r)), count, n**r)
-    return charge_span("Lyndon bracketing span", rows, field, budget)
-
-
-def lyndon_bracketing_rank(n: int, r: int, field: int | None = None, budget: int | None = None) -> int:
-    """Rank of the span of the standard bracketings of the length-r Lyndon words.
-
-    A strictly smaller spanning set than lie_power_rank uses, over the same
-    columns; its rank must come out the same.
-    """
-    return len(_rank_rows(lyndon_bracketing_span(n, r, field, budget), field))
+    rows = _Rows(lambda: (_standard_columns(w, n).items() for w in iter_lyndon_words(n, r)), count, n**r, field)
+    return charge_span("Lyndon bracketing span", rows, budget)
 
 
 def lie_module_span(r: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The rows lie_module_rank ranks, charged."""
-    if r < 1:
-        raise ValueError("lie_module_rank() needs r >= 1")
-    return charge_span("multilinear bracket span", _BlockBracketRows(1, r), field, budget)
-
-
-def lie_module_rank(r: int, field: int | None = None, budget: int | None = None) -> int:
-    """Rank of the span of the r! multilinear left-normed brackets.
+    """The span of the r! multilinear left-normed brackets over the field, charged.
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
-    multilinear component; the rank equals (r-1)! over every field.  Their
+    multilinear component; its rank equals (r-1)! over every field.  Their
     rows are those of _BlockBracketRows with blocks of one letter: the r!/2
     permutations with pi(1) < pi(2) when r >= 2, streamed one at a time.  The
     charge, planes * (r!/2) * r!, admits r <= 6 at the default budget, and
     r = 7 and, over F_2 only, r = 8 at the --slow budget.
     """
-    return len(_rank_rows(lie_module_span(r, field, budget), field))
+    if r < 1:
+        raise ValueError("lie_module_span() needs r >= 1")
+    return charge_span("multilinear bracket span", _BlockBracketRows(1, r, field), budget)
 
 
 def weight_space_span(q: int, k: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The rows weight_space_rank ranks, charged."""
-    if q < 1 or k < 1:
-        raise ValueError("weight_space_rank() needs q >= 1 and k >= 1")
-    return charge_span("weight space span", _BlockBracketRows(q, k), field, budget)
-
-
-def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | None = None) -> int:
-    """Rank of the multilinear weight space of the degree-k Lie power of a q-fold tensor power.
+    """The span of the multilinear weight space of the degree-k Lie power of a
+    q-fold tensor power, over the field, charged.
 
     Spanning vectors: for every permutation of the q*k symbols, cut it into k
     consecutive blocks of length q, treat each block as one composite letter,
@@ -743,4 +724,6 @@ def weight_space_rank(q: int, k: int, field: int | None = None, budget: int | No
     charge for k >= 2 is planes * ((q*k)!/2) * (q*k)!, ((q*k)!)**2 over every
     field but F_2, so q*k <= 6 fits the default budget.
     """
-    return len(_rank_rows(weight_space_span(q, k, field, budget), field))
+    if q < 1 or k < 1:
+        raise ValueError("weight_space_span() needs q >= 1 and k >= 1")
+    return charge_span("weight space span", _BlockBracketRows(q, k, field), budget)

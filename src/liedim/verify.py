@@ -1,10 +1,10 @@
 """Self-check suites: every exact identity, bound and oracle agreement on fixed grids.
 
 Each suite walks a deterministic grid and records one check per point, so two
-runs produce identical reports.  A failure carries the offending point in its
-family's coordinates, such as (p, n, m, k) or (q, k, field).  The suites are
-intentionally redundant with the unit tests: they are the runtime-facing way
-to re-certify an installation.
+runs produce identical reports; a failure carries its point in the family's
+coordinates, such as (p, n, m, k) or (q, k, field).  Each distinct oracle
+span is built and charged once, before any family runs, and eliminated once.
+Redundant with the unit tests by intent, the suites re-certify an installation.
 """
 
 from __future__ import annotations
@@ -285,38 +285,43 @@ def oracle_suite(spans: dict[str, list[tuple]]) -> list[CheckFamily]:
 def _ranked(name: str, spans: dict[str, list[tuple]]) -> CheckFamily:
     """The rank family name: one check per job of spans[name], its span's rank against its closed form."""
     fam = CheckFamily(name)
-    for where, rows, field, expected in spans[name]:
-        fam.record(len(oracle._rank_rows(rows, field)) == expected, where)
+    for where, rank, expected in spans[name]:
+        fam.record(rank() == expected, where)
     return fam
 
 
 def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
     """The rank jobs of the selected suites by family name, in family order,
-    each (where, span, field, the closed form its rank must equal).
+    each (where, its span's rank, the closed form the rank must equal).
 
-    Building a span charges it, so this pass charges every job, and each
-    aperiodic walk in its place, before any family runs: an over-budget job is
-    refused at once.  w(n, r) and (qk)!/k are computed once per point.
+    Each distinct (builder, point, field) span is built, and so charged, once
+    and before any family runs, so an over-budget one is refused at once.  A
+    rank eliminates its span when first read: c's and the oracle's weight
+    space families share the six Q spans.  w(n, r) and (qk)!/k are computed
+    once per point.
     """
     spans: dict[str, list[tuple]] = {}
 
-    def add(name, span, points, closed, where="(n={}, r={}, field={})", fields=ORACLE_FIELDS):
+    @cache
+    def rank_of(builder, *args):
+        span = builder(*args)
+        return cache(lambda: len(span.pivots()))
+
+    def add(name, builder, points, closed, where="(n={}, r={}, field={})", fields=ORACLE_FIELDS):
         # where takes a point's coordinates, then the field (c's takes no field)
-        spans[name] = [(where.format(*pt, f), span(*pt, f), f, closed(*pt)) for pt in points for f in fields]
+        spans[name] = [(where.format(*pt, f), rank_of(builder, *pt, f), closed(*pt)) for pt in points for f in fields]
 
     qk = cache(weight_space_dim_formula)
     if suite in ("all", "c"):
         add("c/weight-space-oracle", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, "(q={}, k={})", [None])
     if suite in ("all", "oracle"):
-        for n, r in APERIODIC_POINTS:
-            oracle.charge_word_enumeration(n, r, None, "aperiodic word enumeration")
         witt = cache(witt_dim)
         add("oracle/lie-power-rank", oracle.lie_power_span, ORACLE_POWER_POINTS, witt)
         add("oracle/lyndon-basis-rank", oracle.lyndon_bracketing_span, ORACLE_POWER_POINTS, witt)
         add("oracle/lie-module-rank", oracle.lie_module_span, [(r,) for r in range(1, 7)], dim_lie, "(r={}, field={})")
         if slow:
-            rows = oracle.lie_module_span(7, 2, work_budget(slow=True))
-            spans["oracle/lie-module-rank"].append(("(r=7, field=2, slow)", rows, 2, dim_lie(7)))
+            rank = rank_of(oracle.lie_module_span, 7, 2, work_budget(slow=True))
+            spans["oracle/lie-module-rank"].append(("(r=7, field=2, slow)", rank, dim_lie(7)))
         qk_where = "(q={}, k={}, field={})"
         add("oracle/weight-space-rank", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, qk_where, [None, 2])
     return spans
@@ -325,9 +330,9 @@ def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
     """Run one named suite ('all' chains every family, including the arith grids).
 
-    One pass, _oracle_spans, first builds and charges every rank job, so an
+    One pass, _oracle_spans, first builds and charges each distinct span, so an
     over-budget one is refused before any family runs; the c and oracle suites
-    then rank its spans.  slow adds the r = 7 Lie module job.
+    then read their ranks.  slow adds the r = 7 Lie module job.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")

@@ -77,11 +77,11 @@ OVERSIZED = (
     "b-table --p 2 --n 2 --k 3 --m-max 19",
 )
 
-# (command, its rank function in the oracle, the expected rank, the exact stdout)
+# (command, the expected rank, the exact stdout)
 RANK_COMMANDS = (
-    (["oracle", "lie-power", "--n", "2", "--r", "6", "--field", "f2"], "lie_power_rank", 9, "rank = 9\nwitt = 9\nagree\n"),
-    (["oracle", "lie-module", "--r", "5"], "lie_module_rank", 24, "rank = 24\n(r-1)! = 24\nagree\n"),
-    (["oracle", "weight-space", "--q", "2", "--k", "2"], "weight_space_rank", 12, "rank = 12\n(qk)!/k = 12\nagree\n"),
+    (["oracle", "lie-power", "--n", "2", "--r", "6", "--field", "f2"], 9, "rank = 9\nwitt = 9\nagree\n"),
+    (["oracle", "lie-module", "--r", "5"], 24, "rank = 24\n(r-1)! = 24\nagree\n"),
+    (["oracle", "weight-space", "--q", "2", "--k", "2"], 12, "rank = 12\n(qk)!/k = 12\nagree\n"),
 )
 
 
@@ -546,13 +546,13 @@ ORACLE_FAIL_LINES = [
 )
 def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, suite, slow, phantoms, expected):
     # one phantom pivot at one point per rank family fails that point and only it
-    real = verify_mod.oracle._rank_rows
+    real = verify_mod.oracle._Rows.pivots
 
-    def with_phantom(rows, field):
-        pivots = real(rows, field)
-        return {**pivots, -1: None} if _phantom_key(rows, field) in phantoms else pivots
+    def with_phantom(rows):
+        pivots = real(rows)
+        return {**pivots, -1: None} if _phantom_key(rows, rows.field) in phantoms else pivots
 
-    monkeypatch.setattr(verify_mod.oracle, "_rank_rows", with_phantom)
+    monkeypatch.setattr(verify_mod.oracle._Rows, "pivots", with_phantom)
     result = runner.invoke(main, ["verify", "--suite", suite, *(["--slow"] if slow else [])])
     assert result.exit_code == 1
     assert [line for line in result.output.splitlines() if not line.endswith(" 0 failures")] == expected
@@ -577,15 +577,16 @@ def test_oracle_expand(runner):
 
 
 def test_oracle_rank_commands(runner):
-    for args, _, _, stdout in RANK_COMMANDS:
+    for args, _, stdout in RANK_COMMANDS:
         result = runner.invoke(main, args)
         assert result.exit_code == 0, args
         assert result.output == stdout
 
 
 def test_oracle_rank_disagreement(runner, monkeypatch):
-    for args, rank_fn, rank, _ in RANK_COMMANDS:
-        monkeypatch.setattr(cli.oracle_mod, rank_fn, lambda *_, wrong=rank + 1: wrong)
+    # each rank command prints the size of its span's one elimination
+    for args, rank, _ in RANK_COMMANDS:
+        monkeypatch.setattr(cli.oracle_mod._Rows, "pivots", lambda self, wrong=rank + 1: dict.fromkeys(range(wrong)))
         result = runner.invoke(main, args)
         assert result.exit_code == 1, args
         assert result.output.splitlines()[-1] == "DISAGREE"
@@ -656,14 +657,18 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the budget refusal")
 
-    # _rank_rows is the one rank dispatch, which verify and every *_rank wrapper call
-    for name in ("aperiodic_count_bruteforce", "_rank_rows"):
-        monkeypatch.setattr(verify_mod.oracle, name, must_not_run)
+    # _Rows.pivots is a span's one elimination, which every rank reads
+    monkeypatch.setattr(verify_mod.oracle, "aperiodic_count_bruteforce", must_not_run)
+    monkeypatch.setattr(verify_mod.oracle._Rows, "pivots", must_not_run)
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(verify_mod, name, must_not_run)
+    # 59048 is one unit under the largest aperiodic walk, 3^10, which the
+    # oracle suite charges only when it runs it, so a span is refused first
     for budget, args, task, work in (
         ("10000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 12700800),
         ("1000", ["verify", "--suite", "c"], "weight space span", 518400),
+        ("59048", ["verify", "--suite", "oracle"], "Lie power span expansion", 354294),
+        ("59048", ["verify", "--suite", "all"], "weight space span", 518400),
     ):
         monkeypatch.setenv("LIEDIM_BUDGET", budget)
         result = runner.invoke(main, args)

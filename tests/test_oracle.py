@@ -528,9 +528,9 @@ def test_lie_module_rows_match_expansions():
         vectors = [oracle.left_normed_expand(perm) for perm in perms if _kept(perm)]
         for p in (5, 7):
             expected = _reference_kernel_rows(vectors, columns, p)
-            assert _streamed_kernel_rows(oracle._BlockBracketRows(1, r), p) == expected, (r, p)
+            assert _streamed_kernel_rows(oracle._BlockBracketRows(1, r, None), p) == expected, (r, p)
     for f in (None, 2, 3, 5):
-        assert oracle.lie_module_rank(1, f) == 1, f
+        assert len(oracle.lie_module_span(1, f).pivots()) == 1, f
 
 
 def test_weight_space_rows_match_block_expansions():
@@ -538,7 +538,7 @@ def test_weight_space_rows_match_block_expansions():
         perms = list(permutations(range(q * k)))
         columns = {perm: i for i, perm in enumerate(perms)}
         vectors = [_reference_left_normed(perm, q) for perm in perms if _kept(perm, q)]
-        assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k), 5) == _reference_kernel_rows(vectors, columns, 5)
+        assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k, None), 5) == _reference_kernel_rows(vectors, columns, 5)
 
 
 def test_lie_power_rows_match_expansions():
@@ -575,20 +575,20 @@ def test_dropped_rows_negate_kept_rows():
     for n in (1, 2, 3):
         for r in range(1, 7):
             words = list(product(range(n), repeat=r))
-            check(words, 1, oracle.left_normed_expand, lambda f: oracle.lie_power_rank(n, r, f))
+            check(words, 1, oracle.left_normed_expand, lambda f: len(oracle.lie_power_span(n, r, f).pivots()))
     for r in range(1, 7):
         perms = list(permutations(range(r)))
-        check(perms, 1, oracle.left_normed_expand, lambda f: oracle.lie_module_rank(r, f))
+        check(perms, 1, oracle.left_normed_expand, lambda f: len(oracle.lie_module_span(r, f).pivots()))
     for q, k in WEIGHT_SPACE_POINTS:
         perms = list(permutations(range(q * k)))
-        check(perms, q, lambda perm: _reference_left_normed(perm, q), lambda f: oracle.weight_space_rank(q, k, f))
+        check(perms, q, lambda perm: _reference_left_normed(perm, q), lambda f: len(oracle.weight_space_span(q, k, f).pivots()))
 
 
 def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
     # the kernels return their pivots keyed by lead column: the planes and the
     # dict kernels must choose the same leads
     for r in range(1, 7):
-        rows = oracle._BlockBracketRows(1, r)
+        rows = oracle._BlockBracketRows(1, r, None)
         with _time_limit(5):
             got = oracle._rank_planes(rows.planes(True), wrap=True)
         assert got.keys() == oracle._rank_prime(rows.residues(3), 3).keys(), r
@@ -614,25 +614,25 @@ def test_pivots_are_the_lyndon_words():
         # over the rationals the planes give up, and the leads are the dict kernel's
         assert oracle._rank_planes(oracle.lie_power_span(n, r).planes(False), False) is None
         for field in (2, 3, 5, None):
-            assert sorted(oracle._rank_rows(oracle.lie_power_span(n, r, field), field)) == expected, (n, r, field)
+            assert sorted(oracle.lie_power_span(n, r, field).pivots()) == expected, (n, r, field)
     # multilinear words in 0..r-1: the Lyndon ones are those that start with 0
     for r in range(1, 8):
         expected = [i for i, perm in enumerate(permutations(range(r))) if perm[0] == 0]
-        assert sorted(oracle._rank_rows(oracle.lie_module_span(r, 2, 10**9), 2)) == expected, r
+        assert sorted(oracle.lie_module_span(r, 2, 10**9).pivots()) == expected, r
     # blocks of q letters as composite letters: the block word is Lyndon; the
     # block rows reach every kernel through the same adapters
     for q, k in WEIGHT_SPACE_POINTS:
         perms = permutations(range(q * k))
         expected = [i for i, perm in enumerate(perms) if oracle.is_lyndon(tuple(zip(*[iter(perm)] * q)))]
         for field in (2, 3, 5, None):
-            assert sorted(oracle._rank_rows(oracle.weight_space_span(q, k, field), field)) == expected, (q, k, field)
+            assert sorted(oracle.weight_space_span(q, k, field).pivots()) == expected, (q, k, field)
 
 
 class _CountedRows(oracle._Rows):
     """A row source that counts its passes."""
 
-    def __init__(self, vectors):
-        super().__init__(self._entries, len(vectors), 1 + max((c for vec in vectors for c in vec), default=-1))
+    def __init__(self, vectors, field=None):
+        super().__init__(self._entries, len(vectors), 1 + max((c for vec in vectors for c in vec), default=-1), field)
         self.vectors = vectors
         self.passes = 0
 
@@ -675,7 +675,7 @@ def test_charge_bounds_the_kernels_memory():
         for field in (2, 3, None, 5):
             rows = oracle.lie_power_span(n, r, field)
             charge = (1 if field == 2 else 2) * rows.count * rows.width
-            peak = _traced_peak_mib(lambda: oracle.lie_power_rank(n, r, field)) * 2**20
+            peak = _traced_peak_mib(lambda: len(oracle.lie_power_span(n, r, field).pivots())) * 2**20
             assert peak < 4 * charge / 8, (n, r, field, peak, charge)
 
 
@@ -687,9 +687,9 @@ def test_lyndon_bracketing_span_charged_before_expansion(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_standard_columns", None)
         with pytest.raises(budget.WorkBudgetExceeded, match="Lyndon bracketing span needs about 534773760 units"):
-            oracle.lyndon_bracketing_rank(2, 16)
+            len(oracle.lyndon_bracketing_span(2, 16).pivots())
     # 2 * 335 * 4,096 = 2,744,320 units, inside the default budget
-    assert oracle.lyndon_bracketing_rank(2, 12, 2) == witt_dim(2, 12)
+    assert len(oracle.lyndon_bracketing_span(2, 12, 2).pivots()) == witt_dim(2, 12)
 
 
 def test_rational_stream_restarts_after_pivots_are_stored():
@@ -700,7 +700,7 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     rows = [{(c,): v for c, v in vec.items()} for vec in vectors]
     assert oracle.rank_over_field(rows) == _reference_rank(rows, None) == 5
     counted = _CountedRows(vectors)
-    assert len(oracle._rank_rows(counted, None)) == 5
+    assert len(counted.pivots()) == 5
     assert counted.passes == 2
     planes = list(_CountedRows(vectors).planes(False))
     assert planes[0] == (0b11, 0)
@@ -709,19 +709,19 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     vectors = [{0: 1}, {1: -1}, {2: 2, 3: 1}, {2: 1}]
     counted = _CountedRows(vectors)
     assert list(counted.planes(False)) == [(1, 0), (0, 2), None]
-    assert len(oracle._rank_rows(counted, None)) == 4 == _reference_rank(vectors, None)
+    assert len(counted.pivots()) == 4 == _reference_rank(vectors, None)
     assert counted.passes == 3
     # over F3 the same rows never give up, so one pass
-    counted = _CountedRows(vectors)
-    assert len(oracle._rank_rows(counted, 3)) == _reference_rank(vectors, 3)
+    counted = _CountedRows(vectors, 3)
+    assert len(counted.pivots()) == _reference_rank(vectors, 3)
     assert counted.passes == 1
-    # lie_power_rank over the rationals restarts too: the words 0 1 ... make 2s
-    assert oracle.lie_power_rank(2, 5, None) == witt_dim(2, 5)
+    # lie_power_span over the rationals restarts too: the words 0 1 ... make 2s
+    assert len(oracle.lie_power_span(2, 5, None).pivots()) == witt_dim(2, 5)
 
 
 # tracemalloc peaks of the span oracles, in MiB.  With every row built first,
 # as lists of dict rows, a column map and converted rows, they were 1.05 to
-# 1.2 at r = 6, 1.7 for lie_power_rank(3, 6, 5) and 15 at r = 7; streamed,
+# 1.2 at r = 6, 1.7 for lie_power_span(3, 6, 5) and 15 at r = 7; streamed,
 # about 0.3, 0.15 and 3.5 to 4.3; streaming only one row of each +- pair,
 # about 0.17 to 0.23, 0.13 and 2.1 to 2.9.
 PEAK_CEILING_MIB = 0.6
@@ -739,9 +739,9 @@ def _traced_peak_mib(call):
 
 def test_span_oracles_stream_in_little_memory():
     for field in (None, 2, 3):
-        peak = _traced_peak_mib(lambda: oracle.lie_module_rank(6, field))
+        peak = _traced_peak_mib(lambda: len(oracle.lie_module_span(6, field).pivots()))
         assert peak < PEAK_CEILING_MIB, (field, peak)
-    peak = _traced_peak_mib(lambda: oracle.lie_power_rank(3, 6, 5))
+    peak = _traced_peak_mib(lambda: len(oracle.lie_power_span(3, 6, 5).pivots()))
     assert peak < PEAK_CEILING_MIB, peak
 
 
@@ -758,9 +758,9 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
 
         monkeypatch.setattr(oracle, name, recording)
     for field in (None, 2, 3, 5):
-        assert oracle.lie_module_rank(5, field) == dim_lie(5)
-        assert oracle.lie_power_rank(2, 6, field) == witt_dim(2, 6)
-        assert oracle.weight_space_rank(2, 2, field) == weight_space_dim_formula(2, 2)
+        assert len(oracle.lie_module_span(5, field).pivots()) == dim_lie(5)
+        assert len(oracle.lie_power_span(2, 6, field).pivots()) == witt_dim(2, 6)
+        assert len(oracle.weight_space_span(2, 2, field).pivots()) == weight_space_dim_formula(2, 2)
     # the rationals over two letters give up on the planes and take the dict kernel
     assert {name for name, _ in fed} == {"_rank_gf2", "_rank_planes", "_rank_prime", "_rank_rational"}
     assert {kind for _, kind in fed} == {"generator"}
@@ -769,8 +769,26 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("field", [2, 3, None])
 def test_lie_module_rank_r7_streams_in_little_memory(field):
-    peak = _traced_peak_mib(lambda: oracle.lie_module_rank(7, field, budget=10**9))
+    peak = _traced_peak_mib(lambda: len(oracle.lie_module_span(7, field, budget=10**9).pivots()))
     assert peak < PEAK_CEILING_R7_MIB, peak
+
+
+def test_a_bad_field_is_refused_where_the_span_is_built(monkeypatch):
+    # a span carries its field, so a bad one is refused before anything is charged
+    def must_not_charge(*args):
+        raise AssertionError("charged before the field was checked")
+
+    monkeypatch.setattr(oracle, "_charge", must_not_charge)
+    builds = (
+        lambda: oracle.lie_power_span(2, 3, 4),
+        lambda: oracle.lyndon_bracketing_span(2, 3, 4),
+        lambda: oracle.lie_module_span(3, 4),
+        lambda: oracle.weight_space_span(1, 2, 4),
+        lambda: oracle.rank_over_field([{(0,): 1}], 4),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=r"^field must be None \(rationals\) or a prime, got 4$"):
+            build()
 
 
 def test_rank_over_field_validation():
@@ -781,35 +799,35 @@ def test_rank_over_field_validation():
 
 
 def test_lie_power_rank_small():
-    assert oracle.lie_power_rank(1, 2) == 0
+    assert len(oracle.lie_power_span(1, 2).pivots()) == 0
     for n in (2, 3):
         for r in range(1, 6):
             w = witt_dim(n, r)
             for f in (None, 2, 3):
                 with _time_limit(5):
-                    assert oracle.lie_power_rank(n, r, f) == w, (n, r, f)
-                    assert oracle.lyndon_bracketing_rank(n, r, f) == w, (n, r, f)
+                    assert len(oracle.lie_power_span(n, r, f).pivots()) == w, (n, r, f)
+                    assert len(oracle.lyndon_bracketing_span(n, r, f).pivots()) == w, (n, r, f)
 
 
 def test_lie_module_rank_small():
     for r in range(1, 6):
         for f in (None, 2, 3):
             with _time_limit(5):
-                assert oracle.lie_module_rank(r, f) == dim_lie(r), (r, f)
+                assert len(oracle.lie_module_span(r, f).pivots()) == dim_lie(r), (r, f)
 
 
 def test_weight_space_rank_small():
     for q, k in ((1, 2), (1, 3), (1, 4), (2, 2)):
         expected = weight_space_dim_formula(q, k)
         for f in (None, 2):
-            assert oracle.weight_space_rank(q, k, f) == expected, (q, k, f)
+            assert len(oracle.weight_space_span(q, k, f).pivots()) == expected, (q, k, f)
 
 
 def test_budget_rejects_oversized_jobs():
     with pytest.raises(budget.WorkBudgetExceeded):
         oracle.aperiodic_count_bruteforce(2, 10, budget=100)
     with pytest.raises(budget.WorkBudgetExceeded):
-        oracle.lie_module_rank(7)  # needs (7!)^2 > default budget
+        len(oracle.lie_module_span(7).pivots())  # needs (7!)^2 > default budget
     # explicit budgets unlock the same call
     assert oracle.aperiodic_count_bruteforce(2, 10, budget=2000) == 990
 
@@ -847,23 +865,23 @@ def test_word_enumeration_charge():
     with pytest.raises(budget.WorkBudgetExceeded, match=r"10\^1000000000 units"):
         oracle.charge_word_enumeration(10, 10**9)
     with pytest.raises(budget.WorkBudgetExceeded):
-        oracle.lyndon_bracketing_rank(4, 12)
+        len(oracle.lyndon_bracketing_span(4, 12).pivots())
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("field", [2, 3, None])
 def test_lie_module_rank_r7_slow(field):
     with _time_limit(60):
-        assert oracle.lie_module_rank(7, field, budget=10**9) == dim_lie(7) == 720
+        assert len(oracle.lie_module_span(7, field, budget=10**9).pivots()) == dim_lie(7) == 720
 
 
 @pytest.mark.slow
 def test_lie_module_rank_r8_over_f2_under_slow_budget():
     # charged 8!/2 * 8! = 812,851,200 units over F_2, inside the --slow budget
     with _time_limit(60):
-        assert oracle.lie_module_rank(8, 2, budget.work_budget(slow=True)) == dim_lie(8) == 5040
+        assert len(oracle.lie_module_span(8, 2, budget.work_budget(slow=True)).pivots()) == dim_lie(8) == 5040
 
 
 def test_weight_space_rank_23():
     # charged (6!)^2 = 518,400 units, inside the default budget
-    assert oracle.weight_space_rank(2, 3, None) == 240
+    assert len(oracle.weight_space_span(2, 3, None).pivots()) == 240

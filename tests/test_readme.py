@@ -1,0 +1,59 @@
+"""README.md's examples run as shown: each ```python block executes, and each
+`$ liedim ...` line prints exactly the output shown under it (or, with none
+shown, exits 0)."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from liedim.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+# (info string, body, the README line the body starts on) of every fenced block
+BLOCKS = [
+    (m[1], m[2], README.count("\n", 0, m.start(2)) + 1)
+    for m in re.finditer(r"^```(\w*)\n(.*?)^```$", README, flags=re.DOTALL | re.MULTILINE)
+]
+
+# each body padded with blank lines, so that a traceback names its README line
+PYTHON_BLOCKS = {f"README.md:{line}": "\n" * (line - 1) + body for info, body, line in BLOCKS if info == "python"}
+
+
+def _commands():
+    """(argv after `liedim`, the output shown under the line or None)."""
+    for _, body, _ in BLOCKS:
+        lines = body.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ liedim "):
+                continue
+            shown = []
+            for out in lines[i + 1 :]:
+                if not out or out.startswith("$ "):
+                    break
+                shown.append(out)
+            yield shlex.split(line[len("$ liedim ") :], comments=True), "".join(s + "\n" for s in shown) or None
+
+
+COMMANDS = list(_commands())
+
+
+def test_readme_has_examples():
+    assert PYTHON_BLOCKS
+    assert len(COMMANDS) >= 8
+
+
+@pytest.mark.parametrize("source", list(PYTHON_BLOCKS.values()), ids=list(PYTHON_BLOCKS))
+def test_readme_python_block_runs(source):
+    exec(compile(source, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("args, shown", COMMANDS, ids=[" ".join(args) for args, _ in COMMANDS])
+def test_readme_command_prints_what_it_shows(args, shown):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if shown is not None:
+        assert result.stdout == shown

@@ -1,4 +1,5 @@
 import inspect
+from collections import Counter
 
 import pytest
 
@@ -65,8 +66,8 @@ def test_all_suite_contains_every_family():
 
 
 def _run_logged(monkeypatch, suite, slow):
-    """Run the suites; log each span charge, rank and suite call, in order,
-    as (kind, the call's arguments)."""
+    """Run the suites; log each span charge, elimination and suite call, in
+    order, as (kind, the call's arguments)."""
     log = []
 
     def logged(kind, fn):
@@ -77,7 +78,7 @@ def _run_logged(monkeypatch, suite, slow):
         return wrapper
 
     monkeypatch.setattr(oracle, "charge_span", logged("charge", oracle.charge_span))
-    monkeypatch.setattr(oracle, "_rank_rows", logged("rank", oracle._rank_rows))
+    monkeypatch.setattr(oracle._Rows, "pivots", logged("eliminate", oracle._Rows.pivots))
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(verify, name, logged("suite", getattr(verify, name)))
     return verify.run_suites(suite, slow), log
@@ -95,22 +96,41 @@ def _run_logged(monkeypatch, suite, slow):
     ],
 )
 def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
-    # every span is charged before the first suite runs, one charge per rank
-    # check, and each charged span is ranked once, in the order it was built
+    # every distinct span is charged once, before the first suite runs, and
+    # eliminated once, in the order it was built: under "all" the c and oracle
+    # weight-space families share the six Q spans, so 144 rank checks read 138
     families, log = _run_logged(monkeypatch, suite, slow)
     kinds = [kind for kind, _ in log]
     assert "charge" not in kinds[kinds.index("suite") :]
-    charged = [args[1] for kind, args in log if kind == "charge"]  # charge_span(task, rows, ...)
-    ranked = [args[0] for kind, args in log if kind == "rank"]  # _rank_rows(rows, field)
+    charged = [args[1] for kind, args in log if kind == "charge"]  # charge_span(task, rows, budget)
+    eliminated = [args[0] for kind, args in log if kind == "eliminate"]  # rows.pivots()
+    extra = slow and suite != "c"
     rank_checks = sum(fam.checks for fam in families if fam.name.endswith(("-rank", "/weight-space-oracle")))
-    expected = {"c": 6, "oracle": 138, "all": 144}[suite] + (slow and suite != "c")
-    assert len(charged) == rank_checks == expected
-    assert ranked == charged
+    assert rank_checks == {"c": 6, "oracle": 138, "all": 144}[suite] + extra
+    assert len(set(map(id, charged))) == len(charged) == {"c": 6, "oracle": 138, "all": 138}[suite] + extra
+    assert eliminated == charged
+
+
+def test_each_walk_and_span_is_charged_once(monkeypatch):
+    # the aperiodic walks are charged where they run, and each distinct span
+    # where it is built, so no work is charged twice
+    tasks = Counter()
+    monkeypatch.setattr(oracle, "_charge", lambda budget, task, floor, shown, work: tasks.update([task]))
+    verify.run_suites("all")
+    assert tasks == {
+        "aperiodic word enumeration": 30,
+        "Lie power word enumeration": 54,
+        "Lie power span expansion": 54,
+        "Lyndon word enumeration": 54,
+        "Lyndon bracketing span": 54,
+        "multilinear bracket span": 18,
+        "weight space span": 12,
+    }
 
 
 def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
     # flip the sign of the v (x) u half in _bracket_columns, the one bracket
-    # product, which the fold that lie_power_rank ranks calls: [a, b] becomes
+    # product, which the fold of lie_power_span's rows calls: [a, b] becomes
     # ab + ba, and the smoke family, which reads the same fold, fails all nine
     # antisymmetry checks
     source = inspect.getsource(oracle._bracket_columns)
