@@ -162,7 +162,7 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
     """Rank of the left-normed spanning set of L^r(V), dim V = n."""
     from .witt import witt_dim
     span = oracle_mod.lie_power_span(n, r, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(len(span.pivots()), "witt", witt_dim(n, r))
+    _report_rank(span.rank(), "witt", witt_dim(n, r))
 
 
 @oracle_group.command("lie-module")
@@ -171,9 +171,9 @@ def oracle_lie_power(n: int, r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_lie_module(r: int, field: str, slow: bool) -> None:
     """Rank of the multilinear component spanned by permutation brackets."""
-    from .lie_modules import dim_lie
+    from math import factorial
     span = oracle_mod.lie_module_span(r, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(len(span.pivots()), "(r-1)!", dim_lie(r))
+    _report_rank(span.rank(), "(r-1)!", factorial(r - 1))
 
 
 @oracle_group.command("weight-space")
@@ -183,9 +183,9 @@ def oracle_lie_module(r: int, field: str, slow: bool) -> None:
 @click.option("--slow", is_flag=True, help="raise the work budget 100x")
 def oracle_weight_space(q: int, k: int, field: str, slow: bool) -> None:
     """Rank of the weight-(q,..,q) space of L^qk spanned by block brackets."""
-    from .lie_modules import weight_space_dim_formula
+    from math import factorial
     span = oracle_mod.weight_space_span(q, k, FIELD_CHOICES[field], work_budget(slow=slow))
-    _report_rank(len(span.pivots()), "(qk)!/k", weight_space_dim_formula(q, k))
+    _report_rank(span.rank(), "(qk)!/k", factorial(q * k) // k)
 
 
 @oracle_group.command("expand")

@@ -15,6 +15,12 @@ Lyndon words.  The bracket oracles make one row of each +- pair: since
 [a, b] = -[b, a], the rows whose first letter (block) is below the second
 span everything.
 
+The left-normed span is block-diagonal by letter content, and renaming
+letters permutes the blocks, so _LiePowerSpan makes one _Rows block per
+content whose counts do not increase, walks only that content's words, and
+weights each block's rank by the number of contents in its orbit, which it
+lists.
+
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
 between the two is meaningful evidence.  Enumeration sizes are guarded by
@@ -24,8 +30,9 @@ the work budget of budget.py.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import permutations, product
-from math import factorial, gcd
+from functools import cached_property, partial
+from itertools import combinations, permutations
+from math import comb, factorial, gcd
 from operator import itemgetter
 
 from .arith import divisors, is_prime
@@ -47,10 +54,10 @@ def charge_word_enumeration(
 
     One letter gives one word, but a walk may still hold its r letters in
     r-slot arrays of 8-byte pointers: the Lyndon scans one list of the word's
-    letters, the Lie power walk three (product's pools and indices, the
-    word).  The aperiodic walk holds none: its one word is the numeral 0 and
-    its periods' numerals of ones are the primes q dividing r.  Each is
-    charged 32*r bytes, four such arrays, which bounds them all."""
+    letters.  The aperiodic walk holds none: its one word is the numeral 0
+    and its periods' numerals of ones are the primes q dividing r.  Each is
+    charged 32*r bytes, four such arrays, which bounds them all (and
+    _LiePowerSpan.work prices its walks the same)."""
     if n < 1 or r < 1:
         raise ValueError(f"{task} needs n >= 1 and r >= 1")
     if n == 1:
@@ -65,16 +72,13 @@ def charge_expansion(r: int, budget: int | None = None) -> None:
     _charge(budget, "bracket expansion", r - 1, f"{r}*2^{r - 1}", lambda: r << (r - 1))
 
 
-def charge_span(task: str, rows: _Rows, budget: int | None = None) -> _Rows:
-    """Refuse the elimination of a span (see _Rows) when one pass is over the
-    budget, else return the span.  The charge is planes * count * width, the
-    bits of the dense rows a pass streams: one plane over F_2, two over any
-    other field, so a kernel's count pivots take a small multiple of charge/8
-    bytes."""
-    planes = 1 if rows.field == 2 else 2
-    shape = rows.shape if planes == 1 else f"2*{rows.shape}"
-    _charge(budget, task, rows.floor_bits, shape, lambda: planes * rows.count * rows.width)
-    return rows
+def charge_span(task: str, span, budget: int | None = None):
+    """Refuse the elimination of a span (a _Rows source or a _LiePowerSpan)
+    when its work() is over the budget, else return the span.  A huge span is
+    refused from its floor_bits alone, shown as its shape, before work() is
+    built."""
+    _charge(budget, task, span.floor_bits, span.shape, span.work)
+    return span
 
 
 def iter_lyndon_words(n: int, r: int) -> Iterator[Word]:
@@ -229,8 +233,9 @@ def left_normed_expand(word) -> SparseTensorVector:
     """Tensor-coordinate expansion of the left-normed bracket of the word's letters.
 
     [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left, for
-    letters 0..255 (any other letter raises ValueError).  This is the fold
-    lie_power_span's rows come from, _left_normed_columns over 256 letters.
+    letters 0..255 (any other letter raises ValueError).  This is
+    _left_normed_columns over 256 letters, the fold that lie_power_span makes
+    its rows by, one _bracket_columns a letter.
     The result has at most 2**(r-1) terms; repeated letters can cancel or
     combine, so coefficients other than +-1 do occur.
     """
@@ -355,6 +360,11 @@ def _checked_field(field: int | None) -> int | None:
     return field
 
 
+def _planes_text(field: int | None, shape: str) -> str:
+    # a span's work as text: one bit plane a row over F_2, two over any other field
+    return shape if field == 2 else f"2*{shape}"
+
+
 class _Rows:
     """A span: a re-iterable source of rows and the field they span over.
 
@@ -369,7 +379,7 @@ class _Rows:
     None (the rationals) or a prime p (F_p), is checked when it is built.
 
     A source states its size, count rows of width columns a pass, for
-    charge_span, with floor_bits <= log2(count * width) and shape, the product
+    charge_span, with floor_bits <= log2(count * width) and shape, its work()
     as text, so that a huge source is refused before either number is built.
     """
 
@@ -380,7 +390,17 @@ class _Rows:
         self.entries = entries
         self.count = count
         self.width = width
-        self.shape = f"{count}*{width}"
+        self.shape = _planes_text(field, f"{count}*{width}")
+
+    def work(self) -> int:
+        """planes * count * width, the bits of the dense rows a pass streams:
+        one plane over F_2, two over any other field, so a kernel's count
+        pivots take a small multiple of work/8 bytes."""
+        return (1 if self.field == 2 else 2) * self.count * self.width
+
+    def rank(self) -> int:
+        """The rank of the span, the number of its pivots."""
+        return len(self.pivots())
 
     def pivots(self) -> dict[int, object]:
         """The pivots of an exact elimination of the rows over the span's field,
@@ -479,7 +499,7 @@ class _BlockBracketRows(_Rows):
         self.q, self.k = q, k
         r = q * k
         self.floor_bits = 2 * r - 3  # r! >= 2**(r-1), and count >= r!/2
-        self.shape = f"{r}!*{r}!" if k == 1 else f"({r}!/2)*{r}!"
+        self.shape = _planes_text(field, f"{r}!*{r}!" if k == 1 else f"({r}!/2)*{r}!")
 
     width = property(lambda self: factorial(self.q * self.k))
     count = property(lambda self: self.width // (2 if self.k > 1 else 1))
@@ -497,6 +517,167 @@ class _BlockBracketRows(_Rows):
             terms += [(list(map(at, table)), -sign) for table, sign in terms]
         signs = [sign for _, sign in terms]
         return (zip(cols, signs) for cols in zip(*(table for table, _ in terms)))
+
+
+def _arrangements(items: list) -> Iterator[int]:
+    # Step the sorted list items, in place, through its distinct arrangements
+    # in lexicographic order (Narayana's next permutation, which makes no
+    # arrangement twice), and yield at each the first position that the step
+    # to it changed, 0 at the first.
+    last = len(items) - 1
+    i = 0
+    while True:
+        yield i
+        i = last - 1
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = last
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1 :] = items[:i:-1]
+
+
+def _sorted_contents(n: int, r: int, top: int) -> Iterator[tuple[int, ...]]:
+    # the letter counts of length-r words over n letters that do not increase
+    # from letter 0 to letter n-1, each at most top, the largest first count first
+    if r == 0:
+        yield (0,) * n
+        return
+    for k in range(min(r, top), -(-r // n) - 1, -1):
+        for tail in _sorted_contents(n - 1, r - k, k):
+            yield (k, *tail)
+
+
+def _orbit(content: tuple[int, ...]) -> int:
+    # the number of distinct rearrangements of the counts, by listing them:
+    # each chooses the letters that hold each nonzero count, largest first,
+    # among those the larger counts left, and the rest hold 0.  Choosing
+    # letters, not stepping all n counts by _arrangements, scans no zeros.
+    def choices(letters, sizes):
+        if len(sizes) == 1:
+            return combinations(letters, sizes[0])
+        return (
+            rest for chosen in combinations(letters, sizes[0])
+            for rest in choices([a for a in letters if a not in chosen], sizes[1:])
+        )
+
+    sizes = [content.count(k) for k in sorted(set(content) - {0}, reverse=True)]
+    return sum(1 for _ in choices(range(len(content)), sizes))
+
+
+def _word_count(counts) -> int:
+    # the number of words with these letter counts, a product of binomials
+    total, words = 0, 1
+    for k in counts:
+        if k:
+            total += k
+            words *= comb(total, k)
+    return words
+
+
+def _content_rows(word: list[int], n: int):
+    # one pass over the rows of the content of word, its letters in order
+    # (see _LiePowerSpan): a walk numbers the words, then a second makes the rows
+    w = list(word)
+    column = {}
+    for _ in _arrangements(w):
+        x = 0
+        for s in w:
+            x = x * n + s
+        column[x] = len(column)
+    w = list(word)
+    r = len(w)
+    folds = [None] * r  # folds[t]: the bracket of w[: t + 1], for t < fresh
+    fresh = 0
+    for i in _arrangements(w):
+        fresh = min(fresh, i)
+        if r > 1 and w[0] >= w[1]:
+            continue
+        for t in range(fresh, r):
+            folds[t] = _bracket_columns(folds[t - 1], {w[t]: 1}, n**t, n) if t else {w[0]: 1}
+        fresh = r
+        vec = folds[-1]
+        yield zip(map(column.__getitem__, vec), vec.values())
+
+
+class _LiePowerSpan:
+    """The span of the left-normed brackets of all n**r words over the field,
+    as one _Rows block per sorted letter content.
+
+    Every term of a bracket has the content of its word, the counts of its
+    letters, so the span is the direct sum of one block per content and its
+    rank is the sum of theirs.  Renaming the letters maps words to words and
+    brackets to brackets, so a content has the rank of its sorted content,
+    its counts put in non-increasing order.  So rank() is the sum, over the
+    sorted contents, of a block's rank times its orbit, the number of
+    distinct rearrangements of its counts, which rank() lists rather than
+    computes.
+
+    blocks maps each sorted content, as its n counts, to its _Rows block,
+    built when first read.  A block's rows are the brackets of the content's
+    words with w[0] < w[1] (every word when r = 1; see the module docstring),
+    in lexicographic order, and a term's column is the rank of its word
+    among the content's words.  A pass steps through the words by next
+    permutation, once to number them and once to make the rows, and a step
+    that changes the word from position i on folds the left-normed bracket
+    again from letter i only, so each prefix is bracketed once.  The counts
+    and widths that size the blocks are products of binomials, which the
+    rank never reads.
+    """
+
+    def __init__(self, n: int, r: int, field: int | None):
+        self.field = _checked_field(field)
+        self.n, self.r = n, r
+        # lower bounds on three of work()'s terms: the walk of the one word
+        # 0...0, the fold of the row 0 1 0...0, and the orbits of the C(n, r)
+        # contents of r distinct letters, n * C(n, r) >= n * (n/r)**r
+        floor = 4 + r.bit_length()
+        if n >= 2 and r >= 2:
+            floor = max(floor, r)
+        if n >= r:
+            floor = max(floor, n.bit_length() - 1 + r * ((n // r).bit_length() - 1))
+        self.floor_bits = floor
+        self.shape = f"2^{floor}"
+
+    @cached_property
+    def blocks(self) -> dict[tuple[int, ...], _Rows]:
+        n, r = self.n, self.r
+        blocks = {}
+        for content in _sorted_contents(n, r, r):
+            width = _word_count(content)
+            # by the swap, half the words whose first two letters differ are rows
+            same = sum(_word_count(content[:a] + (k - 2,) + content[a + 1 :]) for a, k in enumerate(content) if k >= 2)
+            count = width if r == 1 else (width - same) // 2
+            word = [a for a, k in enumerate(content) for _ in range(k)]
+            blocks[content] = _Rows(partial(_content_rows, word, n), count, width, self.field)
+        return blocks
+
+    def work(self) -> int:
+        """The charge, built from blocks: each block's own work(); the folds of
+        its count rows, a row making at most 2**t terms at its letter t,
+        2**r - 1 in all, and numbering its 2**(r-1) terms, so 3 * 2**(r-1)
+        steps; and the walks over its width words, 32*r a word, as
+        charge_word_enumeration prices a letter.  rank() lists the orbits of
+        the blocks with a pivot, n counts an arrangement: at most the
+        C(n+r-1, r) contents, less the n of one letter repeated when r >= 2,
+        which make no row."""
+        n, r = self.n, self.r
+        work = n * (comb(n + r - 1, r) - (n if r > 1 else 0))
+        for rows in self.blocks.values():
+            work += rows.work() + (3 * rows.count << (r - 1)) + 32 * r * rows.width
+        return work
+
+    def rank(self) -> int:
+        """The rank of the span: each block's rank times its orbit."""
+        rank = 0
+        for content, rows in self.blocks.items():
+            block_rank = len(rows.pivots())
+            if block_rank:
+                rank += block_rank * _orbit(content)
+        return rank
 
 
 def rank_over_field(vectors, field: int | None = None) -> int:
@@ -661,28 +842,17 @@ def _rank_rational(rows) -> dict[int, dict[int, int]]:
 # span oracles
 
 
-def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The span of the left-normed expansions of all n**r words over the field,
-    charged after the walk over the words that makes it.
+def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _LiePowerSpan:
+    """The span of the left-normed expansions of all n**r words over the
+    field, block by letter content (see _LiePowerSpan), charged before any
+    walk.
 
     Its rank is the dimension of the degree-r Lie power of an n-dimensional
     space, measured directly in coordinates; the answer is field-independent.
-    Only the words with w[0] < w[1] (all words when r = 1) are expanded: the
-    bracket of a word with w[0] > w[1] is minus that of the word with the two
-    swapped, and with w[0] == w[1] it is 0.  That leaves n**(r-2) * n*(n-1)/2
-    rows, each streamed to the kernel as it is made.  The columns are the
-    n**r words in product() order, so a word's column is the word read as a
-    base-n numeral.
     """
-    _checked_field(field)  # before the walk is charged; the rows check it again
-    charge_word_enumeration(n, r, budget, "Lie power word enumeration")
-
-    def expansions():
-        words = product(range(n), repeat=r)
-        return (_left_normed_columns(w, n).items() for w in words if r == 1 or w[0] < w[1])
-
-    rows = _Rows(expansions, n if r == 1 else n ** (r - 2) * (n * (n - 1) // 2), n**r, field)
-    return charge_span("Lie power span expansion", rows, budget)
+    if n < 1 or r < 1:
+        raise ValueError("Lie power word enumeration needs n >= 1 and r >= 1")
+    return charge_span("Lie power span expansion", _LiePowerSpan(n, r, field), budget)
 
 
 def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int | None = None) -> _Rows:

@@ -304,8 +304,7 @@ def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
 
     @cache
     def rank_of(builder, *args):
-        span = builder(*args)
-        return cache(lambda: len(span.pivots()))
+        return cache(builder(*args).rank)
 
     def add(name, builder, points, closed, where="(n={}, r={}, field={})", fields=ORACLE_FIELDS):
         # where takes a point's coordinates, then the field (c's takes no field)

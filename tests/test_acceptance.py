@@ -62,7 +62,7 @@ def test_criterion_03_lie_power_rank_oracle():
         for r in range(1, 7):
             w = witt_dim(n, r)
             for field in (None, 2, 3):
-                assert len(oracle.lie_power_span(n, r, field).pivots()) == w, (n, r, field)
+                assert oracle.lie_power_span(n, r, field).rank() == w, (n, r, field)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.2f}s, limit 30s"
     print(f"ACCEPTANCE 3: PASS (rank = witt on n<=3, r<=6, three fields, {elapsed:.2f}s)")

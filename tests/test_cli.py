@@ -508,8 +508,10 @@ def _phantom_key(rows, field):
 
 # one point per rank family of the oracle suite, keyed by _phantom_key; c's
 # point (q=1, k=2) has the rows of the oracle suite's Lie module at r = 2, so
-# the c suite runs on its own
-ORACLE_PHANTOMS = {("27*81", 2), ("6*32", 3), (1, 5, None), (2, 3, 2)}
+# the c suite runs on its own.  "5*12" over F2 is one Lie power block, the
+# content (2, 1, 1) at (n=3, r=4), whose phantom counts once for each of the
+# 3 contents in its orbit
+ORACLE_PHANTOMS = {("5*12", 2), ("2*6*32", 3), (1, 5, None), (2, 3, 2)}
 ORACLE_FAIL_LINES = [
     "oracle/lie-power-rank: 54 checks, 1 failures",
     "  FAIL (n=3, r=4, field=2)",
@@ -667,7 +669,7 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
     for budget, args, task, work in (
         ("10000000", ["verify", "--suite", "oracle", "--slow"], "multilinear bracket span", 12700800),
         ("1000", ["verify", "--suite", "c"], "weight space span", 518400),
-        ("59048", ["verify", "--suite", "oracle"], "Lie power span expansion", 354294),
+        ("59048", ["verify", "--suite", "oracle"], "Lie power span expansion", 60219),
         ("59048", ["verify", "--suite", "all"], "weight space span", 518400),
     ):
         monkeypatch.setenv("LIEDIM_BUDGET", budget)
@@ -743,11 +745,14 @@ def test_one_letter_aperiodic_walk_at_a_prime_fresh_process():
 # were admitted while it priced terms without the row width (n = 600 at
 # 720,000 units, for 179,700 rows of 360,000 bits); n = 1 has no rows, so only
 # its walk charge refuses it; the factorials are refused by their floor,
-# unbuilt; and Lie(8) over F3 and Q, (8!)^2 units, stays over the --slow budget
+# unbuilt; Lie(8) over F3 and Q, (8!)^2 units, stays over the --slow budget,
+# and so does L^16 of two letters over F2, whose 9,908 rows' folds are
+# charged 9.7 * 10^8 of its 1.09 * 10^9 units
 SPAN_REFUSALS = (
     "lie-power --n 600 --r 2 --field f2",
     "lie-power --n 2000 --r 2",
     "lie-power --n 1 --r 100000000",
+    "lie-power --n 2 --r 16 --field f2 --slow",
     "lie-module --r 10000000",
     "weight-space --q 3000 --k 3000",
     "lie-module --r 8 --slow --field f3",

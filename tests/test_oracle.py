@@ -4,6 +4,7 @@ import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 from pathlib import Path
 
@@ -541,16 +542,38 @@ def test_weight_space_rows_match_block_expansions():
         assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k, None), 5) == _reference_kernel_rows(vectors, columns, 5)
 
 
+def _content(word, n):
+    # the letter counts of a word over n letters
+    return tuple(word.count(a) for a in range(n))
+
+
+def _words_by_content(n, r):
+    # every word over n letters, in lexicographic order, by its content
+    contents = {}
+    for word in product(range(n), repeat=r):
+        contents.setdefault(_content(word, n), []).append(word)
+    return contents
+
+
+def _is_sorted(content):
+    return list(content) == sorted(content, reverse=True)
+
+
 def test_lie_power_rows_match_expansions():
-    # the columns are all n**r words in product() order, which is sorted
+    # one block per content whose counts do not increase; its columns are the
+    # content's words in lexicographic order, and its rows the kept words'
+    # expansions, in that order
     for n in (1, 2, 3):
         for r in range(1, 6):
-            words = list(product(range(n), repeat=r))
-            assert words == sorted(words), (n, r)
-            columns = {word: i for i, word in enumerate(words)}
-            vectors = [_reference_left_normed(word) for word in words if _kept(word)]
-            expected = _reference_kernel_rows(vectors, columns, 5)
-            assert _streamed_kernel_rows(oracle.lie_power_span(n, r), 5) == expected, (n, r)
+            blocks = oracle.lie_power_span(n, r).blocks
+            contents = _words_by_content(n, r)
+            assert list(blocks) == sorted(filter(_is_sorted, contents), reverse=True), (n, r)
+            for content, rows in blocks.items():
+                words = contents[content]
+                columns = {word: i for i, word in enumerate(words)}
+                vectors = [_reference_left_normed(word) for word in words if _kept(word)]
+                expected = _reference_kernel_rows(vectors, columns, 5)
+                assert _streamed_kernel_rows(rows, 5) == expected, (n, r, content)
 
 
 def test_dropped_rows_negate_kept_rows():
@@ -575,7 +598,7 @@ def test_dropped_rows_negate_kept_rows():
     for n in (1, 2, 3):
         for r in range(1, 7):
             words = list(product(range(n), repeat=r))
-            check(words, 1, oracle.left_normed_expand, lambda f: len(oracle.lie_power_span(n, r, f).pivots()))
+            check(words, 1, oracle.left_normed_expand, lambda f: oracle.lie_power_span(n, r, f).rank())
     for r in range(1, 7):
         perms = list(permutations(range(r)))
         check(perms, 1, oracle.left_normed_expand, lambda f: len(oracle.lie_module_span(r, f).pivots()))
@@ -608,13 +631,19 @@ def test_pivots_are_the_lyndon_words():
     # these bracketings are a basis (Chen, Fox and Lyndon; Reutenauer, Free Lie
     # Algebras, ch. 5).  Each kernel leads with a row's lowest column, so over
     # every field the lead columns of a span are its Lyndon words, enumerated
-    # here with no count.
+    # here with no count.  A Lie power block's columns number its content's
+    # words, so its leads are the Lyndon words of that content.
     for n, r in ((2, 10), (3, 7), (4, 5)):
-        expected = [int("".join(map(str, word)), n) for word in oracle.iter_lyndon_words(n, r)]
-        # over the rationals the planes give up, and the leads are the dict kernel's
-        assert oracle._rank_planes(oracle.lie_power_span(n, r).planes(False), False) is None
+        contents = _words_by_content(n, r)
+        lyndon = list(oracle.iter_lyndon_words(n, r))
+        # over the rationals some block's planes give up, and its leads are the dict kernel's
+        blocks = oracle.lie_power_span(n, r).blocks
+        assert any(oracle._rank_planes(rows.planes(False), False) is None for rows in blocks.values()), (n, r)
         for field in (2, 3, 5, None):
-            assert sorted(oracle.lie_power_span(n, r, field).pivots()) == expected, (n, r, field)
+            for content, rows in oracle.lie_power_span(n, r, field).blocks.items():
+                words = contents[content]
+                expected = [words.index(word) for word in lyndon if _content(word, n) == content]
+                assert sorted(rows.pivots()) == expected, (n, r, field, content)
     # multilinear words in 0..r-1: the Lyndon ones are those that start with 0
     for r in range(1, 8):
         expected = [i for i, perm in enumerate(permutations(range(r))) if perm[0] == 0]
@@ -626,6 +655,27 @@ def test_pivots_are_the_lyndon_words():
         expected = [i for i, perm in enumerate(perms) if oracle.is_lyndon(tuple(zip(*[iter(perm)] * q)))]
         for field in (2, 3, 5, None):
             assert sorted(oracle.weight_space_span(q, k, field).pivots()) == expected, (q, k, field)
+
+
+def test_every_content_has_the_rank_of_its_sorted_content():
+    # the symmetry the span rests on, checked rather than assumed: a block is
+    # built for every content, sorted or not, from the same walk; the ranks
+    # agree within each orbit and sum to w(n, r) and to the span's rank, the
+    # sorted blocks' ranks weighted by their orbits
+    for n, r in (*ORACLE_POWER_POINTS, (2, 10), (3, 7), (4, 5)):
+        contents = _words_by_content(n, r)
+        for field in (2, 3, 5, None):
+            span = oracle.lie_power_span(n, r, field)
+            sorted_ranks = {content: len(rows.pivots()) for content, rows in span.blocks.items()}
+            total = 0
+            for content, words in contents.items():
+                letters = [a for a, k in enumerate(content) for _ in range(k)]
+                entries = partial(oracle._content_rows, letters, n)
+                with _time_limit(5):
+                    rank = oracle._Rows(entries, sum(map(_kept, words)), len(words), field).rank()
+                assert rank == sorted_ranks[tuple(sorted(content, reverse=True))], (n, r, field, content)
+                total += rank
+            assert total == witt_dim(n, r) == span.rank(), (n, r, field)
 
 
 class _CountedRows(oracle._Rows):
@@ -641,10 +691,9 @@ class _CountedRows(oracle._Rows):
         return (vec.items() for vec in self.vectors)
 
 
-# every span source of the verify grids and of lie-module up to r = 7, with
-# the number of index tuples its columns stand for, enumerated here
+# every _Rows span source of the verify grids and of lie-module up to r = 7,
+# with the number of index tuples its columns stand for, enumerated here
 SPAN_SOURCES = (
-    *((oracle.lie_power_span, (n, r), len(list(product(range(n), repeat=r)))) for n, r in ORACLE_POWER_POINTS),
     *(
         (oracle.lyndon_bracketing_span, (n, r), len(list(product(range(n), repeat=r))))
         for n, r in ORACLE_POWER_POINTS
@@ -668,15 +717,50 @@ def test_each_source_states_the_rows_the_kernels_get(monkeypatch):
         assert all(mask >> width == 0 for mask in masks), (span.__name__, args)
 
 
+def test_lie_power_blocks_state_the_rows_the_kernels_get(monkeypatch):
+    # each block states its count rows, those one masks() pass yields, and its
+    # width, the words of its content; the charge adds to the blocks'
+    # planes * count * width their folds, 3 * 2**(r-1) a row, their walks,
+    # 32*r a word, and the orbit listing, n for each content that has rows
+    charged = []
+    monkeypatch.setattr(oracle, "_charge", lambda budget, task, floor, shown, work: charged.append(work()))
+    for n, r in ORACLE_POWER_POINTS:
+        contents = _words_by_content(n, r)
+        masks = {content: list(rows.masks()) for content, rows in oracle.lie_power_span(n, r, 2).blocks.items()}
+        for field, planes in ((2, 1), (3, 2), (None, 2), (5, 2)):
+            work = n * len([content for content in contents if r == 1 or max(content) < r])
+            for content, rows in oracle.lie_power_span(n, r, field).blocks.items():
+                count, width = len(masks[content]), len(contents[content])
+                assert (rows.count, rows.width) == (count, width), (n, r, content)
+                assert all(mask >> width == 0 for mask in masks[content]), (n, r, content)
+                work += planes * count * width + (3 * count << (r - 1)) + 32 * r * width
+            assert charged[-1] == work, (n, r, field)
+
+
 def test_charge_bounds_the_kernels_memory():
-    # a kernel keeps at most count pivots of width columns: the traced peak of a
-    # whole run stays under 4 * charge/8 bytes (measured 0.6 to 1.8 times)
+    # a kernel keeps at most count pivots of width columns a block, and the
+    # walks a column table and r folds: the traced peak of a whole run stays
+    # under the charge in bytes (measured 1.5 to 6.2 times charge/8, the walks'
+    # tables and frames outweighing the few pivots)
     for n, r in ((3, 7), (4, 5)):
         for field in (2, 3, None, 5):
-            rows = oracle.lie_power_span(n, r, field)
-            charge = (1 if field == 2 else 2) * rows.count * rows.width
-            peak = _traced_peak_mib(lambda: len(oracle.lie_power_span(n, r, field).pivots())) * 2**20
-            assert peak < 4 * charge / 8, (n, r, field, peak, charge)
+            charge = oracle.lie_power_span(n, r, field).work()
+            peak = _traced_peak_mib(lambda: oracle.lie_power_span(n, r, field).rank()) * 2**20
+            assert peak < charge, (n, r, field, peak, charge)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, r", [(3, 10), (4, 8)])
+def test_lie_power_reach_over_f2_in_little_memory(n, r):
+    # admitted under --slow, and kernel-bound: the traced peak stays under
+    # 4 * charge/8 bytes (measured 0.24 and 0.37 times charge/8)
+    slow = budget.work_budget(slow=True)
+    charge = oracle.lie_power_span(n, r, 2, slow).work()
+    ranks = []
+    with _time_limit(60):
+        peak = _traced_peak_mib(lambda: ranks.append(oracle.lie_power_span(n, r, 2, slow).rank())) * 2**20
+    assert ranks == [witt_dim(n, r)]
+    assert peak < 4 * charge / 8, (n, r, peak, charge)
 
 
 def test_lyndon_bracketing_span_charged_before_expansion(monkeypatch):
@@ -716,7 +800,7 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     assert len(counted.pivots()) == _reference_rank(vectors, 3)
     assert counted.passes == 1
     # lie_power_span over the rationals restarts too: the words 0 1 ... make 2s
-    assert len(oracle.lie_power_span(2, 5, None).pivots()) == witt_dim(2, 5)
+    assert oracle.lie_power_span(2, 5, None).rank() == witt_dim(2, 5)
 
 
 # tracemalloc peaks of the span oracles, in MiB.  With every row built first,
@@ -741,7 +825,7 @@ def test_span_oracles_stream_in_little_memory():
     for field in (None, 2, 3):
         peak = _traced_peak_mib(lambda: len(oracle.lie_module_span(6, field).pivots()))
         assert peak < PEAK_CEILING_MIB, (field, peak)
-    peak = _traced_peak_mib(lambda: len(oracle.lie_power_span(3, 6, 5).pivots()))
+    peak = _traced_peak_mib(lambda: oracle.lie_power_span(3, 6, 5).rank())
     assert peak < PEAK_CEILING_MIB, peak
 
 
@@ -759,7 +843,7 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
         monkeypatch.setattr(oracle, name, recording)
     for field in (None, 2, 3, 5):
         assert len(oracle.lie_module_span(5, field).pivots()) == dim_lie(5)
-        assert len(oracle.lie_power_span(2, 6, field).pivots()) == witt_dim(2, 6)
+        assert oracle.lie_power_span(2, 6, field).rank() == witt_dim(2, 6)
         assert len(oracle.weight_space_span(2, 2, field).pivots()) == weight_space_dim_formula(2, 2)
     # the rationals over two letters give up on the planes and take the dict kernel
     assert {name for name, _ in fed} == {"_rank_gf2", "_rank_planes", "_rank_prime", "_rank_rational"}
@@ -799,13 +883,13 @@ def test_rank_over_field_validation():
 
 
 def test_lie_power_rank_small():
-    assert len(oracle.lie_power_span(1, 2).pivots()) == 0
+    assert oracle.lie_power_span(1, 2).rank() == 0
     for n in (2, 3):
         for r in range(1, 6):
             w = witt_dim(n, r)
             for f in (None, 2, 3):
                 with _time_limit(5):
-                    assert len(oracle.lie_power_span(n, r, f).pivots()) == w, (n, r, f)
+                    assert oracle.lie_power_span(n, r, f).rank() == w, (n, r, f)
                     assert len(oracle.lyndon_bracketing_span(n, r, f).pivots()) == w, (n, r, f)
 
 

@@ -59,6 +59,25 @@ def test_oracle_lie_power_loads_no_table_or_verify_code():
     assert not loaded & {"liedim.verify", "liedim.report", "liedim.lie_powers", "json"}
 
 
+@pytest.mark.parametrize("command", [["lie-module", "--r", "3"], ["weight-space", "--q", "1", "--k", "2"]])
+def test_oracle_block_commands_load_no_closed_form_module(command):
+    # each checks its rank against a factorial it computes itself, so neither
+    # lie_modules nor the fractions, decimal and numbers it imports are
+    # loaded; what click loads to write the output (locale) is all that is new
+    proc = _fresh(
+        "import sys\n"
+        "from liedim.cli import main\n"
+        "before = set(sys.modules)\n"
+        "try:\n"
+        f"    main(['oracle', *{command!r}])\n"
+        "finally:\n"
+        "    print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    assert proc.stdout.splitlines()[-1] == "agree"
+    loaded = set(proc.stderr.split())
+    assert loaded <= {"locale", "_locale"}, sorted(loaded)
+
+
 def test_package_names_resolve_to_their_home_modules():
     assert list(liedim._HOMES) == liedim.__all__
     for name in liedim.__all__:

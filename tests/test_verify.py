@@ -66,8 +66,8 @@ def test_all_suite_contains_every_family():
 
 
 def _run_logged(monkeypatch, suite, slow):
-    """Run the suites; log each span charge, elimination and suite call, in
-    order, as (kind, the call's arguments)."""
+    """Run the suites; log each span charge, rank and suite call, in order,
+    as (kind, the call's arguments)."""
     log = []
 
     def logged(kind, fn):
@@ -78,7 +78,8 @@ def _run_logged(monkeypatch, suite, slow):
         return wrapper
 
     monkeypatch.setattr(oracle, "charge_span", logged("charge", oracle.charge_span))
-    monkeypatch.setattr(oracle._Rows, "pivots", logged("eliminate", oracle._Rows.pivots))
+    for span in (oracle._Rows, oracle._LiePowerSpan):
+        monkeypatch.setattr(span, "rank", logged("rank", span.rank))
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(verify, name, logged("suite", getattr(verify, name)))
     return verify.run_suites(suite, slow), log
@@ -97,18 +98,18 @@ def _run_logged(monkeypatch, suite, slow):
 )
 def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
     # every distinct span is charged once, before the first suite runs, and
-    # eliminated once, in the order it was built: under "all" the c and oracle
+    # ranked once, in the order it was built: under "all" the c and oracle
     # weight-space families share the six Q spans, so 144 rank checks read 138
     families, log = _run_logged(monkeypatch, suite, slow)
     kinds = [kind for kind, _ in log]
     assert "charge" not in kinds[kinds.index("suite") :]
     charged = [args[1] for kind, args in log if kind == "charge"]  # charge_span(task, rows, budget)
-    eliminated = [args[0] for kind, args in log if kind == "eliminate"]  # rows.pivots()
+    ranked = [args[0] for kind, args in log if kind == "rank"]  # span.rank()
     extra = slow and suite != "c"
     rank_checks = sum(fam.checks for fam in families if fam.name.endswith(("-rank", "/weight-space-oracle")))
     assert rank_checks == {"c": 6, "oracle": 138, "all": 144}[suite] + extra
     assert len(set(map(id, charged))) == len(charged) == {"c": 6, "oracle": 138, "all": 138}[suite] + extra
-    assert eliminated == charged
+    assert ranked == charged
 
 
 def test_each_walk_and_span_is_charged_once(monkeypatch):
@@ -119,7 +120,6 @@ def test_each_walk_and_span_is_charged_once(monkeypatch):
     verify.run_suites("all")
     assert tasks == {
         "aperiodic word enumeration": 30,
-        "Lie power word enumeration": 54,
         "Lie power span expansion": 54,
         "Lyndon word enumeration": 54,
         "Lyndon bracketing span": 54,
