@@ -15,11 +15,14 @@ Lyndon words.  The bracket oracles make one row of each +- pair: since
 [a, b] = -[b, a], the rows whose first letter (block) is below the second
 span everything.
 
-The left-normed span is block-diagonal by letter content, and renaming
-letters permutes the blocks, so _LiePowerSpan makes one _Rows block per
-content whose counts do not increase, walks only that content's words, and
-weights each block's rank by the number of contents in its orbit, which it
-lists.
+Every row but the Lyndon bracketings' comes from one generator,
+_bracket_rows, which folds left-normed brackets in the column numbers of
+the arrangements of a letter content.  The left-normed span is
+block-diagonal by content, and renaming letters permutes the blocks, so
+_LiePowerSpan makes one _Rows block per content whose counts do not
+increase and weights each block's rank by the number of contents in its
+orbit, which it lists.  The Lie module and the weight spaces are the
+arrangements of the distinct letters 0..r-1, in runs of one letter or of q.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -31,9 +34,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from functools import cached_property, partial
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, factorial, gcd
-from operator import itemgetter
 
 from .arith import divisors, is_prime
 from .budget import _charge
@@ -174,7 +176,9 @@ def count_lyndon_words(n: int, r: int) -> int:
 
 
 def lyndon_words(n: int, r: int) -> list[Word]:
-    """All Lyndon words of length r over the alphabet 0..n-1, lexicographically."""
+    """All Lyndon words of length r over the alphabet 0..n-1, lexicographically.
+    No code in the package calls it; it stays for perfbench/layers.py, which
+    patches it by name."""
     return list(iter_lyndon_words(n, r))
 
 
@@ -234,8 +238,9 @@ def left_normed_expand(word) -> SparseTensorVector:
 
     [e_{w1}, e_{w2}, ..., e_{wr}] with all brackets gathered to the left, for
     letters 0..255 (any other letter raises ValueError).  This is
-    _left_normed_columns over 256 letters, the fold that lie_power_span makes
-    its rows by, one _bracket_columns a letter.
+    _left_normed_columns over 256 letters, one _bracket_columns a letter, a
+    fold that shares nothing with _bracket_rows, which the tests check row
+    for row against this one.
     The result has at most 2**(r-1) terms; repeated letters can cancel or
     combine, so coefficients other than +-1 do occur.
     """
@@ -464,80 +469,98 @@ class _Rows:
             yield {c: m for c, v in row if (m := v % p)}
 
 
-class _BlockBracketRows(_Rows):
-    """The rows of the brackets [B_1, ..., B_k] of k blocks of q letters, where
-    the q*k letters run through every permutation of 0..q*k-1 in
-    permutations() order and B_j is the permutation's j-th run of q letters.
-    A row's columns are the positions of its terms' index tuples among the
-    permutations, which permutations() yields in lexicographic order.
-    When k >= 2 only the permutations with B_1 < B_2 are rows, half of them:
-    swapping B_1 and B_2 negates the bracket, so the other half adds nothing
-    to the span.  At r = 7 that is 2,520 rows over 5,040 columns.
+def _arrangement_numerals(counts: Sequence[int]) -> list[int]:
+    # The arrangements of the letters a, counts[a] of each, as base-len(counts)
+    # numerals in lexicographic order, built up one length m at a time: those
+    # of m letters are, for each letter a they hold in turn, a followed by
+    # those of the other m - 1, so only two lengths are held at once.
+    base = len(counts)
+    level = {(0,) * base: [0]}
+    for m in range(1, sum(counts) + 1):
+        step = base ** (m - 1)
+        subs = {sub[:a] + (k + 1,) + sub[a + 1 :] for sub in level for a, k in enumerate(sub) if k < counts[a]}
+        level = {
+            sub: [a * step + y for a, k in enumerate(sub) if k for y in level[sub[:a] + (k - 1,) + sub[a + 1 :]]]
+            for sub in subs
+        }
+    (numerals,) = level.values()
+    return numerals
 
-    Each pass, each call of entries(), makes the column tables of the terms
-    of one bracket, those of the blocks 0..q-1, q..2q-1, ... in order, and
-    reads each row off them as (column, sign) entries; these reach every
-    kernel through _Rows' adapters, as the other sources' rows do.  A
-    term's table holds its column in the bracket of every kept permutation
-    pi, in order, so the first table lists the kept rows' own columns; the
-    bracket of pi renames each letter i as pi[i], so its term with index
-    tuple P (itself a permutation) has index tuple pi o P.  The fold
-    v -> v (x) B - B (x) v builds each term from a shorter one by appending
-    or prepending a block.  Write a word as a permutation P by padding it
-    with the letters still to come, in order.  Appending the next block then
-    leaves P as it is, and so the table too.  Prepending the block of letters
-    s..s+q-1 to a word of s letters gives P o c, for the fixed cycle c of
-    positions (s..s+q-1, 0..s-1, s+q..); pi o P o c = pi' o c for the pi' at
-    the parent's table entry, so the new table is c's own table read at the
-    parent's entries, one list composition.  The letters are distinct, so no
-    two terms meet, and every coefficient is +-1: + for the terms made with
-    an even number of prepends.  The width (q*k)! is made only when read.
+
+def _bracket_rows(counts: Sequence[int], q: int):
+    """One pass over the rows of the left-normed brackets [B_1, ..., B_k] of
+    the arrangements of the letters a, counts[a] of each, B_j the j-th run
+    of q letters.
+
+    The columns number the arrangements in lexicographic order; the rows
+    are the brackets of those whose first run is below the second (all when
+    k = 1; see the module docstring), in that order.  Pad a term of the fold
+    v -> v (x) B - B (x) v with the letters still to come, so that it is an
+    arrangement with a column, which appending the next run leaves as it is.
+    Prepending the run at s..s+q-1 permutes the positions by the cycle
+    c_s = (s..s+q-1, 0..s-1, s+q..): it maps the column of an arrangement P
+    to that of P o c_s, one table per s, made once a pass.  So a row is folded
+    in column numbers from its own, + on the terms prepended to an even
+    number of times.  Terms meet only when a letter repeats, and are then
+    merged run by run; with distinct letters a row's terms are one list,
+    each table mapped over it at C speed.
     """
+    r, base = sum(counts), len(counts)
+    numerals = _arrangement_numerals(counts)
+    column = {x: i for i, x in enumerate(numerals)}
+    u = base**q
+    prepends = []
+    for s in range(q, r, q):
+        # head * u * t + run * t + tail becomes run * base**(r - q) + head * t + tail
+        t = base ** (r - s - q)
+        to_front, back = base ** (r - q) - t, u * t - t
+        prepends.append([column[x + x // t % u * to_front - x // (u * t) * back] for x in numerals].__getitem__)
+    second = base ** max(r - 2 * q, 0)
+    kept = [i for i, x in enumerate(numerals) if r == q or x // (u * second) < x // second % u]
+    del column, numerals
+    if max(counts) == 1:
+        signs = [1]
+        for _ in prepends:
+            signs += [-v for v in signs]
+        for x in kept:
+            terms = [x]
+            for at in prepends:
+                terms += list(map(at, terms))
+            yield zip(terms, signs)
+        return
+    for x in kept:
+        terms = {x: 1}
+        for at in prepends:
+            # the prepended terms are distinct, as at is a bijection; each
+            # appended term keeps its column and may meet one of them
+            new = dict(zip(map(at, terms), [-v for v in terms.values()]))
+            get = new.get
+            for c, v in terms.items():
+                nv = get(c, 0) + v
+                if nv:
+                    new[c] = nv
+                else:
+                    del new[c]
+            terms = new
+        yield terms.items()
+
+
+class _MultilinearRows(_Rows):
+    """The rows of _bracket_rows over the letters 0..q*k-1 in runs of q, for
+    lie_module_span and weight_space_span, sized only when read: a huge span
+    is refused from floor_bits (r! >= 2**(r-1), count >= r!/2) before r! is
+    built."""
 
     def __init__(self, q: int, k: int, field: int | None):
         self.field = _checked_field(field)
-        self.q, self.k = q, k
         r = q * k
-        self.floor_bits = 2 * r - 3  # r! >= 2**(r-1), and count >= r!/2
-        self.shape = _planes_text(field, f"{r}!*{r}!" if k == 1 else f"({r}!/2)*{r}!")
+        self.entries = partial(_bracket_rows, (1,) * r, q)
+        self.r, self.halved = r, k > 1
+        self.floor_bits = 2 * r - 3
+        self.shape = _planes_text(field, f"({r}!/2)*{r}!" if k > 1 else f"{r}!*{r}!")
 
-    width = property(lambda self: factorial(self.q * self.k))
-    count = property(lambda self: self.width // (2 if self.k > 1 else 1))
-
-    def entries(self):
-        # the tables live as long as the returned iterator
-        q, r = self.q, self.q * self.k
-        perms = list(permutations(range(r)))
-        column = {perm: i for i, perm in enumerate(perms)}
-        kept = [i for i, perm in enumerate(perms) if self.k == 1 or perm[:q] < perm[q : 2 * q]]
-        terms = [(kept, 1)]
-        for s in range(q, r, q):
-            cycle = (*range(s, s + q), *range(s), *range(s + q, r))
-            at = [column[perm] for perm in map(itemgetter(*cycle), perms)].__getitem__
-            terms += [(list(map(at, table)), -sign) for table, sign in terms]
-        signs = [sign for _, sign in terms]
-        return (zip(cols, signs) for cols in zip(*(table for table, _ in terms)))
-
-
-def _arrangements(items: list) -> Iterator[int]:
-    # Step the sorted list items, in place, through its distinct arrangements
-    # in lexicographic order (Narayana's next permutation, which makes no
-    # arrangement twice), and yield at each the first position that the step
-    # to it changed, 0 at the first.
-    last = len(items) - 1
-    i = 0
-    while True:
-        yield i
-        i = last - 1
-        while i >= 0 and items[i] >= items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = last
-        while items[j] <= items[i]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1 :] = items[:i:-1]
+    width = property(lambda self: factorial(self.r))
+    count = property(lambda self: self.width >> self.halved)
 
 
 def _sorted_contents(n: int, r: int, top: int) -> Iterator[tuple[int, ...]]:
@@ -555,7 +578,7 @@ def _orbit(content: tuple[int, ...]) -> int:
     # the number of distinct rearrangements of the counts, by listing them:
     # each chooses the letters that hold each nonzero count, largest first,
     # among those the larger counts left, and the rest hold 0.  Choosing
-    # letters, not stepping all n counts by _arrangements, scans no zeros.
+    # letters, not arranging all n counts, scans no zeros.
     def choices(letters, sizes):
         if len(sizes) == 1:
             return combinations(letters, sizes[0])
@@ -578,31 +601,6 @@ def _word_count(counts) -> int:
     return words
 
 
-def _content_rows(word: list[int], n: int):
-    # one pass over the rows of the content of word, its letters in order
-    # (see _LiePowerSpan): a walk numbers the words, then a second makes the rows
-    w = list(word)
-    column = {}
-    for _ in _arrangements(w):
-        x = 0
-        for s in w:
-            x = x * n + s
-        column[x] = len(column)
-    w = list(word)
-    r = len(w)
-    folds = [None] * r  # folds[t]: the bracket of w[: t + 1], for t < fresh
-    fresh = 0
-    for i in _arrangements(w):
-        fresh = min(fresh, i)
-        if r > 1 and w[0] >= w[1]:
-            continue
-        for t in range(fresh, r):
-            folds[t] = _bracket_columns(folds[t - 1], {w[t]: 1}, n**t, n) if t else {w[0]: 1}
-        fresh = r
-        vec = folds[-1]
-        yield zip(map(column.__getitem__, vec), vec.values())
-
-
 class _LiePowerSpan:
     """The span of the left-normed brackets of all n**r words over the field,
     as one _Rows block per sorted letter content.
@@ -617,15 +615,12 @@ class _LiePowerSpan:
     computes.
 
     blocks maps each sorted content, as its n counts, to its _Rows block,
-    built when first read.  A block's rows are the brackets of the content's
-    words with w[0] < w[1] (every word when r = 1; see the module docstring),
-    in lexicographic order, and a term's column is the rank of its word
-    among the content's words.  A pass steps through the words by next
-    permutation, once to number them and once to make the rows, and a step
-    that changes the word from position i on folds the left-normed bracket
-    again from letter i only, so each prefix is bracketed once.  The counts
-    and widths that size the blocks are products of binomials, which the
-    rank never reads.
+    built when first read, whose rows _bracket_rows makes with runs of one
+    letter: the brackets of the content's words with w[0] < w[1] (every word
+    when r = 1; see the module docstring), in lexicographic order, with a
+    term's column the rank of its word among the content's words.  The
+    counts and widths that size the blocks are products of binomials, which
+    the rank never reads.
     """
 
     def __init__(self, n: int, r: int, field: int | None):
@@ -651,19 +646,18 @@ class _LiePowerSpan:
             # by the swap, half the words whose first two letters differ are rows
             same = sum(_word_count(content[:a] + (k - 2,) + content[a + 1 :]) for a, k in enumerate(content) if k >= 2)
             count = width if r == 1 else (width - same) // 2
-            word = [a for a, k in enumerate(content) for _ in range(k)]
-            blocks[content] = _Rows(partial(_content_rows, word, n), count, width, self.field)
+            blocks[content] = _Rows(partial(_bracket_rows, content, 1), count, width, self.field)
         return blocks
 
     def work(self) -> int:
         """The charge, built from blocks: each block's own work(); the folds of
-        its count rows, a row making at most 2**t terms at its letter t,
-        2**r - 1 in all, and numbering its 2**(r-1) terms, so 3 * 2**(r-1)
-        steps; and the walks over its width words, 32*r a word, as
-        charge_word_enumeration prices a letter.  rank() lists the orbits of
-        the blocks with a pivot, n counts an arrangement: at most the
-        C(n+r-1, r) contents, less the n of one letter repeated when r >= 2,
-        which make no row."""
+        its count rows, a row mapping at most 2**t terms at its letter t,
+        2**r - 1 in all, and merging at most 2**(r-1) of them, so
+        3 * 2**(r-1) steps; and the tables over its width words, the numerals
+        and r - 1 prepend maps, 32*r a word, as charge_word_enumeration
+        prices a letter.  rank() lists the orbits of the blocks with a pivot,
+        n counts an arrangement: at most the C(n+r-1, r) contents, less the n
+        of one letter repeated when r >= 2, which make no row."""
         n, r = self.n, self.r
         work = n * (comb(n + r - 1, r) - (n if r > 1 else 0))
         for rows in self.blocks.values():
@@ -689,7 +683,8 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     are the rows of a _Rows span, eliminated in the given order, one at a
     time, so each pivot is a row's first nonzero key in sorted order.  The
     vectors are not modified.  The four span oracles make no such list: they
-    stream their rows.
+    stream their rows.  It stays as the list-input entry to the kernels,
+    which the tests use, and perfbench/layers.py patches it by name.
     """
     # explicit zero entries are skipped throughout; the kernels assume stored = nonzero
     keys = {idx for vec in vectors for idx, c in vec.items() if c}
@@ -871,15 +866,16 @@ def lie_module_span(r: int, field: int | None = None, budget: int | None = None)
     """The span of the r! multilinear left-normed brackets over the field, charged.
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
-    multilinear component; its rank equals (r-1)! over every field.  Their
-    rows are those of _BlockBracketRows with blocks of one letter: the r!/2
+    multilinear component; its rank equals (r-1)! over every field.  It is
+    the block of the content (1^r) of the Lie power at n = r, and its rows
+    are made the same way: _bracket_rows over the letters 0..r-1, the r!/2
     permutations with pi(1) < pi(2) when r >= 2, streamed one at a time.  The
     charge, planes * (r!/2) * r!, admits r <= 6 at the default budget, and
     r = 7 and, over F_2 only, r = 8 at the --slow budget.
     """
     if r < 1:
         raise ValueError("lie_module_span() needs r >= 1")
-    return charge_span("multilinear bracket span", _BlockBracketRows(1, r, field), budget)
+    return charge_span("multilinear bracket span", _MultilinearRows(1, r, field), budget)
 
 
 def weight_space_span(q: int, k: int, field: int | None = None, budget: int | None = None) -> _Rows:
@@ -888,12 +884,13 @@ def weight_space_span(q: int, k: int, field: int | None = None, budget: int | No
 
     Spanning vectors: for every permutation of the q*k symbols, cut it into k
     consecutive blocks of length q, treat each block as one composite letter,
-    and expand the left-normed bracket of the k blocks; _BlockBracketRows
-    streams those whose first block is below the second when k >= 2, since
-    swapping the two negates the bracket.  The rank equals (q*k)! / k.  The
-    charge for k >= 2 is planes * ((q*k)!/2) * (q*k)!, ((q*k)!)**2 over every
-    field but F_2, so q*k <= 6 fits the default budget.
+    and expand the left-normed bracket of the k blocks; _bracket_rows over
+    the letters 0..q*k-1 in runs of q streams those whose first block is
+    below the second when k >= 2, since swapping the two negates the
+    bracket.  The rank equals (q*k)! / k.  The charge for k >= 2 is
+    planes * ((q*k)!/2) * (q*k)!, ((q*k)!)**2 over every field but F_2, so
+    q*k <= 6 fits the default budget.
     """
     if q < 1 or k < 1:
         raise ValueError("weight_space_span() needs q >= 1 and k >= 1")
-    return charge_span("weight space span", _BlockBracketRows(q, k, field), budget)
+    return charge_span("weight space span", _MultilinearRows(q, k, field), budget)

@@ -499,28 +499,23 @@ def test_verify_lyndon_count_family_bites(runner, monkeypatch):
     assert lines[-1].startswith("FAIL: 1 of ")
 
 
-def _phantom_key(rows, field):
-    # block-bracket rows by their (q, k), the other sources by their shape
-    if isinstance(rows, verify_mod.oracle._BlockBracketRows):
-        return rows.q, rows.k, field
-    return rows.shape, field
-
-
-# one point per rank family of the oracle suite, keyed by _phantom_key; c's
-# point (q=1, k=2) has the rows of the oracle suite's Lie module at r = 2, so
-# the c suite runs on its own.  "5*12" over F2 is one Lie power block, the
-# content (2, 1, 1) at (n=3, r=4), whose phantom counts once for each of the
-# 3 contents in its orbit
-ORACLE_PHANTOMS = {("5*12", 2), ("2*6*32", 3), (1, 5, None), (2, 3, 2)}
+# one point per rank family of the oracle suite, each span keyed by its
+# (shape, field).  "5*12" over F2 is one Lie power block, the content
+# (2, 1, 1) at (n=3, r=4), whose phantom counts once for each of the 3
+# contents in its orbit.  The weight space at q = 1 has the rows of the Lie
+# module at r = k, so one key, the shape of both at r = k = 3 over Q, serves
+# both families; and c's point (q=1, k=2) has the rows of the oracle suite's
+# Lie module at r = 2, so the c suite runs on its own
+ORACLE_PHANTOMS = {("5*12", 2), ("2*6*32", 3), ("2*(3!/2)*3!", None)}
 ORACLE_FAIL_LINES = [
     "oracle/lie-power-rank: 54 checks, 1 failures",
     "  FAIL (n=3, r=4, field=2)",
     "oracle/lyndon-basis-rank: 54 checks, 1 failures",
     "  FAIL (n=2, r=5, field=3)",
     "oracle/lie-module-rank: 18 checks, 1 failures",
-    "  FAIL (r=5, field=None)",
+    "  FAIL (r=3, field=None)",
     "oracle/weight-space-rank: 12 checks, 1 failures",
-    "  FAIL (q=2, k=3, field=2)",
+    "  FAIL (q=1, k=3, field=None)",
 ]
 
 
@@ -528,16 +523,16 @@ ORACLE_FAIL_LINES = [
     "suite, slow, phantoms, expected",
     [
         (
-            "c", False, {(1, 2, None)},
+            "c", False, {("2*(2!/2)*2!", None)},
             ["c/weight-space-oracle: 6 checks, 1 failures", "  FAIL (q=1, k=2)", "FAIL: 1 of 4192 checks failed"],
         ),
         ("oracle", False, ORACLE_PHANTOMS, [*ORACLE_FAIL_LINES, "FAIL: 4 of 287 checks failed"]),
         pytest.param(
-            "oracle", True, ORACLE_PHANTOMS | {(1, 7, 2)},
+            "oracle", True, ORACLE_PHANTOMS | {("(7!/2)*7!", 2)},
             [
                 *ORACLE_FAIL_LINES[:4],
                 "oracle/lie-module-rank: 19 checks, 2 failures",
-                "  FAIL (r=5, field=None)",
+                "  FAIL (r=3, field=None)",
                 "  FAIL (r=7, field=2, slow)",
                 *ORACLE_FAIL_LINES[6:],
                 "FAIL: 5 of 288 checks failed",
@@ -552,7 +547,7 @@ def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, suite,
 
     def with_phantom(rows):
         pivots = real(rows)
-        return {**pivots, -1: None} if _phantom_key(rows, rows.field) in phantoms else pivots
+        return {**pivots, -1: None} if (rows.shape, rows.field) in phantoms else pivots
 
     monkeypatch.setattr(verify_mod.oracle._Rows, "pivots", with_phantom)
     result = runner.invoke(main, ["verify", "--suite", suite, *(["--slow"] if slow else [])])

@@ -529,7 +529,7 @@ def test_lie_module_rows_match_expansions():
         vectors = [oracle.left_normed_expand(perm) for perm in perms if _kept(perm)]
         for p in (5, 7):
             expected = _reference_kernel_rows(vectors, columns, p)
-            assert _streamed_kernel_rows(oracle._BlockBracketRows(1, r, None), p) == expected, (r, p)
+            assert _streamed_kernel_rows(oracle.lie_module_span(r), p) == expected, (r, p)
     for f in (None, 2, 3, 5):
         assert len(oracle.lie_module_span(1, f).pivots()) == 1, f
 
@@ -539,7 +539,7 @@ def test_weight_space_rows_match_block_expansions():
         perms = list(permutations(range(q * k)))
         columns = {perm: i for i, perm in enumerate(perms)}
         vectors = [_reference_left_normed(perm, q) for perm in perms if _kept(perm, q)]
-        assert _streamed_kernel_rows(oracle._BlockBracketRows(q, k, None), 5) == _reference_kernel_rows(vectors, columns, 5)
+        assert _streamed_kernel_rows(oracle.weight_space_span(q, k), 5) == _reference_kernel_rows(vectors, columns, 5)
 
 
 def _content(word, n):
@@ -611,7 +611,7 @@ def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
     # the kernels return their pivots keyed by lead column: the planes and the
     # dict kernels must choose the same leads
     for r in range(1, 7):
-        rows = oracle._BlockBracketRows(1, r, None)
+        rows = oracle.lie_module_span(r)
         with _time_limit(5):
             got = oracle._rank_planes(rows.planes(True), wrap=True)
         assert got.keys() == oracle._rank_prime(rows.residues(3), 3).keys(), r
@@ -669,8 +669,7 @@ def test_every_content_has_the_rank_of_its_sorted_content():
             sorted_ranks = {content: len(rows.pivots()) for content, rows in span.blocks.items()}
             total = 0
             for content, words in contents.items():
-                letters = [a for a, k in enumerate(content) for _ in range(k)]
-                entries = partial(oracle._content_rows, letters, n)
+                entries = partial(oracle._bracket_rows, content, 1)
                 with _time_limit(5):
                     rank = oracle._Rows(entries, sum(map(_kept, words)), len(words), field).rank()
                 assert rank == sorted_ranks[tuple(sorted(content, reverse=True))], (n, r, field, content)
@@ -807,9 +806,12 @@ def test_rational_stream_restarts_after_pivots_are_stored():
 # as lists of dict rows, a column map and converted rows, they were 1.05 to
 # 1.2 at r = 6, 1.7 for lie_power_span(3, 6, 5) and 15 at r = 7; streamed,
 # about 0.3, 0.15 and 3.5 to 4.3; streaming only one row of each +- pair,
-# about 0.17 to 0.23, 0.13 and 2.1 to 2.9.
+# about 0.17 to 0.23, 0.13 and 2.1 to 2.9.  The r = 7 rows alone, one pass
+# with no kernel, peaked at 1.95 with a column table for each of the 2**6
+# terms of every kept row, and at about 0.79 folded one row at a time.
 PEAK_CEILING_MIB = 0.6
 PEAK_CEILING_R7_MIB = 4.0
+PEAK_CEILING_R7_ROWS_MIB = 1.2
 
 
 def _traced_peak_mib(call):
@@ -848,6 +850,14 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
     # the rationals over two letters give up on the planes and take the dict kernel
     assert {name for name, _ in fed} == {"_rank_gf2", "_rank_planes", "_rank_prime", "_rank_rational"}
     assert {kind for _, kind in fed} == {"generator"}
+
+
+def test_lie_module_rows_fold_one_row_at_a_time():
+    # a pass holds the columns of the 5,040 permutations and six prepend
+    # maps, and each row's 64 terms only while the row is at hand
+    rows = oracle.lie_module_span(7, 2, 10**9)
+    peak = _traced_peak_mib(lambda: sum(1 for row in rows.entries() for _ in row))
+    assert peak < PEAK_CEILING_R7_ROWS_MIB, peak
 
 
 @pytest.mark.slow

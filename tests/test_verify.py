@@ -129,10 +129,10 @@ def test_each_walk_and_span_is_charged_once(monkeypatch):
 
 
 def test_bracket_smoke_reads_the_fold_the_rank_oracle_uses(monkeypatch):
-    # flip the sign of the v (x) u half in _bracket_columns, the one bracket
-    # product, which the fold of lie_power_span's rows calls: [a, b] becomes
-    # ab + ba, and the smoke family, which reads the same fold, fails all nine
-    # antisymmetry checks
+    # flip the sign of the v (x) u half in _bracket_columns, the bracket
+    # product of left_normed_expand and of the Lyndon bracketing rows: [a, b]
+    # becomes ab + ba, and the smoke family, which reads left_normed_expand,
+    # fails all nine antisymmetry checks
     source = inspect.getsource(oracle._bracket_columns)
     flipped = source.replace("get(key, 0) - x * y", "get(key, 0) + x * y")
     assert flipped != source
