@@ -6,14 +6,14 @@ bracket product, _bracket_columns, makes [u, v] = u (x) v - v (x) u with
 each index tuple read as its column number, its position in lexicographic
 order.  The four span oracles (left-normed words, standard bracketings of
 Lyndon words, multilinear and block brackets) stream their rows one at a
-time, each as (column, value) entries, into a span, a _Rows source that
-carries its field.  Its one elimination, _Rows.pivots(), turns each row
-into the form its field's kernel takes, runs a deterministic sparse
-Gaussian elimination, exact over Q or F_p, and returns the kernel's pivots:
-by the triangularity of the standard bracketing, the lead columns are the
-Lyndon words.  The bracket oracles make one row of each +- pair: since
-[a, b] = -[b, a], the rows whose first letter (block) is below the second
-span everything.
+time, each as its +1 columns, its -1 columns and (column, value) pairs for
+the rest, into a span, a _Rows source that carries its field.  Its one
+elimination, _Rows.pivots(), turns each row into the form its field's
+kernel takes, runs a deterministic sparse Gaussian elimination, exact over
+Q or F_p, and returns the kernel's pivots: by the triangularity of the
+standard bracketing, the lead columns are the Lyndon words.  The bracket
+oracles make one row of each +- pair: since [a, b] = -[b, a], the rows
+whose first letter (block) is below the second span everything.
 
 Every row but the Lyndon bracketings' comes from one generator,
 _bracket_rows, which folds left-normed brackets in the column numbers of
@@ -350,13 +350,25 @@ def format_expansion(vec: SparseTensorVector) -> str:
 # exact rank computation
 
 
-def _bitmask(columns, width: int) -> int:
-    # The int with bit c set for each column c < width.  The bits are set in
-    # a bytearray and read once, so no entry costs a big-int operation.
-    bits = bytearray((width + 7) >> 3)
-    for c in columns:
-        bits[c >> 3] |= 1 << (c & 7)
-    return int.from_bytes(bits, "little")
+def _bitmasker(top: int):
+    """The function that makes a row's bitmask of top bits (whole bytes) from
+    lists of its columns, column c at bit top - 1 - c, so that a row's lead,
+    its first nonzero column, is top - x.bit_length().  The bits are set in a
+    bytearray and read once big-endian, so no entry costs a big-int operation;
+    each column's byte and bit come from lists made once a pass, as c >> 3
+    would make a new int for every entry past column 2,055."""
+    size = top >> 3
+    byte = [i for i in range(size) for _ in range(8)]
+    bit = [0x80 >> k for k in range(8)] * size
+
+    def bitmask(*columns) -> int:
+        bits = bytearray(size)
+        for part in columns:
+            for c in part:
+                bits[byte[c]] |= bit[c]
+        return int.from_bytes(bits, "big")
+
+    return bitmask
 
 
 def _checked_field(field: int | None) -> int | None:
@@ -374,14 +386,17 @@ class _Rows:
     """A span: a re-iterable source of rows and the field they span over.
 
     Each call of entries() starts a pass over the rows, in a fixed order, and
-    yields each row as (column, integer) pairs, no column twice.  The columns
-    are numbered 0..width-1 in the lexicographic order of the tensor indices
-    they stand for.  A zero entry is skipped and may have no column.  Each
-    adapter below starts a pass and yields one kernel's rows one at a time, so
-    no pass makes a list of rows, and a kernel holds only its pivots and the
-    row at hand.  Every source, a subclass too, reaches the kernels through
-    these adapters and pivots(), and states only entries().  Its field,
-    None (the rationals) or a prime p (F_p), is checked when it is built.
+    yields each row as (plus, minus, pairs): the columns holding +1, the
+    columns holding -1, and (column, integer) pairs for the other entries,
+    no column twice.  A source that does not sort its signs gives every
+    entry as a pair.  The columns are numbered 0..width-1 in the
+    lexicographic order of the tensor indices they stand for.  A zero entry
+    is skipped and may have no column.  Each adapter below starts a pass and
+    yields one kernel's rows one at a time, so no pass makes a list of rows,
+    and a kernel holds only its pivots and the row at hand.  Every source, a
+    subclass too, reaches the kernels through these adapters and pivots(),
+    and states only entries().  Its field, None (the rationals) or a prime p
+    (F_p), is checked when it is built.
 
     A source states its size, count rows of width columns a pass, for
     charge_span, with floor_bits <= log2(count * width) and shape, its work()
@@ -396,6 +411,11 @@ class _Rows:
         self.count = count
         self.width = width
         self.shape = _planes_text(field, f"{count}*{width}")
+
+    @property
+    def top(self) -> int:
+        """The bit count of a row's bitmask: width rounded up to whole bytes."""
+        return (self.width + 7) & -8
 
     def work(self) -> int:
         """planes * count * width, the bits of the dense rows a pass streams:
@@ -425,48 +445,51 @@ class _Rows:
         """
         field = self.field
         if field == 2:
-            return _rank_gf2(self.masks())
+            return _rank_gf2(self.masks(), self.top)
         if field not in (None, 3):
             return _rank_prime(self.residues(field), field)
-        pivots = _rank_planes(self.planes(field == 3), field == 3)
+        pivots = _rank_planes(self.planes(field == 3), self.top, field == 3)
         return _rank_rational(self.integers()) if pivots is None else pivots
 
     def masks(self):
-        """F_2 rows: the bitmask of the odd entries' columns."""
-        width = self.width
-        for row in self.entries():
-            yield _bitmask([c for c, v in row if v & 1], width)
+        """F_2 rows: the bitmask of the odd entries' columns, top bits wide."""
+        bitmask = _bitmasker(self.top)
+        for plus, minus, pairs in self.entries():
+            yield bitmask(plus, minus, [c for c, v in pairs if v & 1])
 
     def planes(self, wrap: bool):
         """Signed rows (plus, minus): the bitmasks of the columns holding +1 and
-        holding -1.  With wrap (F_3) an entry is taken mod 3, where 2 stands for
-        -1; without it (the rationals) the entry itself, and a row with an entry
-        outside {-1, 0, 1} comes as None and ends the pass."""
-        width = self.width
+        holding -1, top bits wide.  A row's plus and minus columns go in as
+        they are; each of its pairs is tested.  With wrap (F_3) a pair's entry
+        is taken mod 3, where 2 stands for -1; without it (the rationals) the
+        entry itself, and a row with an entry outside {-1, 0, 1} comes as
+        None and ends the pass."""
+        bitmask = _bitmasker(self.top)
         minus_one = 2 if wrap else -1
-        for row in self.entries():
-            plus, minus = [], []
-            for c, v in row:
+        for plus, minus, pairs in self.entries():
+            more_plus, more_minus = [], []
+            for c, v in pairs:
                 if wrap:
                     v %= 3
                 if v == 1:
-                    plus.append(c)
+                    more_plus.append(c)
                 elif v == minus_one:
-                    minus.append(c)
+                    more_minus.append(c)
                 elif v:
                     yield None
                     return
-            yield _bitmask(plus, width), _bitmask(minus, width)
+            yield bitmask(plus, more_plus), bitmask(minus, more_minus)
 
     def integers(self):
         """Rows as fresh dicts of nonzero integers, which the kernel may modify."""
-        for row in self.entries():
-            yield {c: v for c, v in row if v}
+        for plus, minus, pairs in self.entries():
+            yield {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1), **{c: v for c, v in pairs if v}}
 
     def residues(self, p: int):
         """Rows as fresh dicts of nonzero residues mod p."""
-        for row in self.entries():
-            yield {c: m for c, v in row if (m := v % p)}
+        for plus, minus, pairs in self.entries():
+            residues = {c: m for c, v in pairs if (m := v % p)}
+            yield {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, p - 1), **residues}
 
 
 def _arrangement_numerals(counts: Sequence[int]) -> list[int]:
@@ -487,6 +510,12 @@ def _arrangement_numerals(counts: Sequence[int]) -> list[int]:
     return numerals
 
 
+# The rows of distinct letters that _bracket_rows folds at once: enough that
+# a step's maps over the batch outweigh its Python overhead, while the
+# batch's terms (64 * 64 a list at r = 7) stay small beside a pass's tables.
+_FOLD_BATCH = 64
+
+
 def _bracket_rows(counts: Sequence[int], q: int):
     """One pass over the rows of the left-normed brackets [B_1, ..., B_k] of
     the arrangements of the letters a, counts[a] of each, B_j the j-th run
@@ -502,8 +531,12 @@ def _bracket_rows(counts: Sequence[int], q: int):
     to that of P o c_s, one table per s, made once a pass.  So a row is folded
     in column numbers from its own, + on the terms prepended to an even
     number of times.  Terms meet only when a letter repeats, and are then
-    merged run by run; with distinct letters a row's terms are one list,
-    each table mapped over it at C speed.
+    merged run by run into the row's pairs.  With distinct letters a row is
+    two lists, its + and its - terms, and a step maps each table over them
+    at C speed: the prepended - terms join the + list and the prepended +
+    terms the - list.  _FOLD_BATCH rows are folded at once, their terms
+    held term by term, so that a step is one map over the batch and row i
+    of the batch is every size-th term from the i-th.
     """
     r, base = sum(counts), len(counts)
     numerals = _arrangement_numerals(counts)
@@ -513,20 +546,20 @@ def _bracket_rows(counts: Sequence[int], q: int):
     for s in range(q, r, q):
         # head * u * t + run * t + tail becomes run * base**(r - q) + head * t + tail
         t = base ** (r - s - q)
-        to_front, back = base ** (r - q) - t, u * t - t
-        prepends.append([column[x + x // t % u * to_front - x // (u * t) * back] for x in numerals].__getitem__)
+        ut = u * t
+        to_front, back = base ** (r - q) - t, ut - t
+        prepends.append([column[x + x // t % u * to_front - x // ut * back] for x in numerals].__getitem__)
     second = base ** max(r - 2 * q, 0)
     kept = [i for i, x in enumerate(numerals) if r == q or x // (u * second) < x // second % u]
     del column, numerals
     if max(counts) == 1:
-        signs = [1]
-        for _ in prepends:
-            signs += [-v for v in signs]
-        for x in kept:
-            terms = [x]
+        for b in range(0, len(kept), _FOLD_BATCH):
+            plus, minus = kept[b : b + _FOLD_BATCH], []
+            size = len(plus)
             for at in prepends:
-                terms += list(map(at, terms))
-            yield zip(terms, signs)
+                plus, minus = plus + list(map(at, minus)), minus + list(map(at, plus))
+            for i in range(size):
+                yield plus[i::size], minus[i::size], ()
         return
     for x in kept:
         terms = {x: 1}
@@ -542,7 +575,7 @@ def _bracket_rows(counts: Sequence[int], q: int):
                 else:
                     del new[c]
             terms = new
-        yield terms.items()
+        yield (), (), terms.items()
 
 
 class _MultilinearRows(_Rows):
@@ -692,17 +725,21 @@ def rank_over_field(vectors, field: int | None = None) -> int:
     if len(degrees) > 1:
         raise ValueError(f"mixed tensor degrees in rank input: {sorted(degrees)}")
     column = {idx: j for j, idx in enumerate(sorted(keys))}.get
-    rows = _Rows(lambda: (zip(map(column, vec), vec.values()) for vec in vectors), len(vectors), len(keys), field)
+    rows = _Rows(
+        lambda: (((), (), zip(map(column, vec), vec.values())) for vec in vectors), len(vectors), len(keys), field
+    )
     return len(rows.pivots())
 
 
-def _rank_gf2(rows) -> dict[int, int]:
-    # Rows are bitmasks; bit i is the i-th column in lexicographic order, so
-    # the lowest set bit is the leading entry.
+def _rank_gf2(rows, top: int) -> dict[int, int]:
+    # Rows are bitmasks of top bits from _bitmasker, column c at bit top - 1 - c,
+    # so the highest set bit is the leading entry and its column is
+    # top - x.bit_length().  A step clears the row's top bit, so the row
+    # shrinks as it is reduced.
     pivots: dict[int, int] = {}
     for x in rows:
         while x:
-            lead = (x & -x).bit_length() - 1
+            lead = top - x.bit_length()
             piv = pivots.get(lead)
             if piv is None:
                 pivots[lead] = x
@@ -711,21 +748,22 @@ def _rank_gf2(rows) -> dict[int, int]:
     return pivots
 
 
-def _rank_planes(rows, wrap: bool) -> dict[int, tuple[int, int, int]] | None:
-    # A row is (plus, minus) from _Rows.planes, so the lowest bit of its
-    # support x = plus | minus leads; a row None is an entry outside
-    # {-1, 0, 1}, and the kernel gives up.  Negation swaps the planes, and
-    # pivots are stored with their planes swapped where needed so that each
-    # leads with +1, and with their support y.  Then a row leading with +1
-    # adds the negated pivot and a row leading with -1 adds the pivot.  With
-    # wrap the sum over F_3 of (a1, a2) and (b1, b2) is
-    # ((a2|b2) ^ t, (a1|b1) ^ t) with t = (a1|b2) ^ (a2|b1), as checking the
-    # nine residue pairs shows.  Without it the sum is over the integers, and
-    # t = x & y are the columns both hold.  Where they hold opposite signs the
-    # sum is 0, so it is (a1 ^ b1 ^ t, a2 ^ b2 ^ t) with support x ^ y.  Where
-    # they hold the same sign it is +-2, and that column lands in both planes:
-    # the kernel gives up and returns None.  Until then every lead is +-1, so
-    # this is _rank_rational's elimination exactly.
+def _rank_planes(rows, top: int, wrap: bool) -> dict[int, tuple[int, int, int]] | None:
+    # A row is (plus, minus) from _Rows.planes, bitmasks of top bits, so the
+    # highest bit of its support x = plus | minus leads, at column
+    # top - x.bit_length(), and the row leads with +1 when plus reaches as
+    # high as x; a row None is an entry outside {-1, 0, 1}, and the kernel
+    # gives up.  Negation swaps the planes, and pivots are stored with their
+    # planes swapped where needed so that each leads with +1, and with their
+    # support y.  Then a row leading with +1 adds the negated pivot and a row
+    # leading with -1 adds the pivot.  With wrap the sum over F_3 of (a1, a2)
+    # and (b1, b2) is ((a2|b2) ^ t, (a1|b1) ^ t) with t = (a1|b2) ^ (a2|b1), as
+    # checking the nine residue pairs shows.  Without it the sum is over the
+    # integers, and t = x & y are the columns both hold.  Where they hold
+    # opposite signs the sum is 0, so it is (a1 ^ b1 ^ t, a2 ^ b2 ^ t) with
+    # support x ^ y.  Where they hold the same sign it is +-2, and that column
+    # lands in both planes: the kernel gives up and returns None.  Until then
+    # every lead is +-1, so this is _rank_rational's elimination exactly.
     pivots: dict[int, tuple[int, int, int]] = {}
     for row in rows:
         if row is None:
@@ -733,13 +771,13 @@ def _rank_planes(rows, wrap: bool) -> dict[int, tuple[int, int, int]] | None:
         a1, a2 = row
         x = a1 | a2
         while x:
-            low = x & -x
-            lead = low.bit_length() - 1
+            size = x.bit_length()
+            lead = top - size
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = (a1, a2, x) if a1 & low else (a2, a1, x)
+                pivots[lead] = (a1, a2, x) if a1.bit_length() == size else (a2, a1, x)
                 break
-            if a1 & low:
+            if a1.bit_length() == size:
                 b2, b1, y = piv
             else:
                 b1, b2, y = piv
@@ -858,7 +896,9 @@ def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int
     _checked_field(field)  # before the walk is charged; the rows check it again
     charge_word_enumeration(n, r, budget)
     count = count_lyndon_words(n, r)
-    rows = _Rows(lambda: (_standard_columns(w, n).items() for w in iter_lyndon_words(n, r)), count, n**r, field)
+    rows = _Rows(
+        lambda: (((), (), _standard_columns(w, n).items()) for w in iter_lyndon_words(n, r)), count, n**r, field
+    )
     return charge_span("Lyndon bracketing span", rows, budget)
 
 

@@ -481,12 +481,20 @@ def test_rank_rational_planes_match_dense_reference(vectors):
     assert vectors == before
 
 
+def _top(width):
+    # the bit count of a row's bitmask: width rounded up to whole bytes
+    return -(-width // 8) * 8
+
+
 def _reference_kernel_rows(vectors, columns, p):
     # what each kernel should be fed for the tuple-keyed vectors under the
     # column map: F2 masks, F3 planes, rational planes up to and including the
-    # first row they give up on (None), integer dicts and residue dicts mod p
+    # first row they give up on (None), integer dicts and residue dicts mod p.
+    # A mask is top bits wide, column 0 its highest bit.
+    top = _top(len(columns))
+
     def mask(vec, keep):
-        return sum(1 << columns[idx] for idx, c in vec.items() if keep(c))
+        return sum(1 << (top - 1 - columns[idx]) for idx, c in vec.items() if keep(c))
 
     rational = []
     for vec in vectors:
@@ -613,7 +621,7 @@ def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
     for r in range(1, 7):
         rows = oracle.lie_module_span(r)
         with _time_limit(5):
-            got = oracle._rank_planes(rows.planes(True), wrap=True)
+            got = oracle._rank_planes(rows.planes(True), rows.top, wrap=True)
         assert got.keys() == oracle._rank_prime(rows.residues(3), 3).keys(), r
         assert len(got) == dim_lie(r), r
         # the entries are +-1, so these are also the rational planes, and they
@@ -622,8 +630,81 @@ def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
         planes = list(rows.planes(False))
         negated = [(twos, ones) for ones, twos in planes]
         with _time_limit(5):
-            got = [oracle._rank_planes(signed, wrap=False).keys() for signed in (planes, negated)]
+            got = [oracle._rank_planes(signed, rows.top, wrap=False).keys() for signed in (planes, negated)]
         assert got == [oracle._rank_rational(rows.integers()).keys()] * 2, r
+
+
+def _columns(mask, top):
+    # the columns of a bitmask of top bits, column 0 its highest bit
+    return [c for c, bit in enumerate(format(mask, f"0{top}b")) if bit == "1"]
+
+
+def _bit_kernels_match_dict_kernels(rows, label):
+    # The pivots of _rank_gf2 and of _rank_planes in both modes, read back as
+    # {lead: {column: value}}, must be the dict kernels' pivots, keys and rows:
+    # _rank_prime over F2 and F3 (pivots scaled to lead 1) and, when the
+    # rational planes do not give up, _rank_rational (a +-1 row's gcd is 1, so
+    # its pivots are the rows that lead with +1).  Returns whether they did not.
+    top = rows.top
+
+    def signed(pivots, minus_one):
+        read = {}
+        for lead, (plus, minus, support) in pivots.items():
+            assert plus & minus == 0 and support == plus | minus, (label, lead)
+            read[lead] = {**dict.fromkeys(_columns(plus, top), 1), **dict.fromkeys(_columns(minus, top), minus_one)}
+        return read
+
+    with _time_limit(10):
+        gf2 = {lead: dict.fromkeys(_columns(x, top), 1) for lead, x in oracle._rank_gf2(rows.masks(), top).items()}
+        assert gf2 == oracle._rank_prime(rows.residues(2), 2), label
+        gf3 = oracle._rank_planes(rows.planes(True), top, wrap=True)
+        assert signed(gf3, 2) == oracle._rank_prime(rows.residues(3), 3), label
+        rational = oracle._rank_planes(rows.planes(False), top, wrap=False)
+        if rational is not None:
+            assert signed(rational, -1) == oracle._rank_rational(rows.integers()), label
+    return rational is not None
+
+
+@st.composite
+def signed_sparse_rows(draw):
+    # up to twelve rows of +-1 entries over 1 to 70 columns or 5,040, most
+    # widths no multiple of 8; each row takes up to eight columns of one pool
+    # of at most 24, so rows share columns and reduce one another
+    width = draw(st.one_of(st.integers(1, 70), st.just(5040)))
+    pool = draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=24, unique=True))
+    row = st.dictionaries(st.sampled_from(pool), st.sampled_from([-1, 1]), max_size=8)
+    return width, draw(st.lists(row, max_size=12))
+
+
+@given(signed_sparse_rows())
+# the first and last columns of a width whose masks carry three pad bits
+@example((5037, [{0: 1, 5036: -1}, {0: -1, 1: 1}, {5036: 1, 1: 1}, {1: -1, 5036: 1}]))
+# one column, seven pad bits, and a row that is the negation of the first
+@example((1, [{0: -1}, {0: 1}]))
+def test_bit_kernels_match_dict_kernels_on_signed_rows(drawn):
+    # every other row comes as its + and - columns, the rest as pairs
+    width, vectors = drawn
+
+    def entries():
+        for i, vec in enumerate(vectors):
+            if i % 2:
+                yield (), (), vec.items()
+            else:
+                yield [c for c, v in vec.items() if v == 1], [c for c, v in vec.items() if v == -1], ()
+
+    _bit_kernels_match_dict_kernels(oracle._Rows(entries, len(vectors), width, None), drawn)
+
+
+def test_bit_kernels_match_dict_kernels_on_oracle_rows():
+    # the lie-module and weight-space rows stay in {-1, 0, 1}, so the
+    # rational planes finish with pivots; the Lie power blocks come as pairs
+    for r in range(1, 7):
+        assert _bit_kernels_match_dict_kernels(oracle.lie_module_span(r), r)
+    for q, k in WEIGHT_SPACE_POINTS:
+        assert _bit_kernels_match_dict_kernels(oracle.weight_space_span(q, k), (q, k))
+    for n, r in ORACLE_POWER_POINTS:
+        for content, rows in oracle.lie_power_span(n, r).blocks.items():
+            _bit_kernels_match_dict_kernels(rows, (n, r, content))
 
 
 def test_pivots_are_the_lyndon_words():
@@ -638,7 +719,8 @@ def test_pivots_are_the_lyndon_words():
         lyndon = list(oracle.iter_lyndon_words(n, r))
         # over the rationals some block's planes give up, and its leads are the dict kernel's
         blocks = oracle.lie_power_span(n, r).blocks
-        assert any(oracle._rank_planes(rows.planes(False), False) is None for rows in blocks.values()), (n, r)
+        gave_up = [oracle._rank_planes(rows.planes(False), rows.top, False) is None for rows in blocks.values()]
+        assert any(gave_up), (n, r)
         for field in (2, 3, 5, None):
             for content, rows in oracle.lie_power_span(n, r, field).blocks.items():
                 words = contents[content]
@@ -687,7 +769,7 @@ class _CountedRows(oracle._Rows):
 
     def _entries(self):
         self.passes += 1
-        return (vec.items() for vec in self.vectors)
+        return (((), (), vec.items()) for vec in self.vectors)
 
 
 # every _Rows span source of the verify grids and of lie-module up to r = 7,
@@ -702,6 +784,13 @@ SPAN_SOURCES = (
 )
 
 
+def _within(mask, width):
+    # every set bit of a top-bit-first mask stands for a column in 0..width-1:
+    # none at or above the top bit, none below bit top - width
+    top = _top(width)
+    return mask >> top == 0 and mask & ((1 << (top - width)) - 1) == 0
+
+
 def test_each_source_states_the_rows_the_kernels_get(monkeypatch):
     # count is the number of rows one masks() pass yields, width the number of
     # index tuples the columns stand for, and the charge planes * count * width
@@ -713,7 +802,7 @@ def test_each_source_states_the_rows_the_kernels_get(monkeypatch):
             rows = span(*args, field)
             assert (rows.count, rows.width) == (len(masks), width), (span.__name__, args)
             assert charged[-1] == planes * len(masks) * width, (span.__name__, args, field)
-        assert all(mask >> width == 0 for mask in masks), (span.__name__, args)
+        assert all(_within(mask, width) for mask in masks), (span.__name__, args)
 
 
 def test_lie_power_blocks_state_the_rows_the_kernels_get(monkeypatch):
@@ -731,7 +820,7 @@ def test_lie_power_blocks_state_the_rows_the_kernels_get(monkeypatch):
             for content, rows in oracle.lie_power_span(n, r, field).blocks.items():
                 count, width = len(masks[content]), len(contents[content])
                 assert (rows.count, rows.width) == (count, width), (n, r, content)
-                assert all(mask >> width == 0 for mask in masks[content]), (n, r, content)
+                assert all(_within(mask, width) for mask in masks[content]), (n, r, content)
                 work += planes * count * width + (3 * count << (r - 1)) + 32 * r * width
             assert charged[-1] == work, (n, r, field)
 
@@ -739,7 +828,7 @@ def test_lie_power_blocks_state_the_rows_the_kernels_get(monkeypatch):
 def test_charge_bounds_the_kernels_memory():
     # a kernel keeps at most count pivots of width columns a block, and the
     # walks a column table and r folds: the traced peak of a whole run stays
-    # under the charge in bytes (measured 1.5 to 6.2 times charge/8, the walks'
+    # under the charge in bytes (measured 1.4 to 6.0 times charge/8, the walks'
     # tables and frames outweighing the few pivots)
     for n, r in ((3, 7), (4, 5)):
         for field in (2, 3, None, 5):
@@ -752,7 +841,7 @@ def test_charge_bounds_the_kernels_memory():
 @pytest.mark.parametrize("n, r", [(3, 10), (4, 8)])
 def test_lie_power_reach_over_f2_in_little_memory(n, r):
     # admitted under --slow, and kernel-bound: the traced peak stays under
-    # 4 * charge/8 bytes (measured 0.24 and 0.37 times charge/8)
+    # 4 * charge/8 bytes (measured 0.29 and 0.46 times charge/8)
     slow = budget.work_budget(slow=True)
     charge = oracle.lie_power_span(n, r, 2, slow).work()
     ranks = []
@@ -786,12 +875,12 @@ def test_rational_stream_restarts_after_pivots_are_stored():
     assert len(counted.pivots()) == 5
     assert counted.passes == 2
     planes = list(_CountedRows(vectors).planes(False))
-    assert planes[0] == (0b11, 0)
-    assert oracle._rank_planes(planes, wrap=False) is None
+    assert planes[0] == (0b1100_0000, 0)
+    assert oracle._rank_planes(planes, 8, wrap=False) is None
     # an input entry of 2 after stored pivots ends the planes pass at that row
     vectors = [{0: 1}, {1: -1}, {2: 2, 3: 1}, {2: 1}]
     counted = _CountedRows(vectors)
-    assert list(counted.planes(False)) == [(1, 0), (0, 2), None]
+    assert list(counted.planes(False)) == [(0b1000_0000, 0), (0, 0b0100_0000), None]
     assert len(counted.pivots()) == 4 == _reference_rank(vectors, None)
     assert counted.passes == 3
     # over F3 the same rows never give up, so one pass
@@ -854,9 +943,10 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
 
 def test_lie_module_rows_fold_one_row_at_a_time():
     # a pass holds the columns of the 5,040 permutations and six prepend
-    # maps, and each row's 64 terms only while the row is at hand
+    # maps, and the 64 terms of each row of one batch only while the batch
+    # is at hand
     rows = oracle.lie_module_span(7, 2, 10**9)
-    peak = _traced_peak_mib(lambda: sum(1 for row in rows.entries() for _ in row))
+    peak = _traced_peak_mib(lambda: sum(len(plus) + len(minus) for plus, minus, _ in rows.entries()))
     assert peak < PEAK_CEILING_R7_ROWS_MIB, peak
 
 
