@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -10,7 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,12 +86,8 @@ RANK_COMMANDS = (
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+CLI_SURFACE = Path(__file__).resolve().parent / "golden" / "cli_surface.txt"
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -391,10 +387,9 @@ def _rows_from_csv(text):
 # about 100 examples of two small tables each; the runs take milliseconds, but
 # a per-example deadline would time the host's load
 @settings(deadline=None, max_examples=100)
-def test_table_commands_sweep(table, p, n, ks, m_max):
+def test_table_commands_sweep(runner, table, p, n, ks, m_max):
     args = [table, "--p", str(p), *(["--n", str(n)] if table == "b-table" else []), "--m-max", str(m_max)]
     args += [arg for k in ks for arg in ("--k", str(k))]
-    runner = CliRunner()
     csv_result = runner.invoke(main, args)
     json_result = runner.invoke(main, [*args, "--format", "json"])
     for result in (csv_result, json_result):
@@ -440,8 +435,8 @@ _ORACLE_ARGS = st.one_of(
 # about 100 runs of milliseconds each; no per-example deadline, as above
 @given(args=_ORACLE_ARGS)
 @settings(deadline=None, max_examples=100)
-def test_oracle_and_witt_commands_sweep(args):
-    result = CliRunner().invoke(main, list(args))
+def test_oracle_and_witt_commands_sweep(runner, args):
+    result = runner.invoke(main, list(args))
     assert result.exit_code in (0, 2), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (args, result.exception)
     assert "Traceback" not in result.output, args
@@ -953,3 +948,67 @@ def test_oracle_expand_is_charged(runner):
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "72c7c3fd4d43125d21eaa978e404ad291e8b6f573818d5750a75fddbec853c67"
     )
+
+
+def _surface(parser, path="liedim"):
+    """The lines of tests/golden/cli_surface.txt, read from the parser."""
+    yield f"{path} | {parser.description}"
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        flag = action.option_strings[0] if action.option_strings else action.dest
+        kind = "flag" if isinstance(action, argparse._StoreTrueAction) else "int" if action.type is int else "str"
+        choices = tuple(action.choices) if action.choices else None
+        yield (
+            f"{path} {flag} | dest={action.dest} type={kind} required={action.required} default={action.default!r} "
+            f"choices={choices!r} repeats={isinstance(action, argparse._AppendAction)} help={action.help!r}"
+        )
+    for name, sub in sorted(parser._commands.choices.items() if parser._commands else ()):
+        yield from _surface(sub, f"{path} {name}")
+
+
+def test_cli_surface_matches_golden():
+    # every command, option, default, choice and help string, as the click
+    # front end declared them
+    golden = [line for line in CLI_SURFACE.read_text().splitlines() if not line.startswith("#")]
+    assert list(_surface(main)) == golden
+
+
+def test_option_prefixes_are_refused(runner):
+    args = ["c-table", "--p", "2", "--k", "3", "--m", "3"]
+    _assert_one_line_refusal(runner.invoke(main, args), args)
+
+
+def test_help_for_every_command(runner):
+    paths = main.command_paths()
+    assert ("oracle",) in paths and ("oracle", "expand") in paths and len(paths) == 11
+    for path in [(), *paths]:
+        result = runner.invoke(main, [*path, "--help"])
+        assert result.exit_code == 0, path
+        assert result.stdout.startswith(f"usage: {' '.join(('liedim', *path))} "), path
+
+
+def test_closed_stdout_exits_2_in_one_line():
+    # the reader takes one line and closes the pipe; 44,220 words are far more
+    # than the pipe holds, so the command is still writing when it closes;
+    # stdout is block-buffered, as it is unless PYTHONUNBUFFERED is set
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "liedim.cli", "oracle", "lyndon", "--n", "3", "--r", "12", "--words"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"44220\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert proc.stderr.read().decode().splitlines() == ["Error: cannot write to standard output: Broken pipe"]
+    proc.stderr.close()
+    # a short output, to a pipe closed before the command starts, fails only
+    # when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "liedim.cli", "witt", "--n", "2", "--r", "6"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == ["Error: cannot write to standard output: Broken pipe"]

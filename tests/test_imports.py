@@ -77,23 +77,25 @@ def test_oracle_imports_no_closed_form():
 
 
 def _boundary_method(tree: ast.Module) -> ast.FunctionDef | None:
-    """The invoke method of the click.Group subclass in the module, if any."""
+    """The main method of the argparse.ArgumentParser subclass in the module, if any."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(ast.unparse(base) == "click.Group" for base in node.bases):
+        if isinstance(node, ast.ClassDef) and any(
+            ast.unparse(base) == "argparse.ArgumentParser" for base in node.bases
+        ):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "invoke":
+                if isinstance(item, ast.FunctionDef) and item.name == "main":
                     return item
     return None
 
 
 def test_cli_has_one_failure_boundary():
-    # errors become exit codes in the main group's invoke and nowhere else
+    # errors become exit codes in the parser's main method and nowhere else
     tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
     boundary = _boundary_method(tree)
-    assert boundary is not None, "cli.py has no click.Group subclass with an invoke method"
+    assert boundary is not None, "cli.py has no argparse.ArgumentParser subclass with a main method"
     inside = {id(node) for node in ast.walk(boundary)}
     stray = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler) and id(node) not in inside]
-    assert not stray, f"cli.py handles errors outside the group boundary, at lines {stray}"
+    assert not stray, f"cli.py handles errors outside the parser's main method, at lines {stray}"
 
 
 def _size_gate_sites(tree: ast.Module) -> dict[str, list[int]]:

@@ -7,7 +7,6 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from liedim.cli import main
 
@@ -52,8 +51,8 @@ def test_readme_python_block_runs(source):
 
 
 @pytest.mark.parametrize("args, shown", COMMANDS, ids=[" ".join(args) for args, _ in COMMANDS])
-def test_readme_command_prints_what_it_shows(args, shown):
-    result = CliRunner().invoke(main, args)
+def test_readme_command_prints_what_it_shows(runner, args, shown):
+    result = runner.invoke(main, args)
     assert result.exit_code == 0, result.output
     if shown is not None:
         assert result.stdout == shown

@@ -18,8 +18,11 @@ import liedim
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# what the group, its options and the failure boundary need
+# what the parser, its commands and the failure boundary need
 CLI_START_UP = {"liedim", "liedim.cli", "liedim.arith", "liedim.budget", "liedim.oracle", "liedim.render"}
+
+# the standard library the start-up modules import at their top
+START_UP_STDLIB = "__future__, argparse, collections.abc, functools, importlib, itertools, math, os, sys, typing"
 
 
 def _fresh(code: str) -> subprocess.CompletedProcess:
@@ -31,17 +34,26 @@ def _fresh(code: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def test_import_cli_loads_only_the_start_up_modules():
+def _loaded_by(statement: str) -> set[str]:
+    """The modules a bare interpreter loads to run the statement."""
     proc = _fresh(
-        "import sys\n"
-        "import click\n"
-        "before = set(sys.modules)\n"
-        "import liedim.cli\n"
-        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_import_cli_loads_only_the_start_up_modules():
+    # no click, and outside the package only what its start-up modules' own
+    # standard library imports load, with the locale module that argparse's
+    # gettext loads when a parser is built: on a host whose site set-up loads
+    # typing, math and os, that is argparse, gettext, locale and __future__
+    loaded = _loaded_by("import liedim.cli")
     assert "liedim.cli" in loaded
-    assert loaded <= CLI_START_UP, sorted(loaded - CLI_START_UP)
+    assert "click" not in loaded
+    package = {name for name in loaded if name.partition(".")[0] == "liedim"}
+    assert package <= CLI_START_UP, sorted(package - CLI_START_UP)
+    stdlib = _loaded_by(f"import {START_UP_STDLIB}\nargparse.ArgumentParser()")
+    assert loaded - package <= stdlib, sorted(loaded - package - stdlib)
 
 
 def test_oracle_lie_power_loads_no_table_or_verify_code():
@@ -63,7 +75,7 @@ def test_oracle_lie_power_loads_no_table_or_verify_code():
 def test_oracle_block_commands_load_no_closed_form_module(command):
     # each checks its rank against a factorial it computes itself, so neither
     # lie_modules nor the fractions, decimal and numbers it imports are
-    # loaded; what click loads to write the output (locale) is all that is new
+    # loaded: nothing is loaded after the start-up modules
     proc = _fresh(
         "import sys\n"
         "from liedim.cli import main\n"
@@ -75,7 +87,7 @@ def test_oracle_block_commands_load_no_closed_form_module(command):
     )
     assert proc.stdout.splitlines()[-1] == "agree"
     loaded = set(proc.stderr.split())
-    assert loaded <= {"locale", "_locale"}, sorted(loaded)
+    assert not loaded, sorted(loaded)
 
 
 def test_package_names_resolve_to_their_home_modules():
