@@ -587,13 +587,16 @@ class _MultilinearRows(_Rows):
     def __init__(self, q: int, k: int, field: int | None):
         self.field = _checked_field(field)
         r = q * k
-        self.entries = partial(_bracket_rows, (1,) * r, q)
-        self.r, self.halved = r, k > 1
+        self.q, self.r, self.halved = q, r, k > 1
         self.floor_bits = 2 * r - 3
         self.shape = _planes_text(field, f"({r}!/2)*{r}!" if k > 1 else f"{r}!*{r}!")
 
     width = property(lambda self: factorial(self.r))
     count = property(lambda self: self.width >> self.halved)
+
+    def entries(self):
+        # the r letter counts are built when a pass starts, so after the charge
+        return _bracket_rows((1,) * self.r, self.q)
 
 
 def _sorted_contents(n: int, r: int, top: int) -> Iterator[tuple[int, ...]]:

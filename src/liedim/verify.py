@@ -290,15 +290,15 @@ def _ranked(name: str, spans: dict[str, list[tuple]]) -> CheckFamily:
     return fam
 
 
-def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
+def _oracle_spans(suite: str, slow: bool, budget: int | None = None) -> dict[str, list[tuple]]:
     """The rank jobs of the selected suites by family name, in family order,
     each (where, its span's rank, the closed form the rank must equal).
 
-    Each distinct (builder, point, field) span is built, and so charged, once
-    and before any family runs, so an over-budget one is refused at once.  A
-    rank eliminates its span when first read: c's and the oracle's weight
-    space families share the six Q spans.  w(n, r) and (qk)!/k are computed
-    once per point.
+    Each distinct (builder, point, field) span is built, and so charged
+    against budget (None: the active one), once and before any family runs,
+    so an over-budget one is refused at once.  A rank eliminates its span
+    when first read: c's and the oracle's weight space families share the six
+    Q spans.  w(n, r) and (qk)!/k are computed once per point.
     """
     spans: dict[str, list[tuple]] = {}
 
@@ -308,7 +308,9 @@ def _oracle_spans(suite: str, slow: bool) -> dict[str, list[tuple]]:
 
     def add(name, builder, points, closed, where="(n={}, r={}, field={})", fields=ORACLE_FIELDS):
         # where takes a point's coordinates, then the field (c's takes no field)
-        spans[name] = [(where.format(*pt, f), rank_of(builder, *pt, f), closed(*pt)) for pt in points for f in fields]
+        spans[name] = [
+            (where.format(*pt, f), rank_of(builder, *pt, f, budget), closed(*pt)) for pt in points for f in fields
+        ]
 
     qk = cache(weight_space_dim_formula)
     if suite in ("all", "c"):
@@ -331,11 +333,12 @@ def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
 
     One pass, _oracle_spans, first builds and charges each distinct span, so an
     over-budget one is refused before any family runs; the c and oracle suites
-    then read their ranks.  slow adds the r = 7 Lie module job.
+    then read their ranks.  slow adds the r = 7 Lie module job.  The budget is
+    resolved first, so every suite refuses a malformed LIEDIM_BUDGET.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    spans = _oracle_spans(suite, slow)
+    spans = _oracle_spans(suite, slow, work_budget())
     families: list[CheckFamily] = []
     if suite == "all":
         families += arith_suite()

@@ -1,8 +1,11 @@
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def pytest_addoption(parser):
@@ -65,3 +68,22 @@ class Runner:
 @pytest.fixture(scope="session")
 def runner():
     return Runner()
+
+
+@pytest.fixture(scope="session")
+def verify_golden():
+    """The stdout of `liedim verify --suite all`, keyed by --slow: the one place
+    where a family, its check count and the PASS total are written."""
+    return {slow: (GOLDEN / f"verify_all{'_slow' * slow}.txt").read_bytes() for slow in (False, True)}
+
+
+@pytest.fixture(scope="session")
+def golden_families(verify_golden):
+    """families(suite, slow=False): the check count in the golden of each
+    family of the suite ('all': every family), in printed order."""
+
+    def families(suite: str, slow: bool = False) -> dict[str, int]:
+        pairs = (line.split(": ", 1) for line in verify_golden[slow].decode().splitlines()[:-1])
+        return {name: int(rest.split()[0]) for name, rest in pairs if suite == "all" or name.startswith(f"{suite}/")}
+
+    return families

@@ -480,7 +480,7 @@ def test_oracle_lyndon_counts_by_runs_and_streams_words(runner, monkeypatch):
     assert result.output.splitlines() == ["3", "0.0.0.1", "0.0.1.1", "0.1.1.1"]
 
 
-def test_verify_lyndon_count_family_bites(runner, monkeypatch):
+def test_verify_lyndon_count_family_bites(runner, monkeypatch, golden_families):
     # a counter that is off by one at a single point fails that point and only it
     real = verify_mod.oracle.count_lyndon_words
     monkeypatch.setattr(
@@ -489,9 +489,20 @@ def test_verify_lyndon_count_family_bites(runner, monkeypatch):
     result = runner.invoke(main, ["verify", "--suite", "oracle"])
     assert result.exit_code == 1
     lines = result.output.splitlines()
-    at = lines.index("oracle/lyndon-count: 48 checks, 1 failures")
+    at = lines.index(f"oracle/lyndon-count: {golden_families('oracle')['oracle/lyndon-count']} checks, 1 failures")
     assert lines[at + 1] == "  FAIL (n=2, r=5)"
     assert lines[-1].startswith("FAIL: 1 of ")
+
+
+def _verify_lines(checks: dict[str, int], fails: dict[str, list[str]]) -> list[str]:
+    """What `verify` prints for the families of checks, name to its count,
+    when fails[name] lists the points that family failed."""
+    lines = []
+    for name, count in checks.items():
+        where = fails.get(name, [])
+        lines += [f"{name}: {count} checks, {len(where)} failures", *(f"  FAIL {w}" for w in where)]
+    failed, total = sum(map(len, fails.values())), sum(checks.values())
+    return [*lines, f"FAIL: {failed} of {total} checks failed" if failed else f"PASS: {total} checks"]
 
 
 # one point per rank family of the oracle suite, each span keyed by its
@@ -502,42 +513,29 @@ def test_verify_lyndon_count_family_bites(runner, monkeypatch):
 # both families; and c's point (q=1, k=2) has the rows of the oracle suite's
 # Lie module at r = 2, so the c suite runs on its own
 ORACLE_PHANTOMS = {("5*12", 2), ("2*6*32", 3), ("2*(3!/2)*3!", None)}
-ORACLE_FAIL_LINES = [
-    "oracle/lie-power-rank: 54 checks, 1 failures",
-    "  FAIL (n=3, r=4, field=2)",
-    "oracle/lyndon-basis-rank: 54 checks, 1 failures",
-    "  FAIL (n=2, r=5, field=3)",
-    "oracle/lie-module-rank: 18 checks, 1 failures",
-    "  FAIL (r=3, field=None)",
-    "oracle/weight-space-rank: 12 checks, 1 failures",
-    "  FAIL (q=1, k=3, field=None)",
-]
+ORACLE_FAILS = {
+    "oracle/lie-power-rank": ["(n=3, r=4, field=2)"],
+    "oracle/lyndon-basis-rank": ["(n=2, r=5, field=3)"],
+    "oracle/lie-module-rank": ["(r=3, field=None)"],
+    "oracle/weight-space-rank": ["(q=1, k=3, field=None)"],
+}
 
 
 @pytest.mark.parametrize(
     "suite, slow, phantoms, expected",
     [
-        (
-            "c", False, {("2*(2!/2)*2!", None)},
-            ["c/weight-space-oracle: 6 checks, 1 failures", "  FAIL (q=1, k=2)", "FAIL: 1 of 4192 checks failed"],
-        ),
-        ("oracle", False, ORACLE_PHANTOMS, [*ORACLE_FAIL_LINES, "FAIL: 4 of 287 checks failed"]),
+        ("c", False, {("2*(2!/2)*2!", None)}, {"c/weight-space-oracle": ["(q=1, k=2)"]}),
+        ("oracle", False, ORACLE_PHANTOMS, ORACLE_FAILS),
         pytest.param(
             "oracle", True, ORACLE_PHANTOMS | {("(7!/2)*7!", 2)},
-            [
-                *ORACLE_FAIL_LINES[:4],
-                "oracle/lie-module-rank: 19 checks, 2 failures",
-                "  FAIL (r=3, field=None)",
-                "  FAIL (r=7, field=2, slow)",
-                *ORACLE_FAIL_LINES[6:],
-                "FAIL: 5 of 288 checks failed",
-            ],
+            {**ORACLE_FAILS, "oracle/lie-module-rank": ["(r=3, field=None)", "(r=7, field=2, slow)"]},
             marks=pytest.mark.slow,
         ),
     ],
 )
-def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, suite, slow, phantoms, expected):
-    # one phantom pivot at one point per rank family fails that point and only it
+def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, golden_families, suite, slow, phantoms, expected):
+    # one phantom pivot at one point per rank family fails that point, listed
+    # in expected, and only it
     real = verify_mod.oracle._Rows.pivots
 
     def with_phantom(rows):
@@ -547,7 +545,7 @@ def test_verify_rank_families_print_their_fail_lines(runner, monkeypatch, suite,
     monkeypatch.setattr(verify_mod.oracle._Rows, "pivots", with_phantom)
     result = runner.invoke(main, ["verify", "--suite", suite, *(["--slow"] if slow else [])])
     assert result.exit_code == 1
-    assert [line for line in result.output.splitlines() if not line.endswith(" 0 failures")] == expected
+    assert result.output.splitlines() == _verify_lines(golden_families(suite, slow), expected)
 
 
 def test_oracle_expand(runner):
@@ -673,26 +671,15 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
 
 
 def test_malformed_env_budget(runner, monkeypatch):
+    # verify resolves the budget before any family runs, so every suite refuses
+    # it, with or without --slow: witt and b too, though they charge nothing
     monkeypatch.setenv("LIEDIM_BUDGET", "abc")
-    for args in (["oracle", "lie-module", "--r", "3"], ["verify", "--suite", "oracle"]):
+    verify_runs = [["verify", "--suite", suite, *slow] for suite in verify_mod.SUITE_NAMES for slow in ([], ["--slow"])]
+    for args in (["oracle", "lie-module", "--r", "3"], *verify_runs):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args
-        assert _error_lines(result) == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
-
-
-def test_malformed_env_budget_only_where_verify_charges(runner, monkeypatch):
-    # --slow raises the budget of the oracle suite's r = 7 job only; the witt
-    # and b suites charge nothing, so they never read the budget
-    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
-    for suite in ("witt", "b"):
-        result = runner.invoke(main, ["verify", "--suite", suite, "--slow"])
-        assert result.exit_code == 0, suite
-        assert result.output.splitlines()[-1].startswith("PASS: "), suite
-    result = runner.invoke(main, ["verify", "--suite", "c", "--slow"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert _error_lines(result) == ["Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'"]
+        assert result.output == "Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'\n", args
 
 
 def test_oracle_lyndon_budget(runner):
@@ -735,16 +722,18 @@ def test_one_letter_aperiodic_walk_at_a_prime_fresh_process():
 # were admitted while it priced terms without the row width (n = 600 at
 # 720,000 units, for 179,700 rows of 360,000 bits); n = 1 has no rows, so only
 # its walk charge refuses it; the factorials are refused by their floor,
-# unbuilt; Lie(8) over F3 and Q, (8!)^2 units, stays over the --slow budget,
-# and so does L^16 of two letters over F2, whose 9,908 rows' folds are
-# charged 9.7 * 10^8 of its 1.09 * 10^9 units
+# unbuilt, and so are their letter counts; Lie(8) over F3 and Q, (8!)^2
+# units, stays over the --slow budget, and so does L^16 of two letters over
+# F2, whose 9,908 rows' folds are charged 9.7 * 10^8 of its 1.09 * 10^9 units
 SPAN_REFUSALS = (
     "lie-power --n 600 --r 2 --field f2",
     "lie-power --n 2000 --r 2",
     "lie-power --n 1 --r 100000000",
     "lie-power --n 2 --r 16 --field f2 --slow",
     "lie-module --r 10000000",
+    "lie-module --r 100000000",
     "weight-space --q 3000 --k 3000",
+    "weight-space --q 100000 --k 100000",
     "lie-module --r 8 --slow --field f3",
     "lie-module --r 8 --slow --field q",
 )
@@ -768,12 +757,17 @@ def test_oracle_lyndon_slow_flag(runner):
     assert result.output == "1397740\n"
 
 
-def test_verify_witt_suite(runner):
-    result = runner.invoke(main, ["verify", "--suite", "witt"])
+@pytest.mark.parametrize(
+    "suite, slow",
+    [("witt", False), ("b", False), ("c", False), ("oracle", False), pytest.param("oracle", True, marks=pytest.mark.slow)],
+)
+def test_verify_suite_prints_its_golden_lines(runner, golden_families, suite, slow):
+    # each suite prints the golden's lines of its own families and their sum,
+    # so a family filed under the wrong suite fails here even where the
+    # output of --suite all stays the same
+    result = runner.invoke(main, ["verify", "--suite", suite, *(["--slow"] if slow else [])])
     assert result.exit_code == 0
-    assert "witt/two-sided-bounds: 640 checks, 0 failures" in result.output
-    assert "witt/one-letter-alphabet: 100 checks, 0 failures" in result.output
-    assert result.output.strip().endswith("PASS: 740 checks")
+    assert result.output.splitlines() == _verify_lines(golden_families(suite, slow), {})
 
 
 def test_verify_shows_at_most_20_failures_per_family(runner, monkeypatch):
@@ -872,11 +866,6 @@ def test_bad_invocations_fail_in_one_line(runner, monkeypatch):
         else:
             monkeypatch.setenv("LIEDIM_BUDGET", budget)
         _assert_one_line_refusal(runner.invoke(main, args), (budget, args))
-    # the budget is checked only by the commands that read it
-    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
-    result = runner.invoke(main, ["verify", "--suite", "witt"])
-    assert result.exit_code == 0
-    assert result.stdout.startswith("witt/two-sided-bounds: 640 checks")
 
 
 def test_oracle_lie_power_refuses_an_empty_alphabet(runner):

@@ -957,6 +957,18 @@ def test_lie_module_rank_r7_streams_in_little_memory(field):
     assert peak < PEAK_CEILING_R7_MIB, peak
 
 
+def test_multilinear_spans_are_refused_before_they_allocate():
+    # a pass builds its r letter counts when it starts, so a refused span
+    # never holds them: at r = 10**8 they took 779 MiB, at 10**10 a MemoryError
+    def refuse(build, *args):
+        with pytest.raises(budget.WorkBudgetExceeded):
+            build(*args)
+
+    for build, args in ((oracle.lie_module_span, (10**8,)), (oracle.weight_space_span, (10**5, 10**5))):
+        peak = _traced_peak_mib(lambda: refuse(build, *args))
+        assert peak < 1, (build.__name__, peak)
+
+
 def test_a_bad_field_is_refused_where_the_span_is_built(monkeypatch):
     # a span carries its field, so a bad one is refused before anything is charged
     def must_not_charge(*args):

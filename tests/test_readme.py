@@ -18,8 +18,13 @@ BLOCKS = [
     for m in re.finditer(r"^```(\w*)\n(.*?)^```$", README, flags=re.DOTALL | re.MULTILINE)
 ]
 
-# each body padded with blank lines, so that a traceback names its README line
-PYTHON_BLOCKS = {f"README.md:{line}": "\n" * (line - 1) + body for info, body, line in BLOCKS if info == "python"}
+# each body padded with blank lines, so that a traceback names its README line,
+# and named by its place among the python blocks, so that its test id stays put
+# when the README above it changes
+PYTHON_BLOCKS = {
+    f"README.md:python-{i}": "\n" * (line - 1) + body
+    for i, (_, body, line) in enumerate((block for block in BLOCKS if block[0] == "python"), 1)
+}
 
 
 def _commands():

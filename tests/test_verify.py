@@ -33,15 +33,13 @@ def test_conv_chain():
     assert verify.conv_chain(3, 5)[-1] == (6, 3645)
 
 
-def test_witt_suite_green():
+def test_witt_suite_green(golden_families):
     fams = verify.run_suites("witt")
-    names = [fam.name for fam in fams]
-    assert names == ["witt/two-sided-bounds", "witt/one-letter-alphabet"]
-    assert [fam.checks for fam in fams] == [640, 100]
+    assert [(fam.name, fam.checks) for fam in fams] == list(golden_families("witt").items())
     assert verify.failure_count(fams) == 0
 
 
-def test_p_adic_round_trip_checks_every_r(monkeypatch):
+def test_p_adic_round_trip_checks_every_r(monkeypatch, golden_families):
     # the family counts its checks per prime, so a wrong split at one r must still show
     real = verify.p_adic_split
 
@@ -51,7 +49,7 @@ def test_p_adic_round_trip_checks_every_r(monkeypatch):
 
     monkeypatch.setattr(verify, "p_adic_split", wrong_at_96)
     padic = {fam.name: fam for fam in verify.arith_suite()}["arith/p-adic-round-trip"]
-    assert padic.checks == 400_000
+    assert padic.checks == golden_families("arith")["arith/p-adic-round-trip"]
     assert padic.failures == ["(p=2, r=96)"]
 
 
@@ -96,18 +94,18 @@ def _run_logged(monkeypatch, suite, slow):
         pytest.param("all", True, marks=pytest.mark.slow),
     ],
 )
-def test_up_front_charge_matches_the_run(monkeypatch, suite, slow):
+def test_up_front_charge_matches_the_run(monkeypatch, golden_families, suite, slow):
     # every distinct span is charged once, before the first suite runs, and
     # ranked once, in the order it was built: under "all" the c and oracle
-    # weight-space families share the six Q spans, so 144 rank checks read 138
+    # weight-space families share the six Q spans, so "all" charges no span
+    # that "oracle" does not
     families, log = _run_logged(monkeypatch, suite, slow)
     kinds = [kind for kind, _ in log]
     assert "charge" not in kinds[kinds.index("suite") :]
     charged = [args[1] for kind, args in log if kind == "charge"]  # charge_span(task, rows, budget)
     ranked = [args[0] for kind, args in log if kind == "rank"]  # span.rank()
     extra = slow and suite != "c"
-    rank_checks = sum(fam.checks for fam in families if fam.name.endswith(("-rank", "/weight-space-oracle")))
-    assert rank_checks == {"c": 6, "oracle": 138, "all": 144}[suite] + extra
+    assert [(fam.name, fam.checks) for fam in families] == list(golden_families(suite, slow).items())
     assert len(set(map(id, charged))) == len(charged) == {"c": 6, "oracle": 138, "all": 138}[suite] + extra
     assert ranked == charged
 
