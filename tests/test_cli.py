@@ -670,16 +670,28 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
         ]
 
 
-def test_malformed_env_budget(runner, monkeypatch):
-    # verify resolves the budget before any family runs, so every suite refuses
-    # it, with or without --slow: witt and b too, though they charge nothing
-    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
-    verify_runs = [["verify", "--suite", suite, *slow] for suite in verify_mod.SUITE_NAMES for slow in ([], ["--slow"])]
-    for args in (["oracle", "lie-module", "--r", "3"], *verify_runs):
+def _assert_malformed_budget_refused(runner, runs):
+    for args in runs:
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         assert isinstance(result.exception, SystemExit), args
         assert result.output == "Error: LIEDIM_BUDGET must be a non-negative integer, got 'abc'\n", args
+
+
+def test_malformed_env_budget(runner, monkeypatch):
+    # verify resolves the budget before any family runs, so every suite refuses
+    # it: witt and b too, though they charge nothing
+    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    verify_runs = [["verify", "--suite", suite] for suite in verify_mod.SUITE_NAMES]
+    _assert_malformed_budget_refused(runner, [["oracle", "lie-module", "--r", "3"], *verify_runs])
+
+
+def test_malformed_env_budget_only_where_verify_charges(runner, monkeypatch):
+    # --slow raises the budget of the oracle suite's r = 7 job only, but verify
+    # reads the budget once for every suite, so each refuses a malformed one
+    monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    verify_runs = [["verify", "--suite", suite, "--slow"] for suite in verify_mod.SUITE_NAMES]
+    _assert_malformed_budget_refused(runner, verify_runs)
 
 
 def test_oracle_lyndon_budget(runner):
