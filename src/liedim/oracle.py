@@ -887,7 +887,7 @@ def lie_power_span(n: int, r: int, field: int | None = None, budget: int | None 
     space, measured directly in coordinates; the answer is field-independent.
     """
     if n < 1 or r < 1:
-        raise ValueError("Lie power word enumeration needs n >= 1 and r >= 1")
+        raise ValueError("lie_power_span() needs n >= 1 and r >= 1")
     return charge_span("Lie power span expansion", _LiePowerSpan(n, r, field), budget)
 
 

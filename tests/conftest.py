@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
@@ -6,6 +9,8 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
+LIEDIM = ("-m", "liedim.cli")  # the interpreter arguments that run the command line
 
 
 def pytest_addoption(parser):
@@ -28,10 +33,10 @@ def pytest_collection_modifyitems(config, items):
 
 @dataclass
 class Result:
-    output: str  # stdout and stderr, interleaved as written
+    output: str  # stdout and stderr: interleaved as written in process, one after the other from a child
     stdout: str
+    stderr: str
     exit_code: int
-    exception: SystemExit | None  # the SystemExit of a nonzero exit
 
 
 class _Both(io.StringIO):
@@ -54,15 +59,48 @@ class Runner:
 
     def invoke(self, cli, args) -> Result:
         output = io.StringIO()
-        stdout = _Both(output)
-        exception = None
-        with redirect_stdout(stdout), redirect_stderr(output):
+        stdout, stderr = _Both(output), _Both(output)
+        code = 0
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             try:
                 cli(list(args))
             except SystemExit as exc:
-                exception = exc if exc.code else None
-        code = exception.code if exception else 0
-        return Result(output.getvalue(), stdout.getvalue(), code if isinstance(code, int) else 1, exception)
+                code = exc.code or 0
+        return Result(output.getvalue(), stdout.getvalue(), stderr.getvalue(), code if isinstance(code, int) else 1)
+
+
+def child(*args: str, **env: str | None) -> tuple[list[str], dict[str, str]]:
+    """The argv and environment of a fresh interpreter that runs `python args`.
+
+    This checkout's src goes first on PYTHONPATH, so the child imports the
+    liedim the tests import; LIEDIM_BUDGET is dropped, so the child runs at
+    the default budget; each keyword sets a variable, or drops it when None.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    environ = {**os.environ, "PYTHONPATH": path, "LIEDIM_BUDGET": None, **env}
+    return [sys.executable, *args], {name: value for name, value in environ.items() if value is not None}
+
+
+def fresh(*args: str, **env: str | None) -> Result:
+    """Runs `python args` in a fresh interpreter (see child) and returns what
+    Runner.invoke returns for the same run: fresh(*LIEDIM, "witt", ...)."""
+    argv, environ = child(*args, **env)
+    proc = subprocess.run(argv, capture_output=True, timeout=300, env=environ)
+    stdout, stderr = proc.stdout.decode(), proc.stderr.decode()
+    return Result(stdout + stderr, stdout, stderr, proc.returncode)
+
+
+def assert_refused(result: Result, message: str | None = None, exit_code: int = 2) -> str:
+    """Checks a refusal, in process or fresh: the exit code, nothing on stdout
+    and one `Error:` line as the whole output, so no traceback; with message,
+    the line is `Error: <message>`.  Returns the message the line gives."""
+    assert result.exit_code == exit_code, result.output
+    assert result.stdout == "", result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    got = lines[0].removeprefix("Error: ")
+    assert message is None or got == message, got
+    return got
 
 
 @pytest.fixture(scope="session")

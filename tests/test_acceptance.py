@@ -5,15 +5,12 @@ criterion; the slow variant of 4 needs `--slow`.  Criteria with a
 stated wall-clock limit assert it.
 """
 
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
+from conftest import LIEDIM, fresh
 
 from liedim import oracle, verify
 from liedim.arith import exact_div
@@ -29,7 +26,6 @@ from liedim.lie_powers import LiePowerContext
 from liedim.witt import aperiodic_word_count, check_witt_bounds, witt_dim
 
 GAP_EPS = Fraction(1, 100)
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_criterion_01_witt_formula_vs_combinatorial_oracle():
@@ -192,16 +188,9 @@ def test_criterion_09_cross_path_equality_and_ratio_identity():
 
 
 def _run_cli(args):
-    # the children import this checkout's liedim, as the tests themselves do
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "liedim.cli", *args],
-        capture_output=True,
-        timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    return proc.stdout
+    result = fresh(*LIEDIM, *args)
+    assert result.exit_code == 0, result.stderr
+    return result.stdout.encode()
 
 
 def test_criterion_10_byte_identical_reruns(verify_golden):

@@ -615,25 +615,6 @@ def test_dropped_rows_negate_kept_rows():
         check(perms, q, lambda perm: _reference_left_normed(perm, q), lambda f: len(oracle.weight_space_span(q, k, f).pivots()))
 
 
-def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
-    # the kernels return their pivots keyed by lead column: the planes and the
-    # dict kernels must choose the same leads
-    for r in range(1, 7):
-        rows = oracle.lie_module_span(r)
-        with _time_limit(5):
-            got = oracle._rank_planes(rows.planes(True), rows.top, wrap=True)
-        assert got.keys() == oracle._rank_prime(rows.residues(3), 3).keys(), r
-        assert len(got) == dim_lie(r), r
-        # the entries are +-1, so these are also the rational planes, and they
-        # must finish with pivots, not give up to the dict rows; negated, every
-        # row and so every pivot leads with -1
-        planes = list(rows.planes(False))
-        negated = [(twos, ones) for ones, twos in planes]
-        with _time_limit(5):
-            got = [oracle._rank_planes(signed, rows.top, wrap=False).keys() for signed in (planes, negated)]
-        assert got == [oracle._rank_rational(rows.integers()).keys()] * 2, r
-
-
 def _columns(mask, top):
     # the columns of a bitmask of top bits, column 0 its highest bit
     return [c for c, bit in enumerate(format(mask, f"0{top}b")) if bit == "1"]
@@ -644,7 +625,9 @@ def _bit_kernels_match_dict_kernels(rows, label):
     # {lead: {column: value}}, must be the dict kernels' pivots, keys and rows:
     # _rank_prime over F2 and F3 (pivots scaled to lead 1) and, when the
     # rational planes do not give up, _rank_rational (a +-1 row's gcd is 1, so
-    # its pivots are the rows that lead with +1).  Returns whether they did not.
+    # its pivots are the rows that lead with +1), from the rows and from the
+    # rows negated, where every row leads with -1.  Returns the rank the
+    # rational planes found, or None when they gave up.
     top = rows.top
 
     def signed(pivots, minus_one):
@@ -660,9 +643,12 @@ def _bit_kernels_match_dict_kernels(rows, label):
         gf3 = oracle._rank_planes(rows.planes(True), top, wrap=True)
         assert signed(gf3, 2) == oracle._rank_prime(rows.residues(3), 3), label
         rational = oracle._rank_planes(rows.planes(False), top, wrap=False)
-        if rational is not None:
-            assert signed(rational, -1) == oracle._rank_rational(rows.integers()), label
-    return rational is not None
+        if rational is None:
+            return None
+        negated = oracle._rank_planes((row and row[::-1] for row in rows.planes(False)), top, wrap=False)
+        expected = oracle._rank_rational(rows.integers())
+        assert signed(rational, -1) == signed(negated, -1) == expected, label
+    return len(rational)
 
 
 @st.composite
@@ -697,11 +683,12 @@ def test_bit_kernels_match_dict_kernels_on_signed_rows(drawn):
 
 def test_bit_kernels_match_dict_kernels_on_oracle_rows():
     # the lie-module and weight-space rows stay in {-1, 0, 1}, so the
-    # rational planes finish with pivots; the Lie power blocks come as pairs
+    # rational planes finish with pivots, as many as the formulas count; the
+    # Lie power blocks come as pairs
     for r in range(1, 7):
-        assert _bit_kernels_match_dict_kernels(oracle.lie_module_span(r), r)
+        assert _bit_kernels_match_dict_kernels(oracle.lie_module_span(r), r) == dim_lie(r), r
     for q, k in WEIGHT_SPACE_POINTS:
-        assert _bit_kernels_match_dict_kernels(oracle.weight_space_span(q, k), (q, k))
+        assert _bit_kernels_match_dict_kernels(oracle.weight_space_span(q, k), (q, k)) == weight_space_dim_formula(q, k)
     for n, r in ORACLE_POWER_POINTS:
         for content, rows in oracle.lie_power_span(n, r).blocks.items():
             _bit_kernels_match_dict_kernels(rows, (n, r, content))
@@ -950,13 +937,6 @@ def test_lie_module_rows_fold_one_row_at_a_time():
     assert peak < PEAK_CEILING_R7_ROWS_MIB, peak
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("field", [2, 3, None])
-def test_lie_module_rank_r7_streams_in_little_memory(field):
-    peak = _traced_peak_mib(lambda: len(oracle.lie_module_span(7, field, budget=10**9).pivots()))
-    assert peak < PEAK_CEILING_R7_MIB, peak
-
-
 def test_multilinear_spans_are_refused_before_they_allocate():
     # a pass builds its r letter counts when it starts, so a refused span
     # never holds them: at r = 10**8 they took 779 MiB, at 10**10 a MemoryError
@@ -1067,8 +1047,12 @@ def test_word_enumeration_charge():
 @pytest.mark.slow
 @pytest.mark.parametrize("field", [2, 3, None])
 def test_lie_module_rank_r7_slow(field):
+    # one elimination per field gives the rank and, streamed, a small traced peak
+    ranks = []
     with _time_limit(60):
-        assert len(oracle.lie_module_span(7, field, budget=10**9).pivots()) == dim_lie(7) == 720
+        peak = _traced_peak_mib(lambda: ranks.append(len(oracle.lie_module_span(7, field, budget=10**9).pivots())))
+    assert ranks == [dim_lie(7)] == [720]
+    assert peak < PEAK_CEILING_R7_MIB, (field, peak)
 
 
 @pytest.mark.slow

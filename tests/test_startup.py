@@ -7,16 +7,11 @@ sides of a difference and drops out.
 """
 
 import importlib
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
+from conftest import fresh
 
 import liedim
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # what the parser, its commands and the failure boundary need
 CLI_START_UP = {"liedim", "liedim.cli", "liedim.arith", "liedim.budget", "liedim.oracle", "liedim.render"}
@@ -25,21 +20,18 @@ CLI_START_UP = {"liedim", "liedim.cli", "liedim.arith", "liedim.budget", "liedim
 START_UP_STDLIB = "__future__, argparse, collections.abc, functools, importlib, itertools, math, os, sys, typing"
 
 
-def _fresh(code: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path}
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc
+def _fresh(code: str):
+    result = fresh("-c", code)
+    assert result.exit_code == 0, result.stderr
+    return result
 
 
 def _loaded_by(statement: str) -> set[str]:
     """The modules a bare interpreter loads to run the statement."""
-    proc = _fresh(
+    result = _fresh(
         f"import sys\nbefore = set(sys.modules)\n{statement}\nprint(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    return set(proc.stdout.split())
+    return set(result.stdout.split())
 
 
 def test_import_cli_loads_only_the_start_up_modules():
@@ -57,7 +49,7 @@ def test_import_cli_loads_only_the_start_up_modules():
 
 
 def test_oracle_lie_power_loads_no_table_or_verify_code():
-    proc = _fresh(
+    result = _fresh(
         "import sys\n"
         "from liedim.cli import main\n"
         "try:\n"
@@ -65,8 +57,8 @@ def test_oracle_lie_power_loads_no_table_or_verify_code():
         "finally:\n"
         "    print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
     )
-    assert proc.stdout.splitlines()[-1] == "agree"
-    loaded = set(proc.stderr.split())
+    assert result.stdout.splitlines()[-1] == "agree"
+    loaded = set(result.stderr.split())
     assert "liedim.witt" in loaded
     assert not loaded & {"liedim.verify", "liedim.report", "liedim.lie_powers", "json"}
 
@@ -76,7 +68,7 @@ def test_oracle_block_commands_load_no_closed_form_module(command):
     # each checks its rank against a factorial it computes itself, so neither
     # lie_modules nor the fractions, decimal and numbers it imports are
     # loaded: nothing is loaded after the start-up modules
-    proc = _fresh(
+    result = _fresh(
         "import sys\n"
         "from liedim.cli import main\n"
         "before = set(sys.modules)\n"
@@ -85,8 +77,8 @@ def test_oracle_block_commands_load_no_closed_form_module(command):
         "finally:\n"
         "    print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)\n"
     )
-    assert proc.stdout.splitlines()[-1] == "agree"
-    loaded = set(proc.stderr.split())
+    assert result.stdout.splitlines()[-1] == "agree"
+    loaded = set(result.stderr.split())
     assert not loaded, sorted(loaded)
 
 
