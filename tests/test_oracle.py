@@ -681,12 +681,18 @@ def test_bit_kernels_match_dict_kernels_on_signed_rows(drawn):
     _bit_kernels_match_dict_kernels(oracle._Rows(entries, len(vectors), width, None), drawn)
 
 
-def test_bit_kernels_match_dict_kernels_on_oracle_rows():
-    # the lie-module and weight-space rows stay in {-1, 0, 1}, so the
-    # rational planes finish with pivots, as many as the formulas count; the
-    # Lie power blocks come as pairs
+def test_rank_gf3_matches_dict_kernel_on_lie_module_rows():
+    # the Lie-module rows stay in {-1, 0, 1}, so the rational planes finish
+    # with pivots, as many as dim_lie counts, and every bit kernel, on the rows
+    # and on the rows negated, gives the dict kernels' pivots
     for r in range(1, 7):
         assert _bit_kernels_match_dict_kernels(oracle.lie_module_span(r), r) == dim_lie(r), r
+
+
+def test_bit_kernels_match_dict_kernels_on_oracle_rows():
+    # the weight-space rows stay in {-1, 0, 1}, so the rational planes finish
+    # with pivots, as many as the formula counts; the Lie power blocks come as
+    # pairs
     for q, k in WEIGHT_SPACE_POINTS:
         assert _bit_kernels_match_dict_kernels(oracle.weight_space_span(q, k), (q, k)) == weight_space_dim_formula(q, k)
     for n, r in ORACLE_POWER_POINTS:
