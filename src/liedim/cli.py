@@ -9,8 +9,8 @@ a traceback:
   unknown option, a bad prime, k divisible by p, a non-Lyndon word, a
   malformed LIEDIM_BUDGET, an oracle job or a witt or table output over the
   budget;
-- an ExactnessError, an exact identity that failed, exits 1 like any other
-  failed check;
+- an ExactnessError (an exact identity that failed) or a ChildProcessError (a
+  verify worker died before its checks ran) exits 1 like any failed check;
 - a standard output closed before the output was written (a pipe into
   `head`) exits 2.
 
@@ -104,7 +104,7 @@ class _Parser(argparse.ArgumentParser):
             sys.stdout.flush()
         except (WorkBudgetExceeded, ValueError) as exc:
             status, message = 2, str(exc)
-        except ExactnessError as exc:
+        except (ExactnessError, ChildProcessError) as exc:
             status, message = 1, str(exc)
         except BrokenPipeError as exc:
             # what is still buffered goes to devnull at exit, not to a second error

@@ -5,10 +5,16 @@ runs produce identical reports; a failure carries its point in the family's
 coordinates, such as (p, n, m, k) or (q, k, field).  Each distinct oracle
 span is built and charged once, before any family runs, and eliminated once.
 Redundant with the unit tests by intent, the suites re-certify an installation.
+Under 'all' the arith grids run in a forked child once every span is charged,
+so each refusal comes before a second process exists.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -328,29 +334,72 @@ def _oracle_spans(suite: str, slow: bool, budget: int | None = None) -> dict[str
     return spans
 
 
+@contextmanager
+def _in_worker(fn, label: str):
+    """Run fn() in a forked child while the with-block runs; yield a list that
+    fn's result (a list) extends when the block ends, or raise fn's exception.
+    The child pickles (ok, result or exception) into a pipe.  One that sends
+    nothing raises ChildProcessError, naming label; if the block raises, the
+    child is killed and reaped.  Without os.fork, fn runs in process, at once.
+    """
+    if not hasattr(os, "fork"):
+        yield fn()
+        return
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                reply = (True, fn())
+            except BaseException as exc:
+                reply = (False, exc)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(reply))
+        finally:
+            os._exit(0)  # no exit handler runs, no inherited buffer is flushed
+    os.close(write)
+    result: list = []
+    try:
+        yield result
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code or not data:
+        raise ChildProcessError(f"{label} exited with status {code}")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    result += value
+
+
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:
     """Run one named suite ('all' chains every family, including the arith grids).
 
     One pass, _oracle_spans, first builds and charges each distinct span, so an
     over-budget one is refused before any family runs; the c and oracle suites
     then read their ranks.  slow adds the r = 7 Lie module job.  The budget is
-    resolved first, so every suite refuses a malformed LIEDIM_BUDGET.
+    resolved first, so every suite refuses a malformed LIEDIM_BUDGET.  Only then
+    does 'all' fork the arith suite off (_in_worker): no refusal follows a fork.
     """
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     spans = _oracle_spans(suite, slow, work_budget())
     families: list[CheckFamily] = []
-    if suite == "all":
-        families += arith_suite()
-    if suite in ("all", "witt"):
-        families += witt_suite()
-    if suite in ("all", "b"):
-        families += b_suite()
-    if suite in ("all", "c"):
-        families += c_suite(spans)
-    if suite in ("all", "oracle"):
-        families += oracle_suite(spans)
-    return families
+    with _in_worker(arith_suite, "the arith suite's worker") if suite == "all" else nullcontext([]) as arith:
+        if suite in ("all", "witt"):
+            families += witt_suite()
+        if suite in ("all", "b"):
+            families += b_suite()
+        if suite in ("all", "c"):
+            families += c_suite(spans)
+        if suite in ("all", "oracle"):
+            families += oracle_suite(spans)
+    return arith + families
 
 
 def failure_count(families: list[CheckFamily]) -> int:

@@ -606,6 +606,7 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
     # _Rows.pivots is a span's one elimination, which every rank reads
     monkeypatch.setattr(verify_mod.oracle, "aperiodic_count_bruteforce", must_not_run)
     monkeypatch.setattr(verify_mod.oracle._Rows, "pivots", must_not_run)
+    monkeypatch.setattr(os, "fork", must_not_run)
     for name in ("arith_suite", "witt_suite", "b_suite", "c_suite", "oracle_suite"):
         monkeypatch.setattr(verify_mod, name, must_not_run)
     # 59048 is one unit under the largest aperiodic walk, 3^10, which the
@@ -620,13 +621,33 @@ def test_verify_refuses_over_budget_up_front(runner, monkeypatch):
         assert_refused(runner.invoke(main, args), _over_budget(task, work, budget))
 
 
+def test_verify_worker_failures_exit_1_in_one_line(runner, monkeypatch):
+    # the arith suite runs in a forked worker under --suite all: its exception
+    # reaches the parent with its type and message, and a worker that dies
+    # without a result is a failure of verify, since its checks did not all run
+    parent = os.getpid()
+
+    def inexact():
+        raise ExactnessError("the worker's identity failed")
+
+    def exit_3():
+        assert os.getpid() != parent, "the arith suite ran in the parent"
+        os._exit(3)
+
+    monkeypatch.setattr(verify_mod, "arith_suite", inexact)
+    assert_refused(runner.invoke(main, ["verify"]), "the worker's identity failed", exit_code=1)
+    monkeypatch.setattr(verify_mod, "arith_suite", exit_3)
+    assert_refused(runner.invoke(main, ["verify"]), "the arith suite's worker exited with status 3", exit_code=1)
+
+
 MALFORMED_BUDGET = "LIEDIM_BUDGET must be a non-negative integer, got 'abc'"
 
 
 def test_malformed_env_budget(runner, monkeypatch):
     # verify resolves the budget before any family runs, so every suite refuses
-    # it: witt and b too, though they charge nothing
+    # it: witt and b too, though they charge nothing; all before it forks
     monkeypatch.setenv("LIEDIM_BUDGET", "abc")
+    monkeypatch.setattr(os, "fork", None)
     for args in (["oracle", "lie-module", "--r", "3"], *(["verify", "--suite", suite] for suite in verify_mod.SUITE_NAMES)):
         assert_refused(runner.invoke(main, args), MALFORMED_BUDGET)
 

@@ -1,4 +1,6 @@
 import inspect
+import os
+import time
 from collections import Counter
 
 import pytest
@@ -48,14 +50,51 @@ def test_p_adic_round_trip_checks_every_r(monkeypatch, golden_families):
         return (m, k * p) if (r, p) == (96, 2) else (m, k)
 
     monkeypatch.setattr(verify, "p_adic_split", wrong_at_96)
-    padic = {fam.name: fam for fam in verify.arith_suite()}["arith/p-adic-round-trip"]
-    assert padic.checks == golden_families("arith")["arith/p-adic-round-trip"]
-    assert padic.failures == ["(p=2, r=96)"]
+    # run_suites("all") runs the suite in its forked worker, whose families must come back whole
+    for run in (verify.arith_suite, lambda: verify.run_suites("all")):
+        padic = {fam.name: fam for fam in run()}["arith/p-adic-round-trip"]
+        assert padic.checks == golden_families("arith")["arith/p-adic-round-trip"]
+        assert padic.failures == ["(p=2, r=96)"]
 
 
-def test_suite_dispatch_rejects_unknown():
-    with pytest.raises(ValueError):
+def test_suite_dispatch_rejects_unknown(monkeypatch):
+    monkeypatch.setattr(os, "fork", None)  # refused before any worker starts
+    with pytest.raises(ValueError, match="unknown suite"):
         verify.run_suites("everything")
+
+
+def test_a_failing_parent_leaves_no_worker(monkeypatch):
+    # the parent's own suites raise while the worker still runs: the worker is
+    # killed and reaped before the exception leaves run_suites
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def broken(spans):
+        raise ValueError("the oracle suite broke")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(verify, "arith_suite", lambda: time.sleep(20) or [])
+    monkeypatch.setattr(verify, "oracle_suite", broken)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the oracle suite broke"):
+        verify.run_suites("all")
+    assert time.perf_counter() - start < 10
+    assert len(forked) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forked[0], os.WNOHANG)
+
+
+def test_all_without_fork_runs_arith_in_process(monkeypatch, golden_families):
+    monkeypatch.delattr(os, "fork")
+    fams = verify.run_suites("all")
+    assert [(fam.name, fam.checks) for fam in fams] == list(golden_families("all").items())
+    assert verify.failure_count(fams) == 0
 
 
 def test_all_suite_contains_every_family():
