@@ -10,7 +10,9 @@ a traceback:
   malformed LIEDIM_BUDGET, an oracle job or a witt or table output over the
   budget;
 - an ExactnessError (an exact identity that failed) or a ChildProcessError (a
-  verify worker died before its checks ran) exits 1 like any failed check;
+  worker died before its results came back: verify's, before its checks ran,
+  or a table's, before its rows were built or printed) exits 1 like any
+  failed check;
 - a standard output closed before the output was written (a pipe into
   `head`) exits 2.
 

@@ -10,6 +10,10 @@ strings in JSON so consumers without arbitrary precision stay safe; CSV uses
 LF line endings, and all number formatting is locale-independent, so both
 formats are byte-identical across runs.
 
+A table whose integers reach FAST_STR_MIN_BITS forks a worker twice
+(_two_lanes): in _build_rows, once its output is charged, so no refusal
+follows a fork, and in to_csv or to_json, to print the integers.
+
 Bound column conventions: at m = 0 the ratio is exactly 1 and the bound
 column renders the trivial bound 1; on the degenerate chain k = 1 (ratio 0,
 no bound is defined) the bound column is empty.
@@ -27,8 +31,9 @@ from .arith import _check_chain, is_prime
 from .budget import charge_divisor_walk, charge_output
 from .lie_modules import LieModuleContext, dim_lie_bits_lower
 from .lie_powers import LiePowerContext, RatioBoundB
-from .render import DEFAULT_FLOAT_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction, str_to_int
+from .render import DEFAULT_FLOAT_BITS, FAST_STR_MIN_BITS, MAX_FLOAT_BITS, int_to_str, render_fraction, str_to_int
 from .witt import witt_dim_bits_lower
+from .worker import _in_worker
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,23 @@ TEXT_PRICE = 1 << 18
 DECIMAL_PRICE = 8
 
 
+def _two_lanes(fn: Callable, items: list, bits: list[int]) -> list:
+    """[fn(x) for x in items]; once some bits reach FAST_STR_MIN_BITS (below, a
+    fork costs more than it saves), in two lanes: largest first, each item joins
+    the one with the smaller sum of bits**2, lane 0 a forked worker's."""
+    if max(bits, default=0) < FAST_STR_MIN_BITS:
+        return [fn(x) for x in items]
+    lanes, loads = ([], []), [0, 0]
+    for i in sorted(range(len(items)), key=bits.__getitem__, reverse=True):
+        lane = int(loads[1] < loads[0])
+        lanes[lane].append(i)
+        loads[lane] += bits[i] ** 2
+    with _in_worker(lambda: [fn(items[i]) for i in lanes[0]], "the table's worker") as first:
+        second = [fn(items[i]) for i in lanes[1]]
+    done = dict(zip(lanes[0] + lanes[1], first + second))
+    return [done[i] for i in range(len(items))]
+
+
 def _build_rows(
     cfg: RunConfig, task: str, price: int, bits_lower: Callable, report: Callable, render_bound: Callable
 ) -> list[ConvergenceRow]:
@@ -123,16 +145,18 @@ def _build_rows(
     The output is charged first: price times the square of bits_lower(r), a
     sound floor on the bits of row r's largest integer, plus TEXT_PRICE times
     it, plus the decimal columns; that sum stops at m = 64, which can only
-    lower it.  report(r) is the context's per-degree RatioReport and
-    render_bound(bound, bits) the decimal bound column.
+    lower it.  Only then are the rows built, by _two_lanes weighted by
+    bits_lower(r), so no refusal follows a fork.  report(r) is the context's
+    per-degree RatioReport and render_bound(bound, bits) the decimal bound
+    column.
     """
     bits = cfg.float_bits
     decimal = DECIMAL_PRICE * bits * (bits + 4096)
-    points = _points(cfg, min(cfg.m_max, 64))
-    row_bits = ((bits_lower(r), m, k) for r, m, k in points)
+    row_bits = ((bits_lower(r), m, k) for r, m, k in _points(cfg, min(cfg.m_max, 64)))
     charge_output(task, ((price * b + TEXT_PRICE) * b + (3 if m and k > 1 else 1) * decimal for b, m, k in row_bits))
-    rows = []
-    for r, m, k in _points(cfg, cfg.m_max):
+
+    def row(point: tuple[int, int, int]) -> ConvergenceRow:
+        r, m, k = point
         rep = report(r)
         if rep.bound is not None:
             bound_float = render_bound(rep.bound, bits)
@@ -140,22 +164,22 @@ def _build_rows(
             bound_float = render_fraction(Fraction(1), bits)
         else:
             bound_float = ""
-        rows.append(
-            ConvergenceRow(
-                r=r,
-                p=cfg.p,
-                m=m,
-                k=k,
-                dim_num=rep.dim,
-                dim_den_context=rep.reference,
-                ratio_num=rep.ratio.numerator,
-                ratio_den=rep.ratio.denominator,
-                ratio_float=render_fraction(rep.ratio, bits),
-                bound_float=bound_float,
-                gap_float=render_fraction(1 - rep.ratio, bits),
-            )
+        return ConvergenceRow(
+            r=r,
+            p=cfg.p,
+            m=m,
+            k=k,
+            dim_num=rep.dim,
+            dim_den_context=rep.reference,
+            ratio_num=rep.ratio.numerator,
+            ratio_den=rep.ratio.denominator,
+            ratio_float=render_fraction(rep.ratio, bits),
+            bound_float=bound_float,
+            gap_float=render_fraction(1 - rep.ratio, bits),
         )
-    return rows
+
+    points = _points(cfg, cfg.m_max)
+    return _two_lanes(row, points, [bits_lower(r) for r, _, _ in points])
 
 
 def build_b_rows(cfg: RunConfig) -> list[ConvergenceRow]:
@@ -173,21 +197,24 @@ def build_c_rows(cfg: RunConfig) -> list[ConvergenceRow]:
     return _build_rows(cfg, "c table output", 1, dim_lie_bits_lower, report, render_fraction)
 
 
-def _record(row: ConvergenceRow) -> dict:
-    """One row keyed by CSV_COLUMNS, in that order; big integers as decimal strings."""
-    return {c: int_to_str(getattr(row, c)) if c in _INT_TEXT_COLUMNS else getattr(row, c) for c in CSV_COLUMNS}
+def _records(rows: list[ConvergenceRow]) -> list[dict]:
+    """Each row keyed by CSV_COLUMNS, in that order; big integers as decimal
+    strings, each its own _two_lanes item, so the two largest can take both lanes."""
+    ints = [getattr(row, c) for row in rows for c in CSV_COLUMNS if c in _INT_TEXT_COLUMNS]
+    text = iter(_two_lanes(int_to_str, ints, [x.bit_length() for x in ints]))
+    return [{c: next(text) if c in _INT_TEXT_COLUMNS else getattr(row, c) for c in CSV_COLUMNS} for row in rows]
 
 
 def to_csv(rows: list[ConvergenceRow]) -> str:
     """Fixed-column CSV with LF endings and a trailing newline."""
     lines = [",".join(CSV_COLUMNS)]
-    lines += [",".join(map(str, _record(row).values())) for row in rows]
+    lines += [",".join(map(str, record.values())) for record in _records(rows)]
     return "\n".join(lines) + "\n"
 
 
 def to_json(rows: list[ConvergenceRow]) -> str:
     """JSON array of row objects; big integers are encoded as strings."""
-    return json.dumps([_record(row) for row in rows], indent=2) + "\n"
+    return json.dumps(_records(rows), indent=2) + "\n"
 
 
 def rows_from_json(text: str) -> list[ConvergenceRow]:

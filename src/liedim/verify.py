@@ -5,16 +5,13 @@ runs produce identical reports; a failure carries its point in the family's
 coordinates, such as (p, n, m, k) or (q, k, field).  Each distinct oracle
 span is built and charged once, before any family runs, and eliminated once.
 Redundant with the unit tests by intent, the suites re-certify an installation.
-Under 'all' the arith grids run in a forked child once every span is charged,
-so each refusal comes before a second process exists.
+Under 'all' the arith grids run in a forked child (worker._in_worker) once
+every span is charged, so each refusal comes before a second process exists.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -33,6 +30,7 @@ from .lie_modules import (
 )
 from .lie_powers import LiePowerContext
 from .witt import aperiodic_word_count, check_witt_bounds, witt_dim
+from .worker import _in_worker
 
 SUITE_NAMES = ("all", "witt", "b", "c", "oracle")
 
@@ -332,49 +330,6 @@ def _oracle_spans(suite: str, slow: bool, budget: int | None = None) -> dict[str
         qk_where = "(q={}, k={}, field={})"
         add("oracle/weight-space-rank", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, qk_where, [None, 2])
     return spans
-
-
-@contextmanager
-def _in_worker(fn, label: str):
-    """Run fn() in a forked child while the with-block runs; yield a list that
-    fn's result (a list) extends when the block ends, or raise fn's exception.
-    The child pickles (ok, result or exception) into a pipe.  One that sends
-    nothing raises ChildProcessError, naming label; if the block raises, the
-    child is killed and reaped.  Without os.fork, fn runs in process, at once.
-    """
-    if not hasattr(os, "fork"):
-        yield fn()
-        return
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read)
-            try:
-                reply = (True, fn())
-            except BaseException as exc:
-                reply = (False, exc)
-            with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(reply))
-        finally:
-            os._exit(0)  # no exit handler runs, no inherited buffer is flushed
-    os.close(write)
-    result: list = []
-    try:
-        yield result
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code or not data:
-        raise ChildProcessError(f"{label} exited with status {code}")
-    ok, value = pickle.loads(data)
-    if not ok:
-        raise value
-    result += value
 
 
 def run_suites(suite: str, slow: bool = False) -> list[CheckFamily]:

@@ -103,6 +103,22 @@ def assert_refused(result: Result, message: str | None = None, exit_code: int = 
     return got
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children os.fork starts, through a wrapped os.fork."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
 @pytest.fixture(scope="session")
 def runner():
     return Runner()

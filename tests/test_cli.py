@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liedim import arith, cli, lie_powers
+from liedim import report as report_mod
 from liedim import verify as verify_mod
 from liedim import witt as witt_mod
 from liedim.arith import ExactnessError
@@ -228,17 +229,56 @@ def test_closed_form_digit_limit(runner, set_digit_limit):
     assert len(witt_text.splitlines()[0]) > sys.int_info.default_max_str_digits
 
 
-def test_big_tables_byte_identical(runner, set_digit_limit):
+def test_big_tables_byte_identical(runner, set_digit_limit, monkeypatch, forks):
+    # each table builds its rows and then prints their integers in two lanes,
+    # one in a forked worker; without os.fork both stages run in process
     set_digit_limit(0)
-    for command, digest in BIG_TABLE_DIGESTS.items():
-        result = runner.invoke(main, command.split())
-        assert result.exit_code == 0, command
-        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, command
-        # the largest integer printed took int_to_str's divide-and-conquer path
-        assert int(max(re.findall(r"\d+", result.stdout), key=len)).bit_length() >= FAST_STR_MIN_BITS
+    for forking in (True, False):
+        if not forking:
+            monkeypatch.delattr(os, "fork")
+        for command, digest in BIG_TABLE_DIGESTS.items():
+            before = len(forks)
+            result = runner.invoke(main, command.split())
+            assert result.exit_code == 0, command
+            assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest, command
+            # the largest integer printed took int_to_str's divide-and-conquer path
+            assert int(max(re.findall(r"\d+", result.stdout), key=len)).bit_length() >= FAST_STR_MIN_BITS
+            assert len(forks) - before == 2 * forking, command
 
 
-def test_oversized_runs_refused_up_front(runner, set_digit_limit):
+def test_table_worker_failures(runner, monkeypatch, forks):
+    # a worker that dies without a result fails the table in one line, exit 1;
+    # a parent lane that raises exits 2, its worker killed and reaped
+    parent = os.getpid()
+    real = report_mod.int_to_str
+    big = "c-table --p 2 --k 3 --m-max 11".split()
+    slept = []
+
+    def exit_3(x):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(x)
+
+    def parent_fails(x):
+        if os.getpid() == parent:
+            raise ValueError("the parent's lane broke")
+        if not slept:  # the worker is still running when the parent raises
+            slept.append(time.sleep(20))
+        return real(x)
+
+    monkeypatch.setattr(report_mod, "int_to_str", exit_3)
+    assert_refused(runner.invoke(main, big), "the table's worker exited with status 3", exit_code=1)
+    monkeypatch.setattr(report_mod, "int_to_str", parent_fails)
+    start = time.perf_counter()
+    assert_refused(runner.invoke(main, big), "the parent's lane broke")
+    assert time.perf_counter() - start < 10
+    assert len(forks) == 4
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_oversized_runs_refused_up_front(runner, set_digit_limit, forks):
     for limit in (sys.int_info.default_max_str_digits, 0):
         set_digit_limit(limit)
         for command in OVERSIZED:
@@ -247,6 +287,7 @@ def test_oversized_runs_refused_up_front(runner, set_digit_limit):
             assert time.perf_counter() - start < 1.0, (limit, command)
             message = assert_refused(result)
             assert "output needs about" in message and "budget is 10000000" in message, command
+    assert forks == []  # every refusal comes before a table's worker starts
     # the charge is sound: a c-table past the default digit limit within the budget prints
     set_digit_limit(sys.int_info.default_max_str_digits)
     result = runner.invoke(main, ["c-table", "--p", "2", "--k", "3", "--m-max", "12"])

@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -149,3 +150,14 @@ def test_ratio_fields_in_lowest_terms():
     rows = build_c_rows(cfg)
     assert rows[1].ratio == Fraction(2, 3)
     assert rows[1].dim_num == 80 and rows[1].dim_den_context == 120
+
+
+def test_a_big_table_forks_to_build_then_to_print(forks):
+    # past FAST_STR_MIN_BITS the rows are built in two lanes, then their
+    # integers printed in two; a default-size table stays in one process
+    to_json(build_c_rows(RunConfig(p=2, k_list=(3,), m_max=6)))
+    assert forks == []
+    rows = build_c_rows(RunConfig(p=2, k_list=(3,), m_max=11))
+    assert len(forks) == 1
+    to_csv(rows)
+    assert len(forks) == 2

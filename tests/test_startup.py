@@ -60,7 +60,7 @@ def test_oracle_lie_power_loads_no_table_or_verify_code():
     assert result.stdout.splitlines()[-1] == "agree"
     loaded = set(result.stderr.split())
     assert "liedim.witt" in loaded
-    assert not loaded & {"liedim.verify", "liedim.report", "liedim.lie_powers", "json"}
+    assert not loaded & {"liedim.verify", "liedim.report", "liedim.worker", "liedim.lie_powers", "json"}
 
 
 @pytest.mark.parametrize("command", [["lie-module", "--r", "3"], ["weight-space", "--q", "1", "--k", "2"]])

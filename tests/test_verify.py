@@ -63,31 +63,21 @@ def test_suite_dispatch_rejects_unknown(monkeypatch):
         verify.run_suites("everything")
 
 
-def test_a_failing_parent_leaves_no_worker(monkeypatch):
+def test_a_failing_parent_leaves_no_worker(monkeypatch, forks):
     # the parent's own suites raise while the worker still runs: the worker is
     # killed and reaped before the exception leaves run_suites
-    forked = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
     def broken(spans):
         raise ValueError("the oracle suite broke")
 
-    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(verify, "arith_suite", lambda: time.sleep(20) or [])
     monkeypatch.setattr(verify, "oracle_suite", broken)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="the oracle suite broke"):
         verify.run_suites("all")
     assert time.perf_counter() - start < 10
-    assert len(forked) == 1
+    assert len(forks) == 1
     with pytest.raises(ChildProcessError):
-        os.waitpid(forked[0], os.WNOHANG)
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 def test_all_without_fork_runs_arith_in_process(monkeypatch, golden_families):
