@@ -11,18 +11,21 @@ the rest, into a span, a _Rows source that carries its field.  Its one
 elimination, _Rows.pivots(), turns each row into the form its field's
 kernel takes, runs a deterministic sparse Gaussian elimination, exact over
 Q or F_p, and returns the kernel's pivots: by the triangularity of the
-standard bracketing, the lead columns are the Lyndon words.  The bracket
-oracles make one row of each +- pair: since [a, b] = -[b, a], the rows
-whose first letter (block) is below the second span everything.
+standard bracketing, the lead columns are the Lyndon words.  The
+left-normed folds make one row of each +- pair: since [a, b] = -[b, a], the
+rows whose first letter (block) is below the second span everything.
 
-Every row but the Lyndon bracketings' comes from one generator,
-_bracket_rows, which folds left-normed brackets in the column numbers of
-the arrangements of a letter content.  The left-normed span is
+The Lie power blocks and the weight spaces take their rows from one
+generator, _bracket_rows, which folds left-normed brackets in the column
+numbers of the arrangements of a letter content.  The left-normed span is
 block-diagonal by content, and renaming letters permutes the blocks, so
 _LiePowerSpan makes one _Rows block per content whose counts do not
 increase and weights each block's rank by the number of contents in its
-orbit, which it lists.  The Lie module and the weight spaces are the
-arrangements of the distinct letters 0..r-1, in runs of one letter or of q.
+orbit, which it lists.  The weight spaces are the arrangements of the
+distinct letters 0..qk-1 in runs of q.  The Lie module is ranked by
+recursion on the degree (_LieModuleRows): its rows are [u, x] for the
+letters x and the pivot rows u of the degree below, and
+weight_space_span(1, r) stays a second route to it, by the fold.
 
 The point of this module is independence: nothing below knows about the
 closed-form counts or recurrences elsewhere in the package, so agreement
@@ -32,6 +35,7 @@ the work budget of budget.py.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator, Sequence
 from functools import cached_property, partial
 from itertools import combinations
@@ -523,9 +527,11 @@ def _bracket_rows(counts: Sequence[int], q: int):
 
     The columns number the arrangements in lexicographic order; the rows
     are the brackets of those whose first run is below the second (all when
-    k = 1; see the module docstring), in that order.  Pad a term of the fold
-    v -> v (x) B - B (x) v with the letters still to come, so that it is an
-    arrangement with a column, which appending the next run leaves as it is.
+    k = 1; see the module docstring), in that order, so a content of one
+    letter with r >= 2 has none, and its pass builds nothing.  Pad a term of
+    the fold v -> v (x) B - B (x) v with the letters still to come, so that
+    it is an arrangement with a column, which appending the next run leaves
+    as it is.
     Prepending the run at s..s+q-1 permutes the positions by the cycle
     c_s = (s..s+q-1, 0..s-1, s+q..): it maps the column of an arrangement P
     to that of P o c_s, one table per s, made once a pass.  So a row is folded
@@ -539,6 +545,9 @@ def _bracket_rows(counts: Sequence[int], q: int):
     of the batch is every size-th term from the i-th.
     """
     r, base = sum(counts), len(counts)
+    if r > 1 and max(counts) == r:
+        # one letter: its one word's first two letters are equal, so no row
+        return
     numerals = _arrangement_numerals(counts)
     column = {x: i for i, x in enumerate(numerals)}
     u = base**q
@@ -580,9 +589,9 @@ def _bracket_rows(counts: Sequence[int], q: int):
 
 class _MultilinearRows(_Rows):
     """The rows of _bracket_rows over the letters 0..q*k-1 in runs of q, for
-    lie_module_span and weight_space_span, sized only when read: a huge span
-    is refused from floor_bits (r! >= 2**(r-1), count >= r!/2) before r! is
-    built."""
+    weight_space_span, sized only when read: a huge span is refused from
+    floor_bits (r! >= 2**(r-1), count >= r!/2) before r! is built.
+    _LieModuleRows takes its size, shape and floor at q = 1."""
 
     def __init__(self, q: int, k: int, field: int | None):
         self.field = _checked_field(field)
@@ -597,6 +606,106 @@ class _MultilinearRows(_Rows):
     def entries(self):
         # the r letter counts are built when a pass starts, so after the charge
         return _bracket_rows((1,) * self.r, self.q)
+
+
+def _columns_ending_in(r: int) -> list[list[int]]:
+    # ends[x]: the columns of the permutations of 0..r-1 that end in x, in
+    # lexicographic order.  Those that start with a != x are a followed by a
+    # permutation of the other letters, which renamed in order onto 0..r-2
+    # ends in x or x - 1; so each length is built from the one below.
+    ends = [[0]]
+    for m in range(2, r + 1):
+        block = factorial(m - 1)
+        ends = [[a * block + c for a in range(m) if a != x for c in ends[x - (x > a)]] for x in range(m)]
+    return ends
+
+
+def _mask_columns(mask: int, top: int) -> list[int]:
+    # the columns of a bitmask of top bits, column c at bit top - 1 - c
+    return [m.start() for m in re.finditer("1", format(mask, f"0{top}b"))]
+
+
+def _pivot_entries(pivot, top: int):
+    # a kernel's pivot row as (plus, minus, pairs), read back from the form
+    # the kernel keeps: an F_2 bitmask, a planes pivot (plus, minus, support)
+    # or a dict of nonzero entries
+    if type(pivot) is int:
+        return _mask_columns(pivot, top), [], ()
+    if type(pivot) is tuple:
+        return _mask_columns(pivot[0], top), _mask_columns(pivot[1], top), ()
+    return (), (), list(pivot.items())
+
+
+# The rows of Lie(1), e_0, and of Lie(2), [e_0, e_1] = e_0 e_1 - e_1 e_0
+# alone, as [e_1, e_0] = -[e_0, e_1]: one nonzero row each, its own pivot row.
+_LIE_BASE = {1: ([0], [], ()), 2: ([0], [1], ())}
+
+
+class _LieModuleRows(_MultilinearRows):
+    """The rows of lie_module_span, by recursion on the degree.
+
+    Lie(r) is spanned by [u, x] = u x - x u over the letters x and the u of a
+    spanning set of Lie(r-1) over the other letters, since the left-normed
+    [s_1, ..., s_r] is [[s_1, ..., s_(r-1)], s_r].  So for r >= 3 a pass takes
+    the pivot rows of Lie(r-1)'s own elimination over the same field, a
+    basis of its row space, renamed in order onto the letters other than x.
+    Renaming in order keeps the lexicographic order, so both halves of
+    [u, x] are column maps made once a level: x u takes u's column c to
+    x (r-1)! + c, and u x to the c-th permutation that ends in x
+    (_columns_ending_in).  The pivots are read back from the form their
+    kernel keeps (_pivot_entries).  Lie(2) is the base (_LIE_BASE), taken as
+    its own pivot row: built from Lie(1) it would stream two rows where the
+    fold streams one, and the levels above would stream more than the fold.
+    The x = 0 rows come last: for x >= 1, [u, x] leads where u does,
+    followed by x, so those rows lead at distinct columns and enter the
+    kernel with no step, and only the x = 0 rows are reduced.
+
+    It is sized and charged as the fold, planes * (r!/2) * r!, which bounds
+    the bits the recursion streams over all its levels (see work()); count
+    is what a pass yields, r rows for each pivot of Lie(r-1), so reading it
+    eliminates Lie(r-1)."""
+
+    def __init__(self, r: int, field: int | None):
+        super().__init__(1, r, field)
+
+    @property
+    def count(self) -> int:
+        return self.r * len(self._below) if self.r > 2 else 1
+
+    def work(self) -> int:
+        """planes * (r!/2) * r! (r!*r! at r = 1), the fold's charge.  Level
+        k >= 3 streams k rows of k! columns for each of the (k-2)! pivots of
+        Lie(k-1), its dimension, and S(r) = sum_{k=3..r} k (k-2)! k! is at
+        most (r!)**2 / 2: S(3) = 18, and S(r) <= S(r-1) + r (r-2)! r! <=
+        (r!)**2/2 * (1/r**2 + 2/(r-1)), where the bracket is at most 1 for
+        r >= 4.  So the bits streamed over all levels, planes * S(r), are at
+        most work(); at r <= 2 one row of r! columns is."""
+        return (1 if self.field == 2 else 2) * (self.width >> self.halved) * self.width
+
+    @cached_property
+    def _below(self) -> list:
+        # the pivot rows of Lie(r-1) over the same field, in order of their leads
+        if self.r == 3:
+            return [_LIE_BASE[2]]
+        below = _LieModuleRows(self.r - 1, self.field)
+        pivots = below.pivots()
+        return [_pivot_entries(pivots[lead], below.top) for lead in sorted(pivots)]
+
+    def entries(self):
+        r = self.r
+        if r < 3:
+            yield _LIE_BASE[r]
+            return
+        below, block = self._below, factorial(r - 1)
+        ends = _columns_ending_in(r)
+        for x in (*range(1, r), 0):
+            at, shift = ends[x].__getitem__, (x * block).__add__
+            for plus, minus, pairs in below:
+                yield (
+                    [*map(at, plus), *map(shift, minus)],
+                    [*map(at, minus), *map(shift, plus)],
+                    [(at(c), v) for c, v in pairs] + [(shift(c), -v) for c, v in pairs],
+                )
 
 
 def _sorted_contents(n: int, r: int, top: int) -> Iterator[tuple[int, ...]]:
@@ -906,19 +1015,22 @@ def lyndon_bracketing_span(n: int, r: int, field: int | None = None, budget: int
 
 
 def lie_module_span(r: int, field: int | None = None, budget: int | None = None) -> _Rows:
-    """The span of the r! multilinear left-normed brackets over the field, charged.
+    """The span of the multilinear left-normed brackets over the field, charged.
 
     The brackets [e_{pi(1)}, ..., e_{pi(r)}] over all permutations pi span the
-    multilinear component; its rank equals (r-1)! over every field.  It is
-    the block of the content (1^r) of the Lie power at n = r, and its rows
-    are made the same way: _bracket_rows over the letters 0..r-1, the r!/2
-    permutations with pi(1) < pi(2) when r >= 2, streamed one at a time.  The
-    charge, planes * (r!/2) * r!, admits r <= 6 at the default budget, and
-    r = 7 and, over F_2 only, r = 8 at the --slow budget.
+    multilinear component Lie(r); its rank equals (r-1)! over every field.
+    Since [pi(1), ..., pi(r)] = [[pi(1), ..., pi(r-1)], pi(r)], the brackets
+    [u, x] over the letters x and a basis u of Lie(r-1) on the other letters
+    span it too, and _LieModuleRows streams those, one at a time, with the
+    pivot rows of Lie(r-1)'s own elimination over the same field as the
+    basis: r * (r-2)! rows at r >= 3, against the fold's r!/2 (840 against
+    2,520 at r = 7).  The charge is the fold's, planes * (r!/2) * r!, which
+    bounds the bits of every level; it admits r <= 6 at the default budget,
+    and r = 7 and, over F_2 only, r = 8 at the --slow budget.
     """
     if r < 1:
         raise ValueError("lie_module_span() needs r >= 1")
-    return charge_span("multilinear bracket span", _MultilinearRows(1, r, field), budget)
+    return charge_span("multilinear bracket span", _LieModuleRows(r, field), budget)
 
 
 def weight_space_span(q: int, k: int, field: int | None = None, budget: int | None = None) -> _Rows:

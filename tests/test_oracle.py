@@ -5,7 +5,8 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -529,7 +530,9 @@ def _kept(word, q=1):
 
 def test_lie_module_rows_match_expansions():
     # row for row, every kernel gets the kept rows of left_normed_expand under
-    # the sorted tuple column map, so the pivots are those of the index tuples
+    # the sorted tuple column map from the fold's rows of Lie(r),
+    # weight_space_span(1, r), verify's second route beside lie_module_span's
+    # recursion, so the pivots are those of the index tuples
     for r in range(1, 7):
         perms = list(permutations(range(r)))
         assert perms == sorted(perms), r
@@ -537,9 +540,99 @@ def test_lie_module_rows_match_expansions():
         vectors = [oracle.left_normed_expand(perm) for perm in perms if _kept(perm)]
         for p in (5, 7):
             expected = _reference_kernel_rows(vectors, columns, p)
-            assert _streamed_kernel_rows(oracle.lie_module_span(r), p) == expected, (r, p)
+            assert _streamed_kernel_rows(oracle.weight_space_span(1, r), p) == expected, (r, p)
     for f in (None, 2, 3, 5):
         assert len(oracle.lie_module_span(1, f).pivots()) == 1, f
+
+
+def _over(vec, field):
+    # a row's entries over the field: as they are over Q, else their nonzero residues
+    return vec if field is None else {c: v % field for c, v in vec.items() if v % field}
+
+
+def _row_vector(row):
+    plus, minus, pairs = row
+    return {**dict.fromkeys(plus, 1), **dict.fromkeys(minus, -1), **dict(pairs)}
+
+
+def _pivot_vector(pivot, top):
+    # a kernel's pivot row as {column: value}, read from the form the kernel
+    # keeps: an F_2 bitmask, a planes pivot (plus, minus, support) or a dict
+    if isinstance(pivot, int):
+        return dict.fromkeys(_columns(pivot, top), 1)
+    if isinstance(pivot, tuple):
+        return {**dict.fromkeys(_columns(pivot[0], top), 1), **dict.fromkeys(_columns(pivot[1], top), -1)}
+    return dict(pivot)
+
+
+def test_lie_module_rows_bracket_the_pivot_rows_below():
+    # row for row, Lie(r)'s rows are [u, x] = u x - x u for x = 1, ..., r-1
+    # and then 0, and for the pivot rows u of Lie(r-1)'s elimination over the
+    # same field, in order of their leads, each renamed in order onto the
+    # letters other than x: folded here on index tuples, with none of the
+    # oracle's column maps
+    for r in range(3, 8):
+        below = list(permutations(range(r - 1)))
+        columns = {perm: i for i, perm in enumerate(permutations(range(r)))}
+        for field in (2, 3, 5, None):
+            lower = oracle._LieModuleRows(r - 1, field)
+            pivots = lower.pivots()
+            expected = []
+            for x in (*range(1, r), 0):
+                letters = [a for a in range(r) if a != x]
+                for lead in sorted(pivots):
+                    row = {}
+                    for c, v in _pivot_vector(pivots[lead], lower.top).items():
+                        word = tuple(letters[a] for a in below[c])
+                        row[columns[word + (x,)]] = v
+                        row[columns[(x,) + word]] = -v
+                    expected.append(_over(row, field))
+            rows = [_over(_row_vector(row), field) for row in oracle._LieModuleRows(r, field).entries()]
+            assert rows == expected, (r, field)
+
+
+def test_lie_module_span_is_the_fold_span():
+    # Lie(r) from the recursion and from the fold, weight_space_span(1, r):
+    # the fold's rows, streamed after the recursion's, add no pivot, so each
+    # reduces to zero against the recursion's pivots, and the ranks agree, so
+    # the two spans are one
+    for r in range(1, 7):
+        for field in (2, 3, 5, None):
+            recursion = oracle.lie_module_span(r, field)
+            fold = oracle.weight_space_span(1, r, field)
+            both = oracle._Rows(lambda: chain(recursion.entries(), fold.entries()), 0, fold.width, field)
+            with _time_limit(10):
+                assert len(both.pivots()) == len(recursion.pivots()) == len(fold.pivots()), (r, field)
+
+
+def test_lie_module_recursion_streams_within_its_charge(monkeypatch):
+    # one elimination of Lie(r) passes once over each level k = 3, ..., r (the
+    # base, Lie(2), is its own pivot row), a pass of level k yields
+    # k * (k-2)! rows, one for each letter and pivot of the level below, and
+    # the bits it streams over all levels, planes * rows * k! at each, stay
+    # within work(), the fold's charge; r = 8 over F2 only, the one the
+    # --slow budget admits (over F5 it takes 2.3 s)
+    passes = []
+    real = oracle._LieModuleRows.entries
+
+    def counted(self):
+        level = [self.r, 0]
+        passes.append(level)
+        for row in real(self):
+            level[1] += 1
+            yield row
+
+    monkeypatch.setattr(oracle._LieModuleRows, "entries", counted)
+    for r, field in [*product(range(1, 8), (2, 3, 5, None)), (8, 2)]:
+        span = oracle._LieModuleRows(r, field)
+        passes.clear()
+        with _time_limit(10):
+            span.pivots()
+        levels = range(3, r + 1) if r > 2 else [r]
+        assert sorted(passes) == [[k, k * factorial(k - 2) if k > 2 else 1] for k in levels], (r, field)
+        assert span.count == passes[0][1], (r, field)
+        planes = 1 if field == 2 else 2
+        assert planes * sum(rows * factorial(k) for k, rows in passes) <= span.work(), (r, field)
 
 
 def test_weight_space_rows_match_block_expansions():
@@ -765,15 +858,17 @@ class _CountedRows(oracle._Rows):
         return (((), (), vec.items()) for vec in self.vectors)
 
 
-# every _Rows span source of the verify grids and of lie-module up to r = 7,
-# with the number of index tuples its columns stand for, enumerated here
+# every _Rows span source of the verify grids and the fold's rows of Lie(r)
+# up to r = 7, weight_space_span(1, r), with the number of index tuples its
+# columns stand for, enumerated here; lie_module_span is charged as that
+# fold (test_lie_module_recursion_streams_within_its_charge)
 SPAN_SOURCES = (
     *(
         (oracle.lyndon_bracketing_span, (n, r), len(list(product(range(n), repeat=r))))
         for n, r in ORACLE_POWER_POINTS
     ),
     *((oracle.weight_space_span, (q, k), len(list(permutations(range(q * k))))) for q, k in WEIGHT_SPACE_POINTS),
-    *((oracle.lie_module_span, (r,), len(list(permutations(range(r))))) for r in range(1, 8)),
+    *((oracle.weight_space_span, (1, r), len(list(permutations(range(r))))) for r in range(1, 8)),
 )
 
 
@@ -935,9 +1030,9 @@ def test_span_oracles_feed_kernels_one_row_at_a_time(monkeypatch):
 
 
 def test_lie_module_rows_fold_one_row_at_a_time():
-    # a pass holds the columns of the 5,040 permutations and six prepend
-    # maps, and the 64 terms of each row of one batch only while the batch
-    # is at hand
+    # a pass holds the 120 pivot rows of Lie(6), the columns of the 5,040
+    # permutations by their last letter and the row at hand (measured
+    # 0.34 MiB; the fold's pass, with its six prepend maps, 0.79 MiB)
     rows = oracle.lie_module_span(7, 2, 10**9)
     peak = _traced_peak_mib(lambda: sum(len(plus) + len(minus) for plus, minus, _ in rows.entries()))
     assert peak < PEAK_CEILING_R7_ROWS_MIB, peak
@@ -1063,9 +1158,15 @@ def test_lie_module_rank_r7_slow(field):
 
 @pytest.mark.slow
 def test_lie_module_rank_r8_over_f2_under_slow_budget():
-    # charged 8!/2 * 8! = 812,851,200 units over F_2, inside the --slow budget
+    # charged 8!/2 * 8! = 812,851,200 units over F_2, inside the --slow
+    # budget; the traced peak, mostly the 5,040 pivots of 8! bits, stays under
+    # half of charge/8 bytes (measured 0.30 times)
+    span = oracle.lie_module_span(8, 2, budget.work_budget(slow=True))
+    ranks = []
     with _time_limit(60):
-        assert len(oracle.lie_module_span(8, 2, budget.work_budget(slow=True)).pivots()) == dim_lie(8) == 5040
+        peak = _traced_peak_mib(lambda: ranks.append(len(span.pivots()))) * 2**20
+    assert ranks == [dim_lie(8)] == [5040]
+    assert peak < span.work() / 16, peak
 
 
 def test_weight_space_rank_23():

@@ -7,7 +7,9 @@ import shlex
 from pathlib import Path
 
 import pytest
+from conftest import assert_refused
 
+from liedim import oracle
 from liedim.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -61,3 +63,25 @@ def test_readme_command_prints_what_it_shows(runner, args, shown):
     assert result.exit_code == 0, result.output
     if shown is not None:
         assert result.stdout == shown
+
+
+# the `oracle …` rows of the size table: (argv after `liedim`, its verdict)
+SIZE_TABLE = [
+    (m[1].split(), m[2])
+    for m in re.finditer(r"^\| `(oracle [^`]*)` \| [^|]* \| (runs|refused)\b", README, flags=re.MULTILINE)
+]
+
+
+def test_size_table_verdicts_are_the_charges(runner, monkeypatch):
+    # each row is admitted or refused as the table says: its span is built
+    # and charged, and no elimination runs (every span has rank 0 here, so an
+    # admitted run prints its rank and exits 0 or 1, and a refused one exits 2)
+    monkeypatch.delenv("LIEDIM_BUDGET", raising=False)
+    monkeypatch.setattr(oracle._Rows, "pivots", lambda self: {})
+    assert len(SIZE_TABLE) >= 15
+    for args, verdict in SIZE_TABLE:
+        result = runner.invoke(main, args)
+        if verdict == "runs":
+            assert result.exit_code in (0, 1) and result.stdout.startswith("rank = 0\n"), (args, result.output)
+        else:
+            assert "units of work" in assert_refused(result), args
