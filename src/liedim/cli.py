@@ -14,7 +14,9 @@ a traceback:
   or a table's, before its rows were built or printed) exits 1 like any
   failed check;
 - a standard output closed before the output was written (a pipe into
-  `head`) exits 2.
+  `head`) exits 2;
+- running out of memory (a MemoryError, as under a budget raised past what
+  the machine holds) exits 2.
 
 `main` is an argparse parser that can be called: the console script,
 `python -m liedim.cli` and `main([...])` all run `main.main`, which also
@@ -112,6 +114,8 @@ class _Parser(argparse.ArgumentParser):
             # what is still buffered goes to devnull at exit, not to a second error
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             status, message = 2, f"cannot write to standard output: {exc.strerror}"
+        except MemoryError:
+            status, message = 2, "out of memory; lower the size or LIEDIM_BUDGET"
         if message is not None:
             print(f"Error: {message}", file=sys.stderr)
         if status:

@@ -302,9 +302,15 @@ def _oracle_spans(suite: str, slow: bool, budget: int | None = None) -> dict[str
     against budget (None: the active one), once and before any family runs,
     so an over-budget one is refused at once.  A rank eliminates its span
     when first read: c's and the oracle's weight space families share the six
-    Q spans.  w(n, r) and (qk)!/k are computed once per point.
+    Q spans.  The Lie power spans of one field share one memo of blocks, so
+    each content is eliminated once in the pass; the memos go with the spans.
+    w(n, r) and (qk)!/k are computed once per point.
     """
     spans: dict[str, list[tuple]] = {}
+    bases = {f: {} for f in ORACLE_FIELDS}
+
+    def lie_power_span(n, r, f, budget):
+        return oracle.lie_power_span(n, r, f, budget, bases[f])
 
     @cache
     def rank_of(builder, *args):
@@ -321,7 +327,7 @@ def _oracle_spans(suite: str, slow: bool, budget: int | None = None) -> dict[str
         add("c/weight-space-oracle", oracle.weight_space_span, WEIGHT_SPACE_POINTS, qk, "(q={}, k={})", [None])
     if suite in ("all", "oracle"):
         witt = cache(witt_dim)
-        add("oracle/lie-power-rank", oracle.lie_power_span, ORACLE_POWER_POINTS, witt)
+        add("oracle/lie-power-rank", lie_power_span, ORACLE_POWER_POINTS, witt)
         add("oracle/lyndon-basis-rank", oracle.lyndon_bracketing_span, ORACLE_POWER_POINTS, witt)
         add("oracle/lie-module-rank", oracle.lie_module_span, [(r,) for r in range(1, 7)], dim_lie, "(r={}, field={})")
         if slow:

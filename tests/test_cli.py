@@ -82,9 +82,9 @@ OVERSIZED = (
 
 # (command, the expected rank, the exact stdout); after the first three come
 # the reach rows: Lie(7) under --slow over every field and Lie(8) over F2,
-# five Lie power points, two of them under --slow, and the weight spaces over
-# every field.  In process they take about 1 s together, a fifth of it
-# Lie(8)
+# six Lie power points, three of them under --slow, and the weight spaces
+# over every field.  In process they take about 1.2 s together, a fifth of
+# it Lie(8)
 RANK_COMMANDS = (
     ("oracle lie-power --n 2 --r 6 --field f2", 9, "rank = 9\nwitt = 9\nagree\n"),
     ("oracle lie-module --r 5", 24, "rank = 24\n(r-1)! = 24\nagree\n"),
@@ -98,6 +98,7 @@ RANK_COMMANDS = (
     ("oracle lie-power --n 2 --r 10", 99, "rank = 99\nwitt = 99\nagree\n"),
     ("oracle lie-power --n 3 --r 10 --field f2 --slow", 5880, "rank = 5880\nwitt = 5880\nagree\n"),
     ("oracle lie-power --n 4 --r 8 --field f2 --slow", 8160, "rank = 8160\nwitt = 8160\nagree\n"),
+    ("oracle lie-power --n 4 --r 8 --slow", 8160, "rank = 8160\nwitt = 8160\nagree\n"),
     ("oracle lie-power --n 3 --r 8 --field f3", 810, "rank = 810\nwitt = 810\nagree\n"),
     *(
         (f"oracle weight-space --q 2 --k 3 --field {field}", 240, "rank = 240\n(qk)!/k = 240\nagree\n")
@@ -533,7 +534,7 @@ def _verify_lines(checks: dict[str, int], fails: dict[str, list[str]]) -> list[s
 # module at r = k, so one key, the shape of both at r = k = 3 over Q, serves
 # both families; and c's point (q=1, k=2) has the shape of the oracle suite's
 # Lie module at r = 2, so the c suite runs on its own
-ORACLE_PHANTOMS = {("5*12", 2), ("2*6*32", 3), ("2*(3!/2)*3!", None)}
+ORACLE_PHANTOMS = {("4*12", 2), ("2*6*32", 3), ("2*(3!/2)*3!", None)}
 ORACLE_FAILS = {
     "oracle/lie-power-rank": ["(n=3, r=4, field=2)"],
     "oracle/lyndon-basis-rank": ["(n=2, r=5, field=3)"],
@@ -686,6 +687,19 @@ def test_verify_worker_failures_exit_1_in_one_line(runner, monkeypatch):
     assert_refused(runner.invoke(main, ["verify"]), "the arith suite's worker exited with status 3", exit_code=1)
 
 
+def test_out_of_memory_exits_2_in_one_line(runner, monkeypatch):
+    # a budget raised past what the machine holds can run a kernel out of
+    # memory: that ends in one Error: line and exit 2, not a traceback
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setenv("LIEDIM_BUDGET", str(10**12))
+    monkeypatch.setattr(oracle, "_rank_planes", exhausted)
+    message = "out of memory; lower the size or LIEDIM_BUDGET"
+    for args in (["oracle", "lie-module", "--r", "9", "--field", "q"], ["oracle", "lie-power", "--n", "2", "--r", "6"]):
+        assert_refused(runner.invoke(main, args), message)
+
+
 MALFORMED_BUDGET = "LIEDIM_BUDGET must be a non-negative integer, got 'abc'"
 
 
@@ -729,10 +743,13 @@ def test_one_letter_walks_charged_their_length(runner):
 
 def test_one_letter_lie_power_builds_no_tables(runner, monkeypatch):
     # a content of one letter has one word, whose first two letters are
-    # equal, so it has no row, and its pass builds no arrangement numerals or
-    # prepend maps: the r = 312,500 run, charged 32r, peaks at kilobytes (it
-    # took 50 MiB traced with its tables)
-    monkeypatch.setattr(oracle, "_arrangement_numerals", None)
+    # equal, so it has no row, and its block walks no block below: the
+    # r = 312,500 run, charged 32r, peaks at kilobytes (it took 50 MiB traced
+    # when its rows were folded over tables of its arrangements)
+    def walked(block):
+        raise AssertionError(f"the block {block.counts} walked the blocks below")
+
+    monkeypatch.setattr(oracle._LiePowerRows, "_below", property(walked))
     tracemalloc.start()
     try:
         result = runner.invoke(main, ["oracle", "lie-power", "--n", "1", "--r", "312500"])
@@ -741,7 +758,11 @@ def test_one_letter_lie_power_builds_no_tables(runner, monkeypatch):
         tracemalloc.stop()
     assert (result.exit_code, result.output) == (0, "rank = 0\nwitt = 0\nagree\n")
     assert peak < 2**20, peak
-    assert [list(oracle._bracket_rows(counts, 1)) for counts in ((2,), (3, 0), (0, 0, 4))] == [[]] * 3
+    for k in (2, 3, 4):
+        bases = {}
+        block = oracle._LiePowerRows((k,), None, bases)
+        assert (list(block.entries()), block.count, block.basis()) == ([], 0, ()), k
+        assert list(bases) == [(k,)], k
 
 
 def test_one_letter_aperiodic_walk_at_a_prime_fresh_process():

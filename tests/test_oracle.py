@@ -557,11 +557,14 @@ def _row_vector(row):
 
 def _pivot_vector(pivot, top):
     # a kernel's pivot row as {column: value}, read from the form the kernel
-    # keeps: an F_2 bitmask, a planes pivot (plus, minus, support) or a dict
+    # keeps: an F_2 bitmask, a planes pivot (plus, minus, support) or a dict;
+    # a Lie power block's memo keeps a tuple whose third item is the
+    # (column, value) pairs of its other entries
     if isinstance(pivot, int):
         return dict.fromkeys(_columns(pivot, top), 1)
     if isinstance(pivot, tuple):
-        return {**dict.fromkeys(_columns(pivot[0], top), 1), **dict.fromkeys(_columns(pivot[1], top), -1)}
+        rest = pivot[2] if isinstance(pivot[2], tuple) else ()
+        return {**dict.fromkeys(_columns(pivot[0], top), 1), **dict.fromkeys(_columns(pivot[1], top), -1), **dict(rest)}
     return dict(pivot)
 
 
@@ -660,21 +663,51 @@ def _is_sorted(content):
     return list(content) == sorted(content, reverse=True)
 
 
+def _words(counts):
+    # the words of the content counts over the letters 0..len(counts)-1, in
+    # lexicographic order
+    k = len(counts)
+    return [word for word in product(range(k), repeat=sum(counts)) if _content(word, k) == counts]
+
+
+def _less(counts, x):
+    # the content less one x; a count of 0 is dropped, renaming the letters above x
+    return tuple(filter(None, counts[:x] + (counts[x] - 1,) + counts[x + 1 :]))
+
+
 def test_lie_power_rows_match_expansions():
-    # one block per content whose counts do not increase; its columns are the
-    # content's words in lexicographic order, and its rows the kept words'
-    # expansions, in that order
+    # one block per content whose counts do not increase, its zero counts
+    # dropped; its columns are the content's words in lexicographic order,
+    # and its rows, for x = 1, ..., k-1 and then 0 and for the pivot rows u
+    # of the block a - e_x over the same field, in order of their leads, are
+    # [u, x] = u x - x u: expanded here with a Counter on the words of u's
+    # entries, their letters renamed back when x was the only one, with none
+    # of the oracle's column maps
     for n in (1, 2, 3):
         for r in range(1, 6):
-            blocks = oracle.lie_power_span(n, r).blocks
             contents = _words_by_content(n, r)
-            assert list(blocks) == sorted(filter(_is_sorted, contents), reverse=True), (n, r)
-            for content, rows in blocks.items():
-                words = contents[content]
-                columns = {word: i for i, word in enumerate(words)}
-                vectors = [_reference_left_normed(word) for word in words if _kept(word)]
-                expected = _reference_kernel_rows(vectors, columns, 5)
-                assert _streamed_kernel_rows(rows, 5) == expected, (n, r, content)
+            for field in (2, 3, 5, None):
+                span = oracle.lie_power_span(n, r, field)
+                assert list(span.blocks) == sorted(filter(_is_sorted, contents), reverse=True), (n, r)
+                for content, rows in span.blocks.items():
+                    counts = tuple(filter(None, content))
+                    words = _words(counts)
+                    assert rows.counts == counts and rows.width == len(words) == len(contents[content]), (n, r)
+                    streamed = [_over(_row_vector(row), field) for row in rows.entries()]
+                    assert rows.count == len(streamed), (n, r, field, content)
+                    expected = [{0: 1}] if counts == (1,) else []
+                    columns = {word: i for i, word in enumerate(words)}
+                    for x in (*range(1, len(counts)), 0) if len(counts) > 1 else ():
+                        below = _words(_less(counts, x))
+                        letters = [a for a in range(len(counts)) if a != x or counts[x] > 1]
+                        for u in span.bases[_less(counts, x)][0]:
+                            vec = Counter()
+                            for c, v in _pivot_vector(u, _top(len(below))).items():
+                                word = tuple(letters[a] for a in below[c])
+                                vec[word + (x,)] += v
+                                vec[(x,) + word] -= v
+                            expected.append(_over({columns[word]: v for word, v in vec.items() if v}, field))
+                    assert streamed == expected, (n, r, field, content)
 
 
 def test_dropped_rows_negate_kept_rows():
@@ -826,22 +859,28 @@ def test_pivots_are_the_lyndon_words():
 
 
 def test_every_content_has_the_rank_of_its_sorted_content():
-    # the symmetry the span rests on, checked rather than assumed: a block is
-    # built for every content, sorted or not, from the same walk; the ranks
-    # agree within each orbit and sum to w(n, r) and to the span's rank, the
-    # sorted blocks' ranks weighted by their orbits
+    # the symmetry the span rests on, checked rather than assumed: every
+    # content, sorted or not, is ranked through the recursion, from its own
+    # rows and a memo of its own.  Its zero counts are dropped, which renames
+    # letters in order, so its width is its number of words and its leads
+    # are where its Lyndon words stand among them, with no remapping.  The
+    # ranks agree within each orbit and sum to w(n, r) and to the span's rank
     for n, r in (*ORACLE_POWER_POINTS, (2, 10), (3, 7), (4, 5)):
         contents = _words_by_content(n, r)
+        lyndon = list(oracle.iter_lyndon_words(n, r))
         for field in (2, 3, 5, None):
             span = oracle.lie_power_span(n, r, field)
-            sorted_ranks = {content: len(rows.pivots()) for content, rows in span.blocks.items()}
+            sorted_ranks = {content: len(rows.basis()) for content, rows in span.blocks.items()}
             total = 0
             for content, words in contents.items():
-                entries = partial(oracle._bracket_rows, content, 1)
+                block = oracle._LiePowerRows(tuple(filter(None, content)), field, {})
                 with _time_limit(5):
-                    rank = oracle._Rows(entries, sum(map(_kept, words)), len(words), field).rank()
-                assert rank == sorted_ranks[tuple(sorted(content, reverse=True))], (n, r, field, content)
-                total += rank
+                    leads = sorted(block.pivots())
+                assert block.width == len(words), (n, r, content)
+                expected = [words.index(word) for word in lyndon if _content(word, n) == content]
+                assert leads == expected, (n, r, field, content)
+                assert len(leads) == sorted_ranks[tuple(sorted(content, reverse=True))], (n, r, field, content)
+                total += len(leads)
             assert total == witt_dim(n, r) == span.rank(), (n, r, field)
 
 
@@ -894,23 +933,73 @@ def test_each_source_states_the_rows_the_kernels_get(monkeypatch):
 
 
 def test_lie_power_blocks_state_the_rows_the_kernels_get(monkeypatch):
-    # each block states its count rows, those one masks() pass yields, and its
-    # width, the words of its content; the charge adds to the blocks'
-    # planes * count * width their folds, 3 * 2**(r-1) a row, their walks,
-    # 32*r a word, and the orbit listing, n for each content that has rows
+    # each block states its count rows, those one masks() pass yields, and
+    # its width, the words of its content.  The charge is priced from the
+    # words alone: for each sorted content, planes * count * width for the
+    # count words with w[0] < w[1] (every word when r = 1), 3 * 2**(r-1)
+    # steps a row to expand their brackets and 32*r a word for tables over
+    # the words, and n for the orbit listing of each content that has rows
     charged = []
     monkeypatch.setattr(oracle, "_charge", lambda budget, task, floor, shown, work: charged.append(work()))
     for n, r in ORACLE_POWER_POINTS:
         contents = _words_by_content(n, r)
-        masks = {content: list(rows.masks()) for content, rows in oracle.lie_power_span(n, r, 2).blocks.items()}
         for field, planes in ((2, 1), (3, 2), (None, 2), (5, 2)):
             work = n * len([content for content in contents if r == 1 or max(content) < r])
+            for content, words in contents.items():
+                if _is_sorted(content):
+                    count, width = sum(map(_kept, words)), len(words)
+                    work += planes * count * width + (3 * count << (r - 1)) + 32 * r * width
             for content, rows in oracle.lie_power_span(n, r, field).blocks.items():
-                count, width = len(masks[content]), len(contents[content])
-                assert (rows.count, rows.width) == (count, width), (n, r, content)
-                assert all(_within(mask, width) for mask in masks[content]), (n, r, content)
-                work += planes * count * width + (3 * count << (r - 1)) + 32 * r * width
+                masks, width = list(rows.masks()), len(contents[content])
+                assert (rows.count, rows.width) == (len(masks), width), (n, r, field, content)
+                assert all(_within(mask, width) for mask in masks), (n, r, field, content)
             assert charged[-1] == work, (n, r, field)
+
+
+def _lie_power_points():
+    # the Lie power points of the CLI's rank commands, (n, r, field, budget)
+    from test_cli import RANK_COMMANDS
+
+    fields = {"q": None, "f2": 2, "f3": 3, "f5": 5}
+    for command, _, _ in RANK_COMMANDS:
+        args = command.split()
+        if args[1] == "lie-power":
+            option = dict(zip(args[2::2], args[3::2]))
+            slow = "--slow" in args
+            yield int(option["--n"]), int(option["--r"]), fields[option.get("--field", "q")], budget.work_budget(slow=slow)
+
+
+def test_lie_power_recursion_streams_within_its_charge(monkeypatch):
+    # a rank eliminates each block once, lower contents included, and a
+    # pass of a block yields its count rows (the rationals' planes may give
+    # up and the block be streamed again, so a block counts its longest
+    # pass); the bits streamed over every block eliminated, planes * rows *
+    # width, stay within work(), which is priced from binomials alone
+    passes = []
+    real = oracle._LiePowerRows.entries
+
+    def counted(self):
+        streamed = [self.counts, self.width, 0]
+        passes.append(streamed)
+        for row in real(self):
+            streamed[2] += 1
+            yield row
+
+    monkeypatch.setattr(oracle._LiePowerRows, "entries", counted)
+    points = [(n, r, field, None) for n, r in ORACLE_POWER_POINTS for field in (2, 3, 5, None)]
+    for n, r, field, cap in [*points, *_lie_power_points()]:
+        span = oracle.lie_power_span(n, r, field, cap)
+        passes.clear()
+        with _time_limit(10):
+            assert span.rank() == witt_dim(n, r), (n, r, field)
+        rows = {}
+        for counts, width, count in passes:
+            rows[counts] = max(rows.get(counts, (0, 0)), (count, width))
+        assert set(rows) <= set(span.bases), (n, r, field)
+        for counts, (count, _) in rows.items():
+            assert oracle._LiePowerRows(counts, field, span.bases).count == count, (n, r, field, counts)
+        planes = 1 if field == 2 else 2
+        assert planes * sum(count * width for count, width in rows.values()) <= span.work(), (n, r, field)
 
 
 def test_charge_bounds_the_kernels_memory():
@@ -937,6 +1026,18 @@ def test_lie_power_reach_over_f2_in_little_memory(n, r):
         peak = _traced_peak_mib(lambda: ranks.append(oracle.lie_power_span(n, r, 2, slow).rank())) * 2**20
     assert ranks == [witt_dim(n, r)]
     assert peak < 4 * charge / 8, (n, r, peak, charge)
+
+
+@pytest.mark.slow
+def test_lie_power_rank_n3_r10_over_q_under_slow_budget(runner):
+    # charged 3.9 * 10**7 units, admitted under --slow; the blocks with a
+    # repeated letter take the rationals' dict kernel, and the whole run took
+    # about 18 s as a fresh process when its rows were the left-normed fold
+    from liedim.cli import main
+
+    with _time_limit(5):
+        result = runner.invoke(main, ["oracle", "lie-power", "--n", "3", "--r", "10", "--slow"])
+    assert (result.exit_code, result.output) == (0, "rank = 5880\nwitt = 5880\nagree\n")
 
 
 def test_lyndon_bracketing_span_charged_before_expansion(monkeypatch):
