@@ -13,14 +13,15 @@ kernel takes, runs a deterministic sparse Gaussian elimination, exact over
 Q or F_p, and returns the kernel's pivots: by the triangularity of the
 standard bracketing, the lead columns are the Lyndon words.
 
-The Lie powers and the Lie module are ranked by recursion on the degree:
-their rows are [u, x] = u x - x u for the letters x and the pivot rows u of
-the degree below, from its own elimination over the same field.  The Lie
-power span is block-diagonal by letter content, and renaming letters
-permutes the blocks, so _LiePowerSpan ranks one block per content whose
-counts do not increase (_LiePowerRows, from the blocks of the contents
-below it) and weights each block's rank by the number of contents in its
-orbit, which it lists.  The weight spaces take their rows from
+The Lie powers are ranked by recursion on the degree: their rows are
+[u, x] = u x - x u for the letters x and the pivot rows u of the degree
+below, from its own elimination over the same field.  The Lie power span
+is block-diagonal by letter content, and renaming letters permutes the
+blocks, so _LiePowerSpan ranks one block per content whose counts do not
+increase (_LiePowerRows, from the blocks of the contents below it) and
+weights each block's rank by the number of contents in its orbit, which it
+lists.  The Lie module is one such block, that of r distinct letters
+(_LieModuleRows).  The weight spaces take their rows from
 _bracket_rows, which folds left-normed brackets in the column numbers of
 the permutations of the letters 0..qk-1 in runs of q, one row of each +-
 pair: since [a, b] = -[b, a], the rows whose first run is below the second
@@ -566,7 +567,8 @@ class _MultilinearRows(_Rows):
     """The rows of _bracket_rows over the letters 0..q*k-1 in runs of q, for
     weight_space_span, sized only when read: a huge span is refused from
     floor_bits (r! >= 2**(r-1), count >= r!/2) before r! is built.
-    _LieModuleRows takes its size, shape and floor at q = 1."""
+    _LieModuleRows, the recursion's rows of Lie(r), takes its size, shape
+    and floor at q = 1."""
 
     def __init__(self, q: int, k: int, field: int | None):
         self.field = _checked_field(field)
@@ -581,108 +583,6 @@ class _MultilinearRows(_Rows):
     def entries(self):
         # the r letter counts are built when a pass starts, so after the charge
         return _bracket_rows(self.r, self.q)
-
-
-def _columns_ending_in(r: int) -> list[list[int]]:
-    # ends[x]: the columns of the permutations of 0..r-1 that end in x, in
-    # lexicographic order.  Those that start with a != x are a followed by a
-    # permutation of the other letters, which renamed in order onto 0..r-2
-    # ends in x or x - 1; so each length is built from the one below.
-    ends = [[0]]
-    for m in range(2, r + 1):
-        block = factorial(m - 1)
-        ends = [[a * block + c for a in range(m) if a != x for c in ends[x - (x > a)]] for x in range(m)]
-    return ends
-
-
-def _mask_columns(mask: int, top: int) -> list[int]:
-    # the columns of a bitmask of top bits, column c at bit top - 1 - c
-    return [m.start() for m in re.finditer("1", format(mask, f"0{top}b"))]
-
-
-def _pivot_entries(pivot, top: int):
-    # a kernel's pivot row as (plus, minus, pairs), read back from the form
-    # the kernel keeps: an F_2 bitmask, a planes pivot (plus, minus, support)
-    # or a dict of nonzero entries; or from a Lie power block's memo, where
-    # the third item of a tuple is the pairs of its other entries (_kept_pivot)
-    if type(pivot) is int:
-        return _mask_columns(pivot, top), [], ()
-    if type(pivot) is tuple:
-        plus, minus, rest = pivot
-        return _mask_columns(plus, top), _mask_columns(minus, top), rest if type(rest) is tuple else ()
-    return (), (), list(pivot.items())
-
-
-# The rows of Lie(1), e_0, and of Lie(2), [e_0, e_1] = e_0 e_1 - e_1 e_0
-# alone, as [e_1, e_0] = -[e_0, e_1]: one nonzero row each, its own pivot row.
-_LIE_BASE = {1: ([0], [], ()), 2: ([0], [1], ())}
-
-
-class _LieModuleRows(_MultilinearRows):
-    """The rows of lie_module_span, by recursion on the degree.
-
-    Lie(r) is spanned by [u, x] = u x - x u over the letters x and the u of a
-    spanning set of Lie(r-1) over the other letters, since the left-normed
-    [s_1, ..., s_r] is [[s_1, ..., s_(r-1)], s_r].  So for r >= 3 a pass takes
-    the pivot rows of Lie(r-1)'s own elimination over the same field, a
-    basis of its row space, renamed in order onto the letters other than x.
-    Renaming in order keeps the lexicographic order, so both halves of
-    [u, x] are column maps made once a level: x u takes u's column c to
-    x (r-1)! + c, and u x to the c-th permutation that ends in x
-    (_columns_ending_in).  The pivots are read back from the form their
-    kernel keeps (_pivot_entries).  Lie(2) is the base (_LIE_BASE), taken as
-    its own pivot row: built from Lie(1) it would stream two rows where the
-    fold streams one, and the levels above would stream more than the fold.
-    The x = 0 rows come last: for x >= 1, [u, x] leads where u does,
-    followed by x, so those rows lead at distinct columns and enter the
-    kernel with no step, and only the x = 0 rows are reduced.
-
-    It is sized and charged as the fold, planes * (r!/2) * r!, which bounds
-    the bits the recursion streams over all its levels (see work()); count
-    is what a pass yields, r rows for each pivot of Lie(r-1), so reading it
-    eliminates Lie(r-1)."""
-
-    def __init__(self, r: int, field: int | None):
-        super().__init__(1, r, field)
-
-    @property
-    def count(self) -> int:
-        return self.r * len(self._below) if self.r > 2 else 1
-
-    def work(self) -> int:
-        """planes * (r!/2) * r! (r!*r! at r = 1), the fold's charge.  Level
-        k >= 3 streams k rows of k! columns for each of the (k-2)! pivots of
-        Lie(k-1), its dimension, and S(r) = sum_{k=3..r} k (k-2)! k! is at
-        most (r!)**2 / 2: S(3) = 18, and S(r) <= S(r-1) + r (r-2)! r! <=
-        (r!)**2/2 * (1/r**2 + 2/(r-1)), where the bracket is at most 1 for
-        r >= 4.  So the bits streamed over all levels, planes * S(r), are at
-        most work(); at r <= 2 one row of r! columns is."""
-        return (1 if self.field == 2 else 2) * (self.width >> self.halved) * self.width
-
-    @cached_property
-    def _below(self) -> list:
-        # the pivot rows of Lie(r-1) over the same field, in order of their leads
-        if self.r == 3:
-            return [_LIE_BASE[2]]
-        below = _LieModuleRows(self.r - 1, self.field)
-        pivots = below.pivots()
-        return [_pivot_entries(pivots[lead], below.top) for lead in sorted(pivots)]
-
-    def entries(self):
-        r = self.r
-        if r < 3:
-            yield _LIE_BASE[r]
-            return
-        below, block = self._below, factorial(r - 1)
-        ends = _columns_ending_in(r)
-        for x in (*range(1, r), 0):
-            at, shift = ends[x].__getitem__, (x * block).__add__
-            for plus, minus, pairs in below:
-                yield (
-                    [*map(at, plus), *map(shift, minus)],
-                    [*map(at, minus), *map(shift, plus)],
-                    [(at(c), v) for c, v in pairs] + [(shift(c), -v) for c, v in pairs],
-                )
 
 
 def _sorted_contents(n: int, r: int, top: int) -> Iterator[tuple[int, ...]]:
@@ -743,6 +643,21 @@ def _kept_pivot(pivot, bitmask, minus_one: int):
     return plus, minus, tuple(item for item in items if item[1] != 1 and item[1] != minus_one)
 
 
+def _mask_columns(mask: int, top: int) -> list[int]:
+    # the columns of a bitmask of top bits, column c at bit top - 1 - c
+    return [m.start() for m in re.finditer("1", format(mask, f"0{top}b"))]
+
+
+def _pivot_entries(pivot, top: int):
+    # a pivot row the memo keeps (_kept_pivot) as (plus, minus, pairs): an
+    # F_2 bitmask, or the bitmasks of its columns holding 1 and -1 and the
+    # tuple of (column, value) pairs of its other entries
+    if type(pivot) is int:
+        return _mask_columns(pivot, top), [], ()
+    plus, minus, rest = pivot
+    return _mask_columns(plus, top), _mask_columns(minus, top), rest
+
+
 class _LiePowerRows(_Rows):
     """The rows of one Lie power block, the letter content counts (no count
     0) over the letters 0..k-1, by recursion on the degree.
@@ -753,8 +668,11 @@ class _LiePowerRows(_Rows):
     a and the u of a basis of L_(a - e_x) (Reutenauer, Free Lie Algebras).
     A pass streams those, with the pivot rows of the block a - e_x's own
     elimination over the same field as the basis, read back from the form
-    the memo keeps (_pivot_entries).  A letter is its own row, and a letter
-    repeated has none, as [e_0, e_0] = 0, so its block builds nothing.
+    the memo keeps (_pivot_entries).  The blocks of one letter and of two
+    distinct ones are their own basis, with no pass (_base): made by
+    elimination from the letters, the block of two would stream two rows
+    where the left-normed fold streams one, and Lie(2) and Lie(3), the
+    blocks of two and three distinct letters, more bits than their charges.
 
     The memo bases, for one field, maps the counts of each block eliminated
     to its basis(), its pivot rows in order of their leads, and its lasts.
@@ -783,22 +701,38 @@ class _LiePowerRows(_Rows):
         self.width = _word_count(counts)
 
     @property
+    def _base(self) -> list | None:
+        # the rows of a block that is its own basis: a letter e_0; none for a
+        # letter repeated, as [e_0, e_0] = 0, so its block builds nothing; and
+        # [e_0, e_1] = e_0 e_1 - e_1 e_0 alone, as [e_1, e_0] = -[e_0, e_1].
+        # None for every other block
+        counts = self.counts
+        if len(counts) == 1:
+            return [([0], [], ())] if counts == (1,) else []
+        return [([0], [1], ())] if counts == (1, 1) else None
+
+    @property
     def count(self) -> int:
-        if len(self.counts) == 1:
-            return int(self.counts == (1,))
-        return sum(len(rows) for rows, _ in self._below)
+        base = self._base
+        return sum(len(rows) for rows, _ in self._below) if base is None else len(base)
 
     shape = property(lambda self: _planes_text(self.field, f"{self.count}*{self.width}"))
 
     def basis(self) -> tuple:
         """The block's pivot rows in order of their leads, from the memo, or
         eliminated and kept there, a dict kernel's as bitmasks and pairs
-        (_kept_pivot)."""
+        (_kept_pivot); a block that is its own basis is kept with no pass,
+        as its kernel would keep it."""
         kept = self.bases.get(self.counts)
         if kept is None:
-            pivots, bitmask = self.pivots(), _bitmasker(self.top)
-            minus_one = -1 if self.field is None else self.field - 1
-            rows = tuple(_kept_pivot(pivots[lead], bitmask, minus_one) for lead in sorted(pivots))
+            bitmask, base = _bitmasker(self.top), self._base
+            if base is None:
+                pivots = self.pivots()
+                minus_one = -1 if self.field is None else self.field - 1
+                rows = tuple(_kept_pivot(pivots[lead], bitmask, minus_one) for lead in sorted(pivots))
+            else:
+                two = self.field == 2
+                rows = tuple(bitmask(plus, minus) if two else (bitmask(plus), bitmask(minus), ()) for plus, minus, _ in base)
             kept = self.bases[self.counts] = rows, self.lasts
         return kept[0]
 
@@ -831,21 +765,24 @@ class _LiePowerRows(_Rows):
         )
 
     def entries(self):
-        counts = self.counts
-        if len(counts) == 1:
-            if counts == (1,):
-                yield [0], [], ()
+        base = self._base
+        if base is not None:
+            yield from base
             return
-        below, lasts = self._below, self.lasts
+        counts, below, lasts = self.counts, self._below, self.lasts
         starts = [0]
         for _, below_lasts in below:
             starts.append(starts[-1] + len(below_lasts))
+        held = None
         for x in (*range(1, len(counts)), 0):
-            rows, top = below[x][0], (len(below[x][1]) + 7) & -8
-            at = [*compress(range(self.width), map(x.__eq__, lasts))].__getitem__
+            rows, below_lasts = below[x]
+            if rows is not held:
+                # a basis is read back once for the letters in a row that share its block
+                held, top = rows, (len(below_lasts) + 7) & -8
+                us = [_pivot_entries(row, top) for row in rows]
+            at = [*compress(range(self.width), lasts.translate(bytes(x) + b"\1" + bytes(255 - x)))].__getitem__
             shift = starts[x].__add__
-            for row in rows:
-                plus, minus, pairs = _pivot_entries(row, top)
+            for plus, minus, pairs in us:
                 if counts[x] == 1:
                     yield (
                         [*map(at, plus), *map(shift, minus)],
@@ -866,6 +803,41 @@ class _LiePowerRows(_Rows):
                     else:
                         del terms[c]
                 yield (), (), terms.items()
+
+
+class _LieModuleRows(_MultilinearRows):
+    """The rows of lie_module_span.  Lie(r), the multilinear part of L^r, is
+    the Lie power block of r distinct letters, the content (1, ..., 1), so
+    its rows are that block's, by recursion on the degree (_LiePowerRows):
+    for r >= 3, [u, x] over the letters x and the pivot rows u of Lie(r-1).
+    The block and its memo are built when first read, so after the charge.
+
+    It is sized and charged as the fold, planes * (r!/2) * r!, which bounds
+    the bits the recursion streams over all its levels (see work()); count
+    is what a pass yields, r rows for each pivot of Lie(r-1) at r >= 3, so
+    reading it eliminates Lie(r-1)."""
+
+    def __init__(self, r: int, field: int | None):
+        super().__init__(1, r, field)
+
+    @cached_property
+    def _block(self) -> _LiePowerRows:
+        return _LiePowerRows((1,) * self.r, self.field, {})
+
+    count = property(lambda self: self._block.count)
+
+    def work(self) -> int:
+        """planes * (r!/2) * r! (r!*r! at r = 1), the fold's charge.  Level
+        k >= 3 streams k rows of k! columns for each of the (k-2)! pivots of
+        Lie(k-1), its dimension, and S(r) = sum_{k=3..r} k (k-2)! k! is at
+        most (r!)**2 / 2: S(3) = 18, and S(r) <= S(r-1) + r (r-2)! r! <=
+        (r!)**2/2 * (1/r**2 + 2/(r-1)), where the bracket is at most 1 for
+        r >= 4.  So the bits streamed over all levels, planes * S(r), are at
+        most work(); at r <= 2 one row of r! columns is."""
+        return (1 if self.field == 2 else 2) * (self.width >> self.halved) * self.width
+
+    def entries(self):
+        return self._block.entries()
 
 
 class _LiePowerSpan:
@@ -1153,12 +1125,13 @@ def lie_module_span(r: int, field: int | None = None, budget: int | None = None)
     multilinear component Lie(r); its rank equals (r-1)! over every field.
     Since [pi(1), ..., pi(r)] = [[pi(1), ..., pi(r-1)], pi(r)], the brackets
     [u, x] over the letters x and a basis u of Lie(r-1) on the other letters
-    span it too, and _LieModuleRows streams those, one at a time, with the
-    pivot rows of Lie(r-1)'s own elimination over the same field as the
-    basis: r * (r-2)! rows at r >= 3, against the fold's r!/2 (840 against
-    2,520 at r = 7).  The charge is the fold's, planes * (r!/2) * r!, which
-    bounds the bits of every level; it admits r <= 6 at the default budget,
-    and r = 7 and, over F_2 only, r = 8 at the --slow budget.
+    span it too, and _LieModuleRows streams those, one at a time, as the Lie
+    power block of r distinct letters, with the pivot rows of Lie(r-1)'s own
+    elimination over the same field as the basis: r * (r-2)! rows at r >= 3,
+    against the fold's r!/2 (840 against 2,520 at r = 7).  The charge is the
+    fold's, planes * (r!/2) * r!, which bounds the bits of every level; it
+    admits r <= 6 at the default budget, and r = 7 and, over F_2 only, r = 8
+    at the --slow budget.
     """
     if r < 1:
         raise ValueError("lie_module_span() needs r >= 1")

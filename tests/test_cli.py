@@ -847,13 +847,6 @@ def test_verify_rejects_unknown_suite(runner):
     assert_refused(result, f"unknown suite 'nope'; choose from {verify_mod.SUITE_NAMES}")
 
 
-@pytest.mark.slow
-def test_oracle_lie_module_r7_slow_flag(runner):
-    result = runner.invoke(main, ["oracle", "lie-module", "--r", "7", "--field", "f2", "--slow"])
-    assert result.exit_code == 0
-    assert "rank = 720" in result.output
-
-
 # (LIEDIM_BUDGET or None, arguments): every subcommand, refused with exit 2
 BAD_INVOCATIONS = (
     *((None, ["witt", "--n", n, "--r", r]) for n, r in (("2", "0"), ("2", "-1"), ("0", "3"), ("-1", "3"))),

@@ -2,7 +2,8 @@
 
 No module imports a name it never uses: a name counts as used when the
 module reads it anywhere (annotations included) or, in the package's
-``__init__``, when ``__all__`` lists it.  oracle.py imports no closed form,
+``__init__``, when ``__all__`` lists it.  No module defines a private name
+that nothing in the package reads.  oracle.py imports no closed form,
 cli.py handles errors in one place only, and the work budget is the one size
 gate.
 """
@@ -43,6 +44,43 @@ def test_no_unused_imports(path):
     used |= _exported_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """The module-level private names (one leading underscore, not a dunder)
+    that the module defines, each with the statement that defines it."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                found.update((name.id, node) for name in ast.walk(target) if isinstance(name, ast.Name))
+    return {name: node for name, node in found.items() if name.startswith("_") and not name.startswith("__")}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """The names a node reads, as a bare name or as an attribute of anything."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_no_orphaned_private_names():
+    # a private helper whose last reader was deleted fails here: every
+    # module-level private name is read somewhere in the package, outside
+    # the statement that defines it (so a recursion does not read itself)
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+    reads = [(name, top, _reads(top)) for name, tree in trees.items() for top in tree.body]
+    orphans = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if not any(name in read for other, top, read in reads if not (other == module and top is node))
+    ]
+    assert not orphans, f"private names that nothing in the package reads: {orphans}"
 
 
 # What oracle.py may import from the package: it is the independent check on

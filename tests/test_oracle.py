@@ -578,7 +578,7 @@ def test_lie_module_rows_bracket_the_pivot_rows_below():
         below = list(permutations(range(r - 1)))
         columns = {perm: i for i, perm in enumerate(permutations(range(r)))}
         for field in (2, 3, 5, None):
-            lower = oracle._LieModuleRows(r - 1, field)
+            lower = oracle.lie_module_span(r - 1, field, 10**9)
             pivots = lower.pivots()
             expected = []
             for x in (*range(1, r), 0):
@@ -590,7 +590,7 @@ def test_lie_module_rows_bracket_the_pivot_rows_below():
                         row[columns[word + (x,)]] = v
                         row[columns[(x,) + word]] = -v
                     expected.append(_over(row, field))
-            rows = [_over(_row_vector(row), field) for row in oracle._LieModuleRows(r, field).entries()]
+            rows = [_over(_row_vector(row), field) for row in oracle.lie_module_span(r, field, 10**9).entries()]
             assert rows == expected, (r, field)
 
 
@@ -609,25 +609,26 @@ def test_lie_module_span_is_the_fold_span():
 
 
 def test_lie_module_recursion_streams_within_its_charge(monkeypatch):
-    # one elimination of Lie(r) passes once over each level k = 3, ..., r (the
-    # base, Lie(2), is its own pivot row), a pass of level k yields
-    # k * (k-2)! rows, one for each letter and pivot of the level below, and
-    # the bits it streams over all levels, planes * rows * k! at each, stay
-    # within work(), the fold's charge; r = 8 over F2 only, the one the
-    # --slow budget admits (over F5 it takes 2.3 s)
+    # Lie(r) is the Lie power block of r distinct letters: one elimination
+    # of it passes once over each level k = 3, ..., r, the block of k
+    # distinct letters (the base, Lie(2), is its own pivot row), a pass of
+    # level k yields k * (k-2)! rows, one for each letter and pivot of the
+    # level below, and the bits it streams over all levels, planes * rows *
+    # k! at each, stay within work(), the fold's charge; r = 8 over F2 only,
+    # the one the --slow budget admits (over F5 it takes 2.3 s)
     passes = []
-    real = oracle._LieModuleRows.entries
+    real = oracle._LiePowerRows.entries
 
     def counted(self):
-        level = [self.r, 0]
+        level = [len(self.counts), 0]
         passes.append(level)
         for row in real(self):
             level[1] += 1
             yield row
 
-    monkeypatch.setattr(oracle._LieModuleRows, "entries", counted)
+    monkeypatch.setattr(oracle._LiePowerRows, "entries", counted)
     for r, field in [*product(range(1, 8), (2, 3, 5, None)), (8, 2)]:
-        span = oracle._LieModuleRows(r, field)
+        span = oracle.lie_module_span(r, field, 10**9)
         passes.clear()
         with _time_limit(10):
             span.pivots()
@@ -695,9 +696,11 @@ def test_lie_power_rows_match_expansions():
                     assert rows.counts == counts and rows.width == len(words) == len(contents[content]), (n, r)
                     streamed = [_over(_row_vector(row), field) for row in rows.entries()]
                     assert rows.count == len(streamed), (n, r, field, content)
-                    expected = [{0: 1}] if counts == (1,) else []
+                    # a letter, and [e_0, e_1] alone, as [e_1, e_0] = -[e_0, e_1]
+                    base = {(1,): [{0: 1}], (1, 1): [{0: 1, 1: -1}]}
+                    expected = [_over(row, field) for row in base.get(counts, [])]
                     columns = {word: i for i, word in enumerate(words)}
-                    for x in (*range(1, len(counts)), 0) if len(counts) > 1 else ():
+                    for x in (*range(1, len(counts)), 0) if len(counts) > 1 and counts not in base else ():
                         below = _words(_less(counts, x))
                         letters = [a for a in range(len(counts)) if a != x or counts[x] > 1]
                         for u in span.bases[_less(counts, x)][0]:
